@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import bialgebra, graded, letterplace, nbar_dual, semilattice
-from .errors import ParseError, SizeLimitError
+from .errors import ParseError
 from .extnat import parse_point
 from .reporting import FAIL, PASS
 
@@ -50,8 +50,15 @@ def _load_slat(path):
     return semilattice.parse_semilattice(_read(path), source=path)
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"bad rational {text!r}") from None
+
+
 def _parse_rationals(text):
-    return [Fraction(part) for part in text.split(",") if part != ""]
+    return [_rational(part) for part in text.split(",") if part != ""]
 
 
 def _parse_int_list(text):
@@ -66,7 +73,7 @@ def _parse_element(algebra, text):
         label, sep, value = part.partition(":")
         if not sep:
             raise _UsageError(f"element coordinate {part!r} needs label:rational")
-        coords[label] = Fraction(value)
+        coords[label] = _rational(value)
     return algebra.element_from_labels(coords)
 
 
@@ -213,7 +220,7 @@ def _cmd_graded(args, out):
 
 def _nbar_functional(args):
     prefix = _parse_rationals(args.prefix) if args.prefix else []
-    return nbar_dual.StepFunctional(prefix, Fraction(args.tail))
+    return nbar_dual.StepFunctional(prefix, _rational(args.tail))
 
 
 def _cmd_nbar(args, out):
@@ -380,8 +387,7 @@ def run(argv, out_stream=None, err_stream=None):
         return 2
     except (semilattice.SemilatticeError, bialgebra.NotACongruenceError,
             bialgebra.ParentMismatchError, graded.BadLabelsError,
-            graded.CharacterMismatchError, letterplace.ContextMismatchError,
-            SizeLimitError) as exc:
+            graded.CharacterMismatchError, letterplace.ContextMismatchError) as exc:
         err_stream.write(f"error: {exc}\n")
         return 2
     except (OSError, ValueError) as exc:
@@ -391,3 +397,7 @@ def run(argv, out_stream=None, err_stream=None):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -239,6 +239,33 @@ def act_character(f, a):
                                     if f(algebra.degree[i]) == 1})
 
 
+def _character_laws(algebra, chars, kind, unit_name, unit_note):
+    """Per character a multiplicative line, then unit-law lines or one INFO line.
+
+    The policy is the one check_module_algebra documents; kind, unit_name
+    and unit_note only set the wording of the lines.
+    """
+    report = Report()
+    n = algebra.dim
+    basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in range(n)]
+    for ci, f in enumerate(chars):
+        witness = next(((algebra.basis[i], algebra.basis[j])
+                        for i in range(n) for j in range(n)
+                        if act_character(f, basis[i] * basis[j])
+                        != act_character(f, basis[i]) * act_character(f, basis[j])),
+                       None)
+        report.add(kind, f"{character_label(ci)} multiplicative",
+                   FAIL if witness else PASS, f"[witness {witness}]" if witness else "")
+    if unit_in_identity_degrees(algebra):
+        one = algebra.one()
+        for ci, f in enumerate(chars):
+            report.add(kind, f"{character_label(ci)} {unit_name}",
+                       PASS if act_character(f, one) == one else FAIL)
+    else:
+        report.add("check", unit_name, INFO, f"[{unit_note}]")
+    return report
+
+
 def check_module_algebra(algebra):
     """Verify the module-algebra laws of the character action.
 
@@ -250,34 +277,10 @@ def check_module_algebra(algebra):
     grading_report = verify_grading(algebra)
     if not grading_report.passed:
         raise ValueError("algebra does not pass verify_grading")
-    report = Report()
-    chars = characters(algebra.grading)
-    n = algebra.dim
-    for ci, f in enumerate(chars):
-        name = character_label(ci)
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                a = AlgebraElement(algebra, {i: Fraction(1)})
-                b = AlgebraElement(algebra, {j: Fraction(1)})
-                if act_character(f, a * b) != act_character(f, a) * act_character(f, b):
-                    witness = (algebra.basis[i], algebra.basis[j])
-                    break
-            if witness:
-                break
-        report.add("character", f"{name} multiplicative", FAIL if witness else PASS,
-                   f"[witness {witness}]" if witness else "")
-    if unit_in_identity_degrees(algebra):
-        one = algebra.one()
-        for ci, f in enumerate(chars):
-            ok = act_character(f, one) == one
-            report.add("character", f"{character_label(ci)} unit-law",
-                       PASS if ok else FAIL)
-    else:
-        report.add("check", "unit-law", INFO,
-                   "[unit not concentrated in identity-acting degrees;"
-                   " gamma(f,1) is the projection of 1 onto the degrees where f = 1]")
-    return report
+    return _character_laws(
+        algebra, characters(algebra.grading), "character", "unit-law",
+        "unit not concentrated in identity-acting degrees;"
+        " gamma(f,1) is the projection of 1 onto the degrees where f = 1")
 
 
 class DualAction:
@@ -298,7 +301,8 @@ def dual_monoid_action(algebra):
     Checks that each endomorphism is multiplicative, that composition
     matches the pointwise product of characters, and that the constant-1
     character acts as the identity. The unital check follows the same
-    INFO policy as check_module_algebra when the unit is split.
+    INFO policy as check_module_algebra when the unit is split. Both
+    action laws are checked on the image of every basis vector.
     """
     grading_report = verify_grading(algebra)
     if not grading_report.passed:
@@ -306,55 +310,25 @@ def dual_monoid_action(algebra):
     chars = characters(algebra.grading)
     labels = [character_label(i) for i in range(len(chars))]
     n = algebra.dim
-    matrices = {}
-    for name, f in zip(labels, chars):
-        cols = []
-        for j in range(n):
-            image = act_character(f, AlgebraElement(algebra, {j: Fraction(1)}))
-            cols.append([image.coords.get(i, Fraction(0)) for i in range(n)])
-        matrices[name] = Matrix.from_rows([[cols[j][i] for j in range(n)]
-                                           for i in range(n)])
+    basis = [AlgebraElement(algebra, {j: Fraction(1)}) for j in range(n)]
+    images = [[act_character(f, b) for b in basis] for f in chars]
+    matrices = {name: Matrix.from_rows([[image[j].coords.get(i, Fraction(0))
+                                         for j in range(n)] for i in range(n)])
+                for name, image in zip(labels, images)}
 
-    report = Report()
-    for name, f in zip(labels, chars):
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                a = AlgebraElement(algebra, {i: Fraction(1)})
-                b = AlgebraElement(algebra, {j: Fraction(1)})
-                if act_character(f, a * b) != act_character(f, a) * act_character(f, b):
-                    witness = (algebra.basis[i], algebra.basis[j])
-                    break
-            if witness:
-                break
-        report.add("endomorphism", f"{name} multiplicative",
-                   FAIL if witness else PASS,
-                   f"[witness {witness}]" if witness else "")
-    if unit_in_identity_degrees(algebra):
-        one = algebra.one()
-        for name, f in zip(labels, chars):
-            ok = act_character(f, one) == one
-            report.add("endomorphism", f"{name} unital", PASS if ok else FAIL)
-    else:
-        report.add("check", "unital", INFO,
-                   "[unit not concentrated in identity-acting degrees;"
-                   " gamma(f,1) != 1 for characters vanishing on a unit degree]")
-
+    report = _character_laws(
+        algebra, chars, "endomorphism", "unital",
+        "unit not concentrated in identity-acting degrees;"
+        " gamma(f,1) != 1 for characters vanishing on a unit degree")
     lookup = {ch.values: i for i, ch in enumerate(chars)}
-    witness = None
-    for i, f in enumerate(chars):
-        for j, g in enumerate(chars):
-            prod = lookup[f.pointwise_mul(g).values]
-            if matrices[labels[prod]] != matrices[labels[i]].matmul(matrices[labels[j]]):
-                witness = (labels[i], labels[j])
-                break
-        if witness:
-            break
+    witness = next(((labels[i], labels[k])
+                    for i, f in enumerate(chars) for k, g in enumerate(chars)
+                    if [act_character(f, image) for image in images[k]]
+                    != images[lookup[f.pointwise_mul(g).values]]), None)
     report.add("action", "composition", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
     top = lookup[tuple(1 for _ in range(len(algebra.grading)))]
-    ok = matrices[labels[top]] == Matrix.identity(n)
-    report.add("action", "identity-character", PASS if ok else FAIL)
+    report.add("action", "identity-character", PASS if images[top] == basis else FAIL)
     return DualAction(algebra, labels, matrices, report)
 
 

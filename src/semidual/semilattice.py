@@ -8,17 +8,17 @@ again under pointwise product (the dual), and evaluation identifies
 every finite bounded semilattice with its double dual.
 
 Only {0,1} values can occur: every element is idempotent, and the only
-idempotents of the circle-with-zero codomain are 0 and 1. Enumeration
-over bit-vectors is therefore complete. Non-idempotent inverse monoids,
-where characters may take other values, are out of scope.
+idempotents of the circle-with-zero codomain are 0 and 1. So a character
+is the indicator of its support, and the characters are exactly the
+principal down-set indicators t -> [t <= x], one per element x.
+Non-idempotent inverse monoids, where characters may take other values,
+are out of scope.
 """
 
 from dataclasses import dataclass
 
-from .errors import ParseError, SizeLimitError
+from .errors import ParseError
 from .exactlin import Matrix, rank
-
-MAX_CHARACTER_ELEMENTS = 20
 
 
 class SemilatticeError(ValueError):
@@ -227,46 +227,14 @@ def _canonical_sort(chars):
 def characters(s):
     """All characters of s, canonically ordered (support size, then bits).
 
-    Depth-first search over a linear extension of the induced order.
-    An element may be 1 only when everything below it is 1 (the support
-    of a character is a down-set), and must be 1 when it is a product of
-    two elements already set to 1. Those two rules make the enumeration
-    exact: every leaf is a character and every character is reached.
+    The support of a character contains the identity, is a down-set and
+    is closed under the join, so it is the principal down-set of its own
+    join x. Conversely t -> [t <= x] is a character for every x, since
+    op(t, u) <= x iff t <= x and u <= x. Hence one character per element.
     """
     n = len(s)
-    if n > MAX_CHARACTER_ELEMENTS:
-        raise SizeLimitError(
-            f"{n} elements exceeds the character-enumeration limit {MAX_CHARACTER_ELEMENTS}")
-    below = [tuple(t for t in range(n) if s.leq(t, i) and t != i) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (len(below[i]), i))
-    producers = [[] for _ in range(n)]
-    for u in range(n):
-        for v in range(u, n):
-            w = s.op(u, v)
-            if w != u and w != v:
-                producers[w].append((u, v))
-
-    bits = [None] * n
-    found = []
-
-    def assign(k):
-        if k == n:
-            found.append(Character(tuple(bits)))
-            return
-        i = order[k]
-        may1 = all(bits[t] == 1 for t in below[i])
-        must1 = i == s.identity or any(bits[u] == 1 and bits[v] == 1
-                                       for u, v in producers[i])
-        if not must1:
-            bits[i] = 0
-            assign(k + 1)
-        if may1:
-            bits[i] = 1
-            assign(k + 1)
-        bits[i] = None
-
-    assign(0)
-    return _canonical_sort(found)
+    return _canonical_sort(Character(tuple(int(s.leq(t, x)) for t in range(n)))
+                           for x in range(n))
 
 
 def dual_semilattice(s):

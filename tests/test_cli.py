@@ -1,5 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
+import pytest
+
+import semidual
 from semidual import corpus
 from semidual.cli import run
 
@@ -256,6 +262,29 @@ def test_exit_2_on_parse_error_with_position(tmp_path):
 def test_exit_2_on_unknown_flag():
     code, _, err = invoke("slat", "characters", slat("chain2"), "--bogus")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nbar", "det", "--row", "1/0"],
+    ["nbar", "decompose", "--tail", "1/0"],
+    ["nbar", "is-char", "--tail", "1/0"],
+    ["graded", "act", "ut2.galg", "--char", "f1", "--element", "E11:1/0"],
+])
+def test_exit_2_on_zero_denominator(argv):
+    argv = [galg("ut2") if a == "ut2.galg" else a for a in argv]
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_python_m_cli_runs_main():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semidual.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "semidual.cli", "slat", "check",
+                           slat("chain2")], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert "valid: yes" in proc.stdout.splitlines()
 
 
 def test_exit_1_on_failing_report(tmp_path):

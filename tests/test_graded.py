@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from semidual import graded
 from semidual.errors import ParseError
 from semidual.exactlin import Matrix
-from semidual.graded import (BadLabelsError, CharacterMismatchError,
-                             GradedFDAlgebra, act_character,
-                             check_module_algebra, dual_monoid_action,
-                             format_algebra_element, homogeneous_components,
-                             parse_graded, print_graded, ut_graded,
-                             verify_grading)
+from semidual.graded import (AlgebraElement, BadLabelsError,
+                             CharacterMismatchError, GradedFDAlgebra,
+                             act_character, check_module_algebra,
+                             dual_monoid_action, format_algebra_element,
+                             homogeneous_components, parse_graded,
+                             print_graded, ut_graded, verify_grading)
 from semidual.reporting import INFO
 from semidual.semilattice import characters, validate
 
@@ -146,6 +147,36 @@ def test_dual_action_ut2_matrices():
     assert g1.matmul(g2) == g1           # f1 f2 = f1
     # gamma_f1 projects onto the bottom-right corner
     assert g1 == Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+
+
+def _faulty_act(monkeypatch, corrupt):
+    """Replace graded.act_character by the true action followed by corrupt."""
+    true_act = graded.act_character
+
+    def act(f, a):
+        return corrupt(f, true_act(f, a))
+
+    monkeypatch.setattr(graded, "act_character", act)
+
+
+def test_scaled_character_image_is_caught(monkeypatch):
+    algebra = ut_graded(3, [1, 2, 3])
+    f1 = characters(algebra.grading)[0]
+    _faulty_act(monkeypatch, lambda f, image: image.scale(2) if f == f1 else image)
+    mult_fail = "f1 multiplicative: FAIL [witness ('E33', 'E33')]"
+    lines = dual_monoid_action(algebra).report.render().splitlines()
+    assert f"endomorphism {mult_fail}" in lines
+    assert "action composition: FAIL [witness ('f1', 'f1')]" in lines
+    lines = check_module_algebra(algebra).render().splitlines()
+    assert f"character {mult_fail}" in lines
+
+
+def test_dropped_coordinate_is_caught(monkeypatch):
+    algebra = ut_graded(3, [1, 2, 3])
+    _faulty_act(monkeypatch, lambda f, image: AlgebraElement(
+        image.parent, {i: v for i, v in image.coords.items() if i != 0}))
+    lines = dual_monoid_action(algebra).report.render().splitlines()
+    assert "action identity-character: FAIL" in lines
 
 
 def test_dual_action_chain_gradings():

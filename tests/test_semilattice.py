@@ -1,7 +1,12 @@
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidual import corpus
-from semidual.errors import ParseError, SizeLimitError
+from semidual.cli import run
+from semidual.errors import ParseError
 from semidual.semilattice import (ConflictingEntryError,
                                   DuplicateLabelError, MissingPairError,
                                   NoIdentityError, NotAssociativeError,
@@ -123,13 +128,36 @@ def test_characters_chain_count():
         assert len(characters(corpus.chain(m))) == m
 
 
-def test_characters_size_limit():
-    labels = [f"x{i}" for i in range(21)]
-    table = {(labels[i], labels[j]): labels[max(i, j)]
-             for i in range(21) for j in range(i, 21)}
-    s = validate(labels, table, labels[0])
-    with pytest.raises(SizeLimitError):
-        characters(s)
+def test_characters_beyond_twenty_elements(tmp_path):
+    for s in (corpus.chain(21), corpus.boolean_lattice(5)):
+        chars = characters(s)
+        assert len(chars) == len(s)
+        assert all(ch.is_character_of(s) for ch in chars)
+    path = tmp_path / "bool5.slat"
+    path.write_text(print_semilattice(corpus.boolean_lattice(5)))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["slat", "characters", str(path)], out, err) == 0
+    assert len(out.getvalue().splitlines()) == 32
+
+
+@st.composite
+def union_closed_families(draw):
+    """A union-closed family of subsets of {0..4} with the empty set, at most 12 members."""
+    family = {0}
+    for g in draw(st.lists(st.integers(1, 31), max_size=6)):
+        grown = family | {x | g for x in family}
+        if len(grown) > 12:
+            break
+        family = grown
+    labels = {x: f"s{x}" for x in sorted(family)}
+    table = {(labels[x], labels[y]): labels[x | y] for x in family for y in family}
+    return validate(list(labels.values()), table, labels[0])
+
+
+@given(union_closed_families())
+@settings(max_examples=60, deadline=None)
+def test_characters_match_brute_force(s):
+    assert characters(s) == corpus.brute_characters(s)
 
 
 def test_characters_satisfy_invariants():
