@@ -21,7 +21,8 @@ from fractions import Fraction
 from .errors import ParseError
 from .exactlin import Matrix
 from .reporting import FAIL, INFO, PASS, Report
-from .semilattice import characters, character_label, parse_semilattice, validate
+from .semilattice import (UnknownLabelError, characters, character_label,
+                          parse_semilattice, validate)
 
 
 class BadLabelsError(ValueError):
@@ -395,8 +396,8 @@ def parse_graded(text, source="<input>", slat_loader=None):
     basis = None
     unit = None
     grading = None
-    degree_lines = {}
-    mul_lines = {}
+    degree_lines = {}  # basis label -> (semilattice label, line number)
+    mul_lines = {}     # (factor, factor) -> (terms, line number)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -405,7 +406,7 @@ def parse_graded(text, source="<input>", slat_loader=None):
             basis = tuple(line[len("basis:"):].split())
             continue
         if line.startswith("unit:"):
-            unit = _parse_terms(line[len("unit:"):], lineno, source)
+            unit = (_parse_terms(line[len("unit:"):], lineno, source), lineno)
             continue
         if line.startswith("semilattice:"):
             path = line[len("semilattice:"):].strip()
@@ -417,7 +418,7 @@ def parse_graded(text, source="<input>", slat_loader=None):
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError("degree line needs basis label and element", lineno, 1, source)
-            degree_lines[parts[1]] = parts[2]
+            degree_lines[parts[1]] = (parts[2], lineno)
             continue
         if line.startswith("mul "):
             parts = line[len("mul "):].split("=", 1)
@@ -429,7 +430,7 @@ def parse_graded(text, source="<input>", slat_loader=None):
             key = (factors[0], factors[1])
             if key in mul_lines:
                 raise ParseError(f"duplicate mul line for {key}", lineno, 1, source)
-            mul_lines[key] = _parse_terms(parts[1], lineno, source)
+            mul_lines[key] = (_parse_terms(parts[1], lineno, source), lineno)
             continue
         raise ParseError(f"unrecognized line {line!r}", lineno, 1, source)
 
@@ -440,26 +441,33 @@ def parse_graded(text, source="<input>", slat_loader=None):
     if grading is None:
         raise ParseError("missing semilattice line", 1, 1, source)
     index = {b: i for i, b in enumerate(basis)}
-    for label in list(degree_lines) + [b for pair in mul_lines for b in pair]:
+
+    def basis_index(label, lineno):
         if label not in index:
-            raise ParseError(f"unknown basis element {label!r}", 1, 1, source)
+            raise ParseError(f"unknown basis element {label!r}", lineno, 1, source)
+        return index[label]
+
+    for label, (_, lineno) in degree_lines.items():
+        basis_index(label, lineno)
+    for pair, (_, lineno) in mul_lines.items():
+        for label in pair:
+            basis_index(label, lineno)
     missing = [b for b in basis if b not in degree_lines]
     if missing:
         raise ParseError(f"no degree for basis element {missing[0]!r}", 1, 1, source)
-    degree = tuple(grading.index(degree_lines[b]) for b in basis)
+    degree = []
+    for b in basis:
+        element, lineno = degree_lines[b]
+        try:
+            degree.append(grading.index(element))
+        except UnknownLabelError:
+            raise ParseError(f"unknown degree element {element!r}", lineno, 1, source) from None
     structure = {}
-    for (a, b), terms in mul_lines.items():
-        vec = {}
-        for label, value in terms.items():
-            if label not in index:
-                raise ParseError(f"unknown basis element {label!r}", 1, 1, source)
-            vec[index[label]] = value
-        structure[(index[a], index[b])] = vec
-    unit_vec = {}
-    for label, value in unit.items():
-        if label not in index:
-            raise ParseError(f"unknown basis element {label!r}", 1, 1, source)
-        unit_vec[index[label]] = value
+    for (a, b), (terms, lineno) in mul_lines.items():
+        structure[(index[a], index[b])] = {basis_index(label, lineno): value
+                                           for label, value in terms.items()}
+    terms, lineno = unit
+    unit_vec = {basis_index(label, lineno): value for label, value in terms.items()}
     return GradedFDAlgebra(basis, structure, unit_vec, grading, degree)
 
 

@@ -10,17 +10,19 @@ including c = +-inf and the constant 1 at c = +inf), which realize the
 min-monoid on the full extended chain under pointwise product.
 
 Every finite-dual functional is a unique combination of threshold
-characters; the decomposition telescopes the run values and is
-cross-checked against an exact linear solve plus pointwise
-reconstruction. All verification windows end two points past the tail
-onset: every functional involved is constant from the tail onset on, so
-equality there propagates to the whole chain.
+characters, one per run; the decomposition telescopes the run values.
+The evaluation matrix [p <= c] of those characters on the run end
+points is unitriangular, so the coefficients are unique and need no
+linear solve; the decomposition is certified by pointwise
+reconstruction instead. All verification windows end two points past
+the tail onset: every functional involved is constant from the tail
+onset on, so equality there propagates to the whole chain.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, det, rank, solve
+from .exactlin import Matrix, det, rank
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
 
 
@@ -81,10 +83,6 @@ class StepFunctional:
         return f"StepFunctional(prefix=({body}), tail={self.tail})"
 
 
-def evaluate(f, point):
-    return f.eval(point)
-
-
 def threshold_functional(c):
     """The character f_c: 1 at points <= c, 0 beyond; f_{+inf} is constant 1."""
     if c == POS_INF:
@@ -127,7 +125,9 @@ class TranslateSpanBasis:
 
     Iterating yields the breakpoints (last point of each finite run).
     When the tail is nonzero its onset joins the verified spanning set;
-    dimension is the exact rank of the full translate matrix.
+    dimension is the exact rank of the basis translates, which is the
+    rank of the full translate matrix because every other translate is
+    one of them or zero.
     """
 
     breakpoints: tuple
@@ -140,20 +140,16 @@ class TranslateSpanBasis:
     def __len__(self):
         return len(self.breakpoints)
 
-    def basis_points(self):
-        points = list(self.breakpoints)
-        if self.tail_point is not None:
-            points.append(self.tail_point)
-        return points
-
 
 def translate_span_basis(f):
-    """Breakpoints whose translates span all translates of f, verified by rank.
+    """Breakpoints whose translates span all translates of f, verified directly.
 
     One breakpoint per finite constant run; translating anywhere inside
     a run gives the same functional, and translating into the tail gives
     the constant tail (zero when the tail is zero, hence no extra basis
-    vector in that case).
+    vector in that case). So every translate on the window must equal a
+    basis translate or be zero, which is stronger than lying in their
+    span; the rank of the basis translates certifies the dimension.
     """
     runs = finite_runs(f)
     breakpoints = tuple(end for end, _ in runs)
@@ -161,15 +157,13 @@ def translate_span_basis(f):
     points = list(breakpoints) + ([tail_point] if tail_point is not None else [])
 
     window = f.window()
-    basis_rows = [[translate(f, p).eval(q) for q in window] for p in points]
-    dim = rank(Matrix.from_rows(basis_rows)) if basis_rows else 0
-    if dim != len(basis_rows):
+    basis = [translate(f, p) for p in points]
+    dim = rank(Matrix.from_rows([[g.eval(q) for q in window] for g in basis])) if basis else 0
+    if dim != len(basis):
         raise ArithmeticError("breakpoint translates are not linearly independent")
     for n in window:
-        candidate = [translate(f, n).eval(q) for q in window]
-        stacked = rank(Matrix.from_rows(basis_rows + [candidate])) if basis_rows else (
-            0 if all(v == 0 for v in candidate) else 1)
-        if stacked != dim:
+        g = translate(f, n)
+        if not g.is_zero() and g not in basis:
             raise ArithmeticError(f"translate at {n} escapes the breakpoint span")
     return TranslateSpanBasis(breakpoints, tail_point, dim)
 
@@ -189,8 +183,9 @@ def is_character(f):
     """The threshold index when f is multiplicative, else None.
 
     Characters take values in {0, 1}, send the identity -inf to 1, and
-    drop from 1 to 0 at most once; multiplicativity f(max(a, b)) =
-    f(a) f(b) is then confirmed on a window.
+    drop from 1 to 0 at most once. The window covers the prefix and the
+    tail, so a functional of that shape is f_c = [p <= c], which is
+    multiplicative because max(a, b) <= c iff a <= c and b <= c.
     """
     window = f.window()
     values = [f.eval(p) for p in window]
@@ -205,10 +200,6 @@ def is_character(f):
         if ones != list(range(len(ones))):
             return None
         threshold = window[ones[-1]]
-    for a in window:
-        for b in window:
-            if f.eval(max(a, b)) != f.eval(a) * f.eval(b):
-                return None
     return threshold
 
 
@@ -263,42 +254,26 @@ def grouplike_decompose(f):
     The +inf coefficient is the tail value (kept even when zero); each
     finite run contributes its end point with coefficient run value
     minus the next run's value, which telescopes to f at every point.
-    The same coefficients are recomputed by an exact linear solve over
-    the candidate characters, the reconstruction is checked pointwise on
-    the verification window, and uniqueness is certified by the rank of
-    the character evaluation matrix.
+    With the run end points and the tail onset in decreasing order, the
+    evaluation matrix [p <= c] of the used characters is unitriangular:
+    the coefficients are unique, and a linear solve would only repeat
+    the telescoping. The independent certificate is the pointwise
+    reconstruction on the verification window.
     """
     runs = finite_runs(f)
     values = [value for _, value in runs] + [f.tail]
     coeffs = {POS_INF: f.tail}
     for (end, value), nxt in zip(runs, values[1:]):
         coeffs[end] = value - nxt
-
-    candidates = [POS_INF] + [end for end, _ in runs]
-    points = [end for end, _ in runs] + [f.tail_onset()]
-    matrix = Matrix.from_rows([[threshold_functional(c).eval(p) for c in candidates]
-                               for p in points])
-    solved = solve(matrix, [f.eval(p) for p in points])
-    if solved is None:
-        raise ArithmeticError("character evaluation matrix is singular")
-    if {c: v for c, v in zip(candidates, solved)} != {c: coeffs.get(c, Fraction(0))
-                                                      for c in candidates}:
-        raise ArithmeticError("telescoping and linear solve disagree")
     if not verify_decomposition(f, coeffs):
         raise ArithmeticError("decomposition does not reconstruct the functional")
-    eval_matrix = Matrix.from_rows([[threshold_functional(c).eval(p) for p in f.window()]
-                                    for c in candidates])
-    if rank(eval_matrix) != len(candidates):
-        raise ArithmeticError("used characters are not linearly independent")
     return coeffs
 
 
 def verify_decomposition(f, coeffs, extra=2):
     """Pointwise check of sum c_i f_i = f on the verification window."""
-    window = f.window(extra)
-    for p in window:
-        total = sum((v * threshold_functional(c).eval(p) for c, v in coeffs.items()),
-                    Fraction(0))
-        if total != f.eval(p):
+    terms = [(v, threshold_functional(c)) for c, v in coeffs.items()]
+    for p in f.window(extra):
+        if sum((v * g.eval(p) for v, g in terms), Fraction(0)) != f.eval(p):
             return False
     return True

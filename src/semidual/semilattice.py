@@ -203,14 +203,22 @@ class Character:
         return Character(tuple(a * b for a, b in zip(self.values, other.values)))
 
     def is_character_of(self, s):
-        if len(self.values) != len(s):
+        """Whether these values are a character of s, in O(|s|) steps.
+
+        A character is the indicator of the principal down-set of the
+        join x of its support (see characters), so it suffices to build
+        x and compare every value with [t <= x].
+        """
+        values = self.values
+        if len(values) != len(s) or any(v not in (0, 1) for v in values):
             return False
-        if any(v not in (0, 1) for v in self.values):
+        if values[s.identity] != 1:
             return False
-        if self.values[s.identity] != 1:
-            return False
-        return all(self.values[s.op(i, j)] == self.values[i] * self.values[j]
-                   for i in range(len(s)) for j in range(i, len(s)))
+        x = s.identity
+        for t, v in enumerate(values):
+            if v:
+                x = s.op(x, t)
+        return all(v == s.leq(t, x) for t, v in enumerate(values))
 
     def bits(self):
         return " ".join(str(v) for v in self.values)

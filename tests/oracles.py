@@ -3,7 +3,8 @@
 Each of these reimplements a result by a different method than the
 package: cofactor expansion instead of elimination, largest nonzero
 minor instead of echelon rank, inversion counting instead of sort-time
-sign tracking. Tests compare package output against these.
+sign tracking, pairwise multiplicativity instead of the down-set test
+for characters. Tests compare package output against these.
 """
 
 from fractions import Fraction
@@ -81,3 +82,13 @@ def step_values(prefix, tail, count):
     prefix = [Fraction(x) for x in prefix]
     tail = Fraction(tail)
     return [(prefix[i] if i < len(prefix) else tail) for i in range(count)]
+
+
+def pairwise_is_character(values, s):
+    """The definition: 0/1 values, identity to 1, f(op(i, j)) = f(i) f(j) for all pairs."""
+    if len(values) != len(s) or any(v not in (0, 1) for v in values):
+        return False
+    if values[s.identity] != 1:
+        return False
+    return all(values[s.op(i, j)] == values[i] * values[j]
+               for i in range(len(s)) for j in range(i, len(s)))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import semidual
-from semidual import corpus
+from semidual import corpus, nbar_dual
 from semidual.cli import run
 
 
@@ -300,6 +300,14 @@ def test_exit_1_on_failing_report(tmp_path):
     assert code == 1
     assert "grading-law: FAIL" in out
     assert "grading: FAIL" in out
+
+
+def test_exit_1_on_failing_cross_check(monkeypatch):
+    monkeypatch.setattr(nbar_dual, "translate", lambda f, n: f)
+    argv = ["nbar", "translate-basis", "--prefix", "3,2", "--tail", "1"]
+    message = "breakpoint translates are not linearly independent"
+    assert invoke(*argv) == (1, f"check: FAIL [{message}]\n", "")
+    assert invoke(*argv, "--format", "tsv") == (1, f"check\tFAIL\t{message}\n", "")
 
 
 def test_tsv_mirror_report():

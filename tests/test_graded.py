@@ -264,6 +264,22 @@ def test_parse_graded_errors():
                      slat_loader=loader)
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    ("degree E22 n1", "degree E99 n1", 6, "unknown basis element 'E99'"),
+    ("mul E11 E12 = E12:1", "mul E11 E12 = E13:1", 8, "unknown basis element 'E13'"),
+    ("unit: E11:1 E22:1", "unit: E11:1 E33:1", 2, "unknown basis element 'E33'"),
+    ("degree E11 n2", "degree E11 n9", 4, "unknown degree element 'n9'"),
+])
+def test_parse_graded_unknown_labels_are_positioned(old, new, line, message):
+    text = print_graded(ut2(), "chain2.slat")
+    assert old in text.splitlines()
+    with pytest.raises(ParseError) as info:
+        parse_graded(text.replace(old, new), source="bad.galg",
+                     slat_loader=lambda ref: ut2().grading)
+    assert (info.value.line, info.value.message) == (line, message)
+    assert str(info.value) == f"bad.galg:{line}:1: {message}"
+
+
 def test_parse_graded_file_resolves_sibling(tmp_path):
     from semidual.graded import parse_graded_file
     from semidual.semilattice import print_semilattice

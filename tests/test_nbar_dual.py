@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from semidual.exactlin import Matrix, rank
+from semidual import nbar_dual
+from semidual.exactlin import Matrix, rank, solve
 from semidual.extnat import NEG_INF, POS_INF, fin
 from semidual.nbar_dual import (StepFunctional, char_mult, finite_runs,
                                 grouplike_decompose, in_finite_dual,
@@ -16,6 +17,17 @@ from oracles import cofactor_det
 
 def F(prefix, tail):
     return StepFunctional(prefix, tail)
+
+
+def random_functionals(seed, count):
+    """Seeded functionals, led by an empty prefix, a zero tail and a nonzero tail."""
+    rng = random.Random(seed)
+    grid = [Fraction(k, 2) for k in range(-4, 5)]
+    out = [F([], 0), F([], 3), F([1, 1, 2], 0), F([3, 2], 1)]
+    for _ in range(count):
+        prefix = [rng.choice(grid) for _ in range(rng.randint(0, 6))]
+        out.append(F(prefix, rng.choice([Fraction(0), rng.choice(grid)])))
+    return out
 
 
 def test_eval_examples():
@@ -103,10 +115,29 @@ def test_translate_span_two_steps_into_tail():
 
 def test_translate_span_rank_oracle():
     # independent check: rank of the full translate matrix on a window
-    f = F([3, 2], 1)
-    window = f.window()
-    rows = [[translate(f, p).eval(q) for q in window] for p in window]
-    assert rank(Matrix.from_rows(rows)) == translate_span_basis(f).dimension
+    for f in random_functionals(71, 60):
+        window = f.window()
+        rows = [[translate(f, p).eval(q) for q in window] for p in window]
+        assert rank(Matrix.from_rows(rows)) == translate_span_basis(f).dimension, f
+
+
+def test_collapsed_translate_is_caught(monkeypatch):
+    monkeypatch.setattr(nbar_dual, "translate", lambda f, n: f)
+    with pytest.raises(ArithmeticError, match="not linearly independent"):
+        translate_span_basis(F([3, 2], 1))
+
+
+def test_scaled_in_run_translate_is_caught(monkeypatch):
+    # -inf lies inside the run that ends at 0; 2f is still in the span
+    original = nbar_dual.translate
+
+    def scaled(f, n):
+        g = original(f, n)
+        return F([2 * v for v in g.prefix], 2 * g.tail) if n == NEG_INF else g
+
+    monkeypatch.setattr(nbar_dual, "translate", scaled)
+    with pytest.raises(ArithmeticError, match="escapes the breakpoint span"):
+        translate_span_basis(F([3, 3, 2], 5))
 
 
 def test_in_finite_dual_certificates():
@@ -114,6 +145,19 @@ def test_in_finite_dual_certificates():
     assert in_finite_dual(threshold_functional(POS_INF)).dimension == 1
     assert in_finite_dual(F([], 0)).dimension == 0
     assert in_finite_dual(F([1, 2, 3], 3)).dimension == 3
+
+
+def test_is_character_matches_pairwise_multiplicativity():
+    rng = random.Random(73)
+    for _ in range(300):
+        f = F([rng.randint(0, 1) for _ in range(rng.randint(0, 6))], rng.randint(0, 1))
+        window = f.window()
+        brute = f.eval(NEG_INF) == 1 and all(f.eval(max(a, b)) == f.eval(a) * f.eval(b)
+                                             for a in window for b in window)
+        threshold = is_character(f)
+        assert (threshold is not None) == brute, f
+        if brute:
+            assert threshold_functional(threshold) == f
 
 
 def test_is_character_examples():
@@ -191,6 +235,34 @@ def test_decompose_character_is_idempotent():
     coeffs = grouplike_decompose(threshold_functional(fin(2)))
     nonzero = {c: v for c, v in coeffs.items() if v != 0}
     assert nonzero == {fin(2): Fraction(1)}
+
+
+def test_decompose_matches_linear_solve():
+    # the threshold evaluation matrix is lower unitriangular with the points
+    # (tail onset, then run ends) and the characters (+inf, then run ends)
+    # both in decreasing order; solving it gives the telescoped coefficients
+    for f in random_functionals(79, 80):
+        coeffs = grouplike_decompose(f)
+        ends = [end for end, _ in reversed(finite_runs(f))]
+        candidates = [POS_INF] + ends
+        points = [f.tail_onset()] + ends
+        rows = [[threshold_functional(c).eval(p) for c in candidates] for p in points]
+        assert all(rows[i][j] == int(j <= i)
+                   for i in range(len(rows)) for j in range(len(rows))), f
+        solved = solve(Matrix.from_rows(rows), [f.eval(p) for p in points])
+        assert dict(zip(candidates, solved)) == coeffs, f
+
+
+@pytest.mark.parametrize("target, fault", [
+    ("finite_runs", lambda runs: [(end, value + 1) for end, value in runs]),
+    ("threshold_functional",
+     lambda g: F((1,) + g.prefix, g.tail) if g.tail == 0 else g),
+])
+def test_corrupted_decomposition_is_caught(monkeypatch, target, fault):
+    original = getattr(nbar_dual, target)
+    monkeypatch.setattr(nbar_dual, target, lambda x: fault(original(x)))
+    with pytest.raises(ArithmeticError, match="does not reconstruct"):
+        grouplike_decompose(F([3, 3, 2], 5))
 
 
 def test_decompose_random_round_trip():

@@ -1,4 +1,5 @@
 import io
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 from semidual import corpus
 from semidual.cli import run
 from semidual.errors import ParseError
-from semidual.semilattice import (ConflictingEntryError,
+from semidual.semilattice import (Character, ConflictingEntryError,
                                   DuplicateLabelError, MissingPairError,
                                   NoIdentityError, NotAssociativeError,
                                   NotIdempotentError, UnknownLabelError,
                                   characters, double_dual_iso, dual_semilattice,
                                   ev_matrix_rank, induced_order,
                                   parse_semilattice, print_semilattice, validate)
+
+from oracles import pairwise_is_character
 
 
 def chain2():
@@ -132,7 +135,7 @@ def test_characters_beyond_twenty_elements(tmp_path):
     for s in (corpus.chain(21), corpus.boolean_lattice(5)):
         chars = characters(s)
         assert len(chars) == len(s)
-        assert all(ch.is_character_of(s) for ch in chars)
+        assert all(pairwise_is_character(ch.values, s) for ch in chars)
     path = tmp_path / "bool5.slat"
     path.write_text(print_semilattice(corpus.boolean_lattice(5)))
     out, err = io.StringIO(), io.StringIO()
@@ -141,12 +144,12 @@ def test_characters_beyond_twenty_elements(tmp_path):
 
 
 @st.composite
-def union_closed_families(draw):
-    """A union-closed family of subsets of {0..4} with the empty set, at most 12 members."""
+def union_closed_families(draw, max_members=12):
+    """A union-closed family of subsets of {0..4} with the empty set, at most max_members."""
     family = {0}
     for g in draw(st.lists(st.integers(1, 31), max_size=6)):
         grown = family | {x | g for x in family}
-        if len(grown) > 12:
+        if len(grown) > max_members:
             break
         family = grown
     labels = {x: f"s{x}" for x in sorted(family)}
@@ -158,6 +161,13 @@ def union_closed_families(draw):
 @settings(max_examples=60, deadline=None)
 def test_characters_match_brute_force(s):
     assert characters(s) == corpus.brute_characters(s)
+
+
+@given(union_closed_families(max_members=10))
+@settings(max_examples=100, deadline=None)
+def test_is_character_of_matches_pairwise_definition(s):
+    for bits in product((0, 1), repeat=len(s)):
+        assert Character(bits).is_character_of(s) == pairwise_is_character(bits, s), bits
 
 
 def test_characters_satisfy_invariants():
