@@ -169,6 +169,16 @@ def check_bialgebra_axioms(s):
     """
     report = Report()
     n = len(s)
+    basis = [MonoidAlgebraElement.basis(s, i) for i in range(n)]
+    deltas = [comultiply(b) for b in basis]
+
+    def first_element(fails):
+        i = next((i for i in range(n) if fails(i)), None)
+        return "" if i is None else f"[witness s={s.label(i)}]"
+
+    def first_pair(fails):
+        pair = next(((i, j) for i in range(n) for j in range(n) if fails(i, j)), None)
+        return "" if pair is None else f"[witness s={s.label(pair[0])} t={s.label(pair[1])}]"
 
     def tensor3_from_left(t):
         return {(a, a, b): v for (a, b), v in t.coeffs.items()}
@@ -176,59 +186,33 @@ def check_bialgebra_axioms(s):
     def tensor3_from_right(t):
         return {(a, b, b): v for (a, b), v in t.coeffs.items()}
 
-    witness = next((s.label(i) for i in range(n)
-                    if tensor3_from_left(comultiply(MonoidAlgebraElement.basis(s, i)))
-                    != tensor3_from_right(comultiply(MonoidAlgebraElement.basis(s, i)))), None)
-    report.add("axiom", "coassociativity", FAIL if witness else PASS,
-               f"[witness s={witness}]" if witness else "")
-
-    def counit_sides_ok(i):
-        t = comultiply(MonoidAlgebraElement.basis(s, i))
+    def counit_sides(t):
         left = {}
         right = {}
         for (a, b), v in t.coeffs.items():
             left[b] = left.get(b, Fraction(0)) + v
             right[a] = right.get(a, Fraction(0)) + v
-        want = {i: Fraction(1)}
-        return _clean(left) == want, _clean(right) == want
+        return _clean(left), _clean(right)
 
-    bad_left = next((s.label(i) for i in range(n) if not counit_sides_ok(i)[0]), None)
-    report.add("axiom", "counit-left", FAIL if bad_left else PASS,
-               f"[witness s={bad_left}]" if bad_left else "")
-    bad_right = next((s.label(i) for i in range(n) if not counit_sides_ok(i)[1]), None)
-    report.add("axiom", "counit-right", FAIL if bad_right else PASS,
-               f"[witness s={bad_right}]" if bad_right else "")
+    witness = first_element(lambda i: tensor3_from_left(deltas[i]) != tensor3_from_right(deltas[i]))
+    report.add("axiom", "coassociativity", FAIL if witness else PASS, witness)
+    sides = [counit_sides(t) for t in deltas]
+    witness = first_element(lambda i: sides[i][0] != {i: Fraction(1)})
+    report.add("axiom", "counit-left", FAIL if witness else PASS, witness)
+    witness = first_element(lambda i: sides[i][1] != {i: Fraction(1)})
+    report.add("axiom", "counit-right", FAIL if witness else PASS, witness)
 
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            a = MonoidAlgebraElement.basis(s, i)
-            b = MonoidAlgebraElement.basis(s, j)
-            if comultiply(multiply(a, b)) != comultiply(a) * comultiply(b):
-                witness = f"[witness s={s.label(i)} t={s.label(j)}]"
-                break
-        if witness:
-            break
-    report.add("axiom", "comultiplication-multiplicative", FAIL if witness else PASS,
-               witness or "")
+    products = [[multiply(a, b) for b in basis] for a in basis]
+    witness = first_pair(lambda i, j: comultiply(products[i][j]) != deltas[i] * deltas[j])
+    report.add("axiom", "comultiplication-multiplicative", FAIL if witness else PASS, witness)
+    counits = [counit(b) for b in basis]
+    witness = first_pair(lambda i, j: counit(products[i][j]) != counits[i] * counits[j])
+    report.add("axiom", "counit-multiplicative", FAIL if witness else PASS, witness)
 
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            a = MonoidAlgebraElement.basis(s, i)
-            b = MonoidAlgebraElement.basis(s, j)
-            if counit(multiply(a, b)) != counit(a) * counit(b):
-                witness = f"[witness s={s.label(i)} t={s.label(j)}]"
-                break
-        if witness:
-            break
-    report.add("axiom", "counit-multiplicative", FAIL if witness else PASS, witness or "")
-
-    one = MonoidAlgebraElement.unit(s)
-    ok = comultiply(one) == tensor_square(one)
-    report.add("axiom", "comultiplication-unit", PASS if ok else FAIL)
-    ok = counit(one) == 1
-    report.add("axiom", "counit-unit", PASS if ok else FAIL)
+    e = s.identity
+    report.add("axiom", "comultiplication-unit",
+               PASS if deltas[e] == tensor_square(basis[e]) else FAIL)
+    report.add("axiom", "counit-unit", PASS if counits[e] == 1 else FAIL)
     return report
 
 
@@ -348,16 +332,12 @@ def grouplike_basis_classification(q):
     on the basis) is re-checked here rather than assumed, and each of
     the |q| candidate solutions is verified against the actual maps.
     """
-    for i in range(len(q)):
-        b = MonoidAlgebraElement.basis(q, i)
+    solutions = [MonoidAlgebraElement.basis(q, i) for i in range(len(q))]
+    for i, b in enumerate(solutions):
         if comultiply(b).coeffs != {(i, i): Fraction(1)}:
             raise AssertionError("comultiplication is not diagonal on the basis")
-    solutions = []
-    for i in range(len(q)):
-        cand = MonoidAlgebraElement.basis(q, i)
-        if not is_grouplike(cand):
+        if not is_grouplike(b):
             raise AssertionError(f"basis element {q.label(i)} fails the group-like test")
-        solutions.append(cand)
     return solutions
 
 

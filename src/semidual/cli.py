@@ -9,6 +9,7 @@ prints `check: FAIL [message]` and exits 1.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -312,6 +313,7 @@ def _cmd_lp(args, out):
     raise _UsageError(f"unknown lp command {args.lp_cmd!r}")
 
 
+@functools.cache
 def build_parser():
     common = _ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "tsv"), default="human")
@@ -376,9 +378,8 @@ def build_parser():
 def run(argv, out_stream=None, err_stream=None):
     out_stream = out_stream if out_stream is not None else sys.stdout
     err_stream = err_stream if err_stream is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         out = Output(out_stream, args.format)
         return args.func(args, out)
     except (ZeroDivisionError, OverflowError):
@@ -391,11 +392,6 @@ def run(argv, out_stream=None, err_stream=None):
         return 2
     except ParseError as exc:
         err_stream.write(f"{exc}\n")
-        return 2
-    except (semilattice.SemilatticeError, bialgebra.NotACongruenceError,
-            bialgebra.ParentMismatchError, graded.BadLabelsError,
-            graded.CharacterMismatchError, letterplace.ContextMismatchError) as exc:
-        err_stream.write(f"error: {exc}\n")
         return 2
     except (OSError, ValueError) as exc:
         err_stream.write(f"error: {exc}\n")

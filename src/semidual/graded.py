@@ -38,7 +38,11 @@ def _clean(coeffs):
 
 
 class GradedFDAlgebra:
-    """Structure constants over a basis, with a semilattice degree per basis element."""
+    """Structure constants over a basis, with a semilattice degree per basis element.
+
+    `structure` maps index pairs, in lexicographic order, to their nonzero
+    products; a pair that is not stored multiplies to zero.
+    """
 
     __slots__ = ("basis", "structure", "unit", "grading", "degree", "_index")
 
@@ -47,15 +51,20 @@ class GradedFDAlgebra:
         if len(set(self.basis)) != len(self.basis):
             raise BadLabelsError("duplicate basis labels")
         self._index = {b: i for i, b in enumerate(self.basis)}
-        n = len(self.basis)
-        self.structure = {}
-        for i in range(n):
-            for j in range(n):
-                self.structure[(i, j)] = _clean(structure.get((i, j), {}))
+        indices = range(len(self.basis))
+        for key, vec in structure.items():
+            for i in (*key, *vec):
+                if i not in indices:
+                    raise BadLabelsError(f"product {key} uses index {i!r} outside the basis")
+        bad = next((i for i in unit if i not in indices), None)
+        if bad is not None:
+            raise BadLabelsError(f"unit index {bad!r} outside the basis")
+        cleaned = ((key, _clean(structure[key])) for key in sorted(structure))
+        self.structure = {key: vec for key, vec in cleaned if vec}
         self.unit = _clean(unit)
         self.grading = grading
         self.degree = tuple(degree)
-        if len(self.degree) != n:
+        if len(self.degree) != len(self.basis):
             raise BadLabelsError("degree map must cover the whole basis")
         for d in self.degree:
             if not 0 <= d < len(grading):
@@ -72,7 +81,7 @@ class GradedFDAlgebra:
             raise BadLabelsError(f"no basis element {label!r}") from None
 
     def mul_basis(self, i, j):
-        return self.structure[(i, j)]
+        return self.structure.get((i, j), {})
 
     def one(self):
         return AlgebraElement(self, self.unit)
@@ -140,86 +149,72 @@ def format_algebra_element(a):
     return ",".join(f"{a.parent.basis[i]}:{a.coords[i]}" for i in sorted(a.coords))
 
 
-def _identity_acting_degrees(algebra):
-    """Degrees d with op(d, s) = s for every degree s used by the basis."""
-    g = algebra.grading
-    used = sorted(set(algebra.degree))
-    return {d for d in range(len(g)) if all(g.op(d, s) == s for s in used)}
-
-
-def unit_in_identity_degrees(algebra):
-    """Whether the unit is concentrated in degrees that act as identity."""
-    good = _identity_acting_degrees(algebra)
-    return all(algebra.degree[i] in good for i in algebra.unit)
+def _split_unit_degrees(algebra):
+    """Sorted labels of the unit's degrees d with op(d, s) != s for some degree s in use."""
+    g, degree = algebra.grading, algebra.degree
+    used = set(degree)
+    return sorted({g.label(degree[i]) for i in algebra.unit
+                   if any(g.op(degree[i], s) != s for s in used)})
 
 
 def verify_grading(algebra):
     """Exhaustively check associativity, the unit law, and the grading law.
 
-    The fourth invariant (unit concentrated in identity-acting degrees)
-    is reported as INFO when it fails: gradings that split the unit
-    across degrees are legitimate, they just lose the strict
-    module-algebra unit law.
+    Associativity is searched, in lexicographic order, only on triples
+    (i, j, k) where (i, j) or (j, k) has a stored product: any other
+    triple gives 0 = 0. The fourth invariant (unit concentrated in
+    identity-acting degrees) is reported as INFO when it fails:
+    gradings that split the unit across degrees are legitimate, they
+    just lose the strict module-algebra unit law.
     """
     report = Report()
-    n = algebra.dim
+    structure = algebra.structure
+    label = algebra.basis
+    mul = algebra.mul_basis
+    every = range(algebra.dim)
+    stored_after = [[] for _ in every]  # stored_after[j]: the k with (j, k) stored
+    for j, k in structure:
+        stored_after[j].append(k)
 
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = {}
-                for m, c in algebra.mul_basis(i, j).items():
-                    for l, d in algebra.mul_basis(m, k).items():
-                        left[l] = left.get(l, Fraction(0)) + c * d
-                right = {}
-                for m, c in algebra.mul_basis(j, k).items():
-                    for l, d in algebra.mul_basis(i, m).items():
-                        right[l] = right.get(l, Fraction(0)) + c * d
-                if _clean(left) != _clean(right):
-                    witness = (algebra.basis[i], algebra.basis[j], algebra.basis[k])
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    def associates(i, j, k):
+        left = {}
+        for m, c in mul(i, j).items():
+            for l, d in mul(m, k).items():
+                left[l] = left.get(l, Fraction(0)) + c * d
+        right = {}
+        for m, c in mul(j, k).items():
+            for l, d in mul(i, m).items():
+                right[l] = right.get(l, Fraction(0)) + c * d
+        return _clean(left) == _clean(right)
+
+    witness = next(((label[i], label[j], label[k])
+                    for i in every for j in every
+                    for k in (every if (i, j) in structure else stored_after[j])
+                    if not associates(i, j, k)), None)
     report.add("invariant", "associativity", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
 
     one = algebra.one()
-    witness = None
-    for i in range(n):
-        b = AlgebraElement(algebra, {i: Fraction(1)})
-        if one * b != b or b * one != b:
-            witness = algebra.basis[i]
-            break
+    basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in every]
+    witness = next((label[i] for i, b in enumerate(basis)
+                    if one * b != b or b * one != b), None)
     report.add("invariant", "unit-law", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
 
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            want = algebra.grading.op(algebra.degree[i], algebra.degree[j])
-            for k, c in algebra.mul_basis(i, j).items():
-                if c != 0 and algebra.degree[k] != want:
-                    witness = (algebra.basis[i], algebra.basis[j], algebra.basis[k])
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    op, degree = algebra.grading.op, algebra.degree
+    witness = next(((label[i], label[j], label[k])
+                    for (i, j), vec in structure.items() for k in vec
+                    if degree[k] != op(degree[i], degree[j])), None)
     report.add("invariant", "grading-law", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
 
-    if unit_in_identity_degrees(algebra):
-        report.add("invariant", "unit-degrees", PASS)
-    else:
-        bad = sorted({algebra.grading.label(algebra.degree[i])
-                      for i in algebra.unit
-                      if algebra.degree[i] not in _identity_acting_degrees(algebra)})
+    bad = _split_unit_degrees(algebra)
+    if bad:
         report.add("invariant", "unit-degrees", INFO,
                    f"[unit has components in non-identity-acting degrees {' '.join(bad)};"
                    " strict module-algebra unit law does not apply]")
+    else:
+        report.add("invariant", "unit-degrees", PASS)
     return report
 
 
@@ -240,31 +235,36 @@ def act_character(f, a):
                                     if f(algebra.degree[i]) == 1})
 
 
-def _character_laws(algebra, chars, kind, unit_name, unit_note):
+def _character_laws(algebra, kind, unit_name, unit_note):
     """Per character a multiplicative line, then unit-law lines or one INFO line.
 
     The policy is the one check_module_algebra documents; kind, unit_name
-    and unit_note only set the wording of the lines.
+    and unit_note only set the wording of the lines. Returns the report,
+    the characters, and images[c][j], character c acting on basis vector j.
     """
-    report = Report()
+    if not verify_grading(algebra).passed:
+        raise ValueError("algebra does not pass verify_grading")
+    chars = characters(algebra.grading)
     n = algebra.dim
     basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in range(n)]
-    for ci, f in enumerate(chars):
+    images = [[act_character(f, b) for b in basis] for f in chars]
+    products = [[algebra.element(algebra.mul_basis(i, j)) for j in range(n)] for i in range(n)]
+    report = Report()
+    for ci, (f, image) in enumerate(zip(chars, images)):
         witness = next(((algebra.basis[i], algebra.basis[j])
                         for i in range(n) for j in range(n)
-                        if act_character(f, basis[i] * basis[j])
-                        != act_character(f, basis[i]) * act_character(f, basis[j])),
+                        if act_character(f, products[i][j]) != image[i] * image[j]),
                        None)
         report.add(kind, f"{character_label(ci)} multiplicative",
                    FAIL if witness else PASS, f"[witness {witness}]" if witness else "")
-    if unit_in_identity_degrees(algebra):
+    if not _split_unit_degrees(algebra):
         one = algebra.one()
         for ci, f in enumerate(chars):
             report.add(kind, f"{character_label(ci)} {unit_name}",
                        PASS if act_character(f, one) == one else FAIL)
     else:
         report.add("check", unit_name, INFO, f"[{unit_note}]")
-    return report
+    return report, chars, images
 
 
 def check_module_algebra(algebra):
@@ -275,13 +275,11 @@ def check_module_algebra(algebra):
     only when the unit is concentrated in identity-acting degrees;
     otherwise one INFO line per algebra records the deviation.
     """
-    grading_report = verify_grading(algebra)
-    if not grading_report.passed:
-        raise ValueError("algebra does not pass verify_grading")
-    return _character_laws(
-        algebra, characters(algebra.grading), "character", "unit-law",
+    report, _, _ = _character_laws(
+        algebra, "character", "unit-law",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) is the projection of 1 onto the degrees where f = 1")
+    return report
 
 
 class DualAction:
@@ -305,22 +303,15 @@ def dual_monoid_action(algebra):
     INFO policy as check_module_algebra when the unit is split. Both
     action laws are checked on the image of every basis vector.
     """
-    grading_report = verify_grading(algebra)
-    if not grading_report.passed:
-        raise ValueError("algebra does not pass verify_grading")
-    chars = characters(algebra.grading)
+    report, chars, images = _character_laws(
+        algebra, "endomorphism", "unital",
+        "unit not concentrated in identity-acting degrees;"
+        " gamma(f,1) != 1 for characters vanishing on a unit degree")
     labels = [character_label(i) for i in range(len(chars))]
     n = algebra.dim
-    basis = [AlgebraElement(algebra, {j: Fraction(1)}) for j in range(n)]
-    images = [[act_character(f, b) for b in basis] for f in chars]
     matrices = {name: Matrix.from_rows([[image[j].coords.get(i, Fraction(0))
                                          for j in range(n)] for i in range(n)])
                 for name, image in zip(labels, images)}
-
-    report = _character_laws(
-        algebra, chars, "endomorphism", "unital",
-        "unit not concentrated in identity-acting degrees;"
-        " gamma(f,1) != 1 for characters vanishing on a unit degree")
     lookup = {ch.values: i for i, ch in enumerate(chars)}
     witness = next(((labels[i], labels[k])
                     for i, f in enumerate(chars) for k, g in enumerate(chars)
@@ -329,7 +320,8 @@ def dual_monoid_action(algebra):
     report.add("action", "composition", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
     top = lookup[tuple(1 for _ in range(len(algebra.grading)))]
-    report.add("action", "identity-character", PASS if images[top] == basis else FAIL)
+    identity = all(image.coords == {j: 1} for j, image in enumerate(images[top]))
+    report.add("action", "identity-character", PASS if identity else FAIL)
     return DualAction(algebra, labels, matrices, report)
 
 
@@ -359,11 +351,8 @@ def ut_graded(m, labels):
     units = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
     basis = tuple(f"E{p}{q}" for p, q in units)
     pos = {pq: i for i, pq in enumerate(units)}
-    structure = {}
-    for i, (p, q) in enumerate(units):
-        for j, (r, t) in enumerate(units):
-            if q == r:
-                structure[(i, j)] = {pos[(p, t)]: Fraction(1)}
+    structure = {(pos[(p, q)], pos[(q, t)]): {pos[(p, t)]: Fraction(1)}
+                 for p, q in units for t in range(q, m + 1)}
     unit = {pos[(p, p)]: Fraction(1) for p in range(1, m + 1)}
     degree = tuple(m - p for p, _ in units)
     return GradedFDAlgebra(basis, structure, unit, grading, degree)
@@ -491,10 +480,7 @@ def print_graded(algebra, slat_ref):
     lines.append(f"semilattice: {slat_ref}")
     for i, b in enumerate(algebra.basis):
         lines.append(f"degree {b} {algebra.grading.label(algebra.degree[i])}")
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            vec = algebra.mul_basis(i, j)
-            if vec:
-                terms = " + ".join(f"{algebra.basis[k]}:{vec[k]}" for k in sorted(vec))
-                lines.append(f"mul {algebra.basis[i]} {algebra.basis[j]} = {terms}")
+    for (i, j), vec in algebra.structure.items():
+        terms = " + ".join(f"{algebra.basis[k]}:{vec[k]}" for k in sorted(vec))
+        lines.append(f"mul {algebra.basis[i]} {algebra.basis[j]} = {terms}")
     return "\n".join(lines) + "\n"

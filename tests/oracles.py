@@ -4,7 +4,8 @@ Each of these reimplements a result by a different method than the
 package: cofactor expansion instead of elimination, largest nonzero
 minor instead of echelon rank, inversion counting instead of sort-time
 sign tracking, pairwise multiplicativity instead of the down-set test
-for characters. Tests compare package output against these.
+for characters, every basis pair and triple instead of the stored
+products of a graded algebra. Tests compare package output against these.
 """
 
 from fractions import Fraction
@@ -92,3 +93,42 @@ def pairwise_is_character(values, s):
         return False
     return all(values[s.op(i, j)] == values[i] * values[j]
                for i in range(len(s)) for j in range(i, len(s)))
+
+
+def dense_first_nonassociative_triple(algebra):
+    """First (i, j, k) in lexicographic order, as labels, with (b_i b_j) b_k != b_i (b_j b_k).
+
+    Walks all dim^3 triples, zero products included.
+    """
+    n = algebra.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = {}
+                for m, c in algebra.mul_basis(i, j).items():
+                    for l, d in algebra.mul_basis(m, k).items():
+                        left[l] = left.get(l, Fraction(0)) + c * d
+                right = {}
+                for m, c in algebra.mul_basis(j, k).items():
+                    for l, d in algebra.mul_basis(i, m).items():
+                        right[l] = right.get(l, Fraction(0)) + c * d
+                if ({l: v for l, v in left.items() if v}
+                        != {l: v for l, v in right.items() if v}):
+                    return (algebra.basis[i], algebra.basis[j], algebra.basis[k])
+    return None
+
+
+def dense_ut_structure(m):
+    """Products of the matrix units E_pq (p <= q) by scanning every pair of them.
+
+    E_pq E_rt = E_pt when q == r and 0 otherwise; keys and values are
+    positions in the row-major list of units, as in graded.ut_graded.
+    """
+    units = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
+    pos = {pq: i for i, pq in enumerate(units)}
+    structure = {}
+    for i, (p, q) in enumerate(units):
+        for j, (r, t) in enumerate(units):
+            if q == r:
+                structure[(i, j)] = {pos[(p, t)]: Fraction(1)}
+    return structure

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from semidual import corpus
+from semidual import bialgebra, corpus
 from semidual.bialgebra import (Congruence, MonoidAlgebraElement,
                                 NotACongruenceError, ParentMismatchError,
-                                alg_homs, check_bialgebra_axioms, comultiply,
-                                congruence_closure, counit, is_grouplike,
-                                multiply, quotient_grouplikes,
+                                TensorElement, alg_homs, check_bialgebra_axioms,
+                                comultiply, congruence_closure, counit,
+                                is_grouplike, multiply, quotient_grouplikes,
                                 quotient_semilattice, tensor_square)
 from semidual.semilattice import characters, dual_semilattice
 
@@ -210,3 +210,40 @@ def test_multiply_associative_and_unital_property():
             a, b, c = rand_elem(), rand_elem(), rand_elem()
             assert (a * b) * c == a * (b * c)
             assert one * a == a and a * one == a
+
+
+def _right_identity(a):
+    # s -> s (x) e is coassociative, but the coassociativity check expands the
+    # inner factor as the diagonal s -> s (x) s, so it reports FAIL here too
+    return TensorElement(a.parent, {(i, a.parent.identity): v for i, v in a.coeffs.items()})
+
+
+def _scaled_diagonal(a):
+    return TensorElement(a.parent, {(i, i): 2 * v for i, v in a.coeffs.items()})
+
+
+@pytest.mark.parametrize("attr, fault, want", [
+    ("comultiply", _right_identity, {
+        "chain3": ["coassociativity: FAIL [witness s=n2]", "counit-left: FAIL [witness s=n2]"],
+        "bool2": ["coassociativity: FAIL [witness s=1]", "counit-left: FAIL [witness s=1]"],
+        "div12": ["coassociativity: FAIL [witness s=2]", "counit-left: FAIL [witness s=2]"]}),
+    ("comultiply", _scaled_diagonal, {
+        name: [f"counit-left: FAIL [witness s={b}]", f"counit-right: FAIL [witness s={b}]",
+               f"comultiplication-multiplicative: FAIL [witness s={b} t={b}]",
+               "comultiplication-unit: FAIL"]
+        for name, b in (("chain3", "n1"), ("bool2", "0"), ("div12", "1"))}),
+    ("multiply", lambda a, b: a, {
+        name: [f"comultiplication-multiplicative: FAIL [witness s={s} t={t}]"]
+        for name, s, t in (("chain3", "n1", "n2"), ("bool2", "0", "1"), ("div12", "1", "2"))}),
+    ("counit", lambda a: 2 * sum(a.coeffs.values(), Fraction(0)), {
+        name: [f"counit-multiplicative: FAIL [witness s={b} t={b}]", "counit-unit: FAIL"]
+        for name, b in (("chain3", "n1"), ("bool2", "0"), ("div12", "1"))}),
+], ids=["right-identity-comultiply", "scaled-diagonal", "left-factor-multiply",
+        "doubled-counit"])
+def test_axiom_faults_are_caught(monkeypatch, attr, fault, want):
+    monkeypatch.setattr(bialgebra, attr, fault)
+    for name, s in (("chain3", chain(3)), ("bool2", corpus.boolean_lattice(2)),
+                    ("div12", corpus.divisor_lattice(12))):
+        report = check_bialgebra_axioms(s)
+        assert [line.render() for line in report.failures()] == [
+            f"axiom {line}" for line in want[name]], name

@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from semidual import graded
+from oracles import dense_first_nonassociative_triple, dense_ut_structure
+from semidual import corpus, graded
 from semidual.errors import ParseError
 from semidual.exactlin import Matrix
 from semidual.graded import (AlgebraElement, BadLabelsError,
@@ -194,6 +196,71 @@ def test_ut_bad_labels():
         ut_graded(0, [])
     with pytest.raises(BadLabelsError):
         ut_graded(2, [1, 1])
+
+
+@pytest.mark.parametrize("structure, unit, message", [
+    ({(0, 0): {3: 1}}, {0: 1}, "product (0, 0) uses index 3 outside the basis"),
+    ({(0, 0): {0: 1}}, {2: 1}, "unit index 2 outside the basis"),
+    ({(5, 0): {0: 1}}, {0: 1}, "product (5, 0) uses index 5 outside the basis"),
+])
+def test_indices_outside_the_basis_are_rejected(structure, unit, message):
+    grading = validate(["e"], {}, "e")
+    with pytest.raises(BadLabelsError, match=re.escape(message)):
+        GradedFDAlgebra(("u",), structure, unit, grading, (0,))
+
+
+def test_only_nonzero_products_are_stored():
+    grading = validate(["e"], {}, "e")
+    a = GradedFDAlgebra(("u", "x"), {(1, 1): {0: 0}, (0, 1): {1: 1}, (0, 0): {0: 1, 1: 0}},
+                        {0: 1}, grading, (0, 0))
+    assert a.structure == {(0, 0): {0: 1}, (0, 1): {1: 1}}
+    assert list(a.structure) == [(0, 0), (0, 1)]
+    assert a.mul_basis(1, 1) == {} and a.mul_basis(1, 0) == {}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_ut_graded_matches_dense_construction(m):
+    a = ut_graded(m, list(range(1, m + 1)))
+    assert a.structure == dense_ut_structure(m)
+    assert len(a.structure) == m * (m + 1) * (m + 2) // 6
+
+
+_COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+
+
+def _random_algebra(rng):
+    """A rescaled monoid algebra k[S] (associative) or random sparse constants."""
+    if rng.random() < 0.2:
+        s = rng.choice([corpus.chain(m) for m in range(1, 6)] + [corpus.boolean_lattice(2)])
+        n = len(s)
+        scale = [rng.choice(_COEFFS) for _ in range(n)]
+        structure = {(i, j): {s.op(i, j): scale[i] * scale[j] / scale[s.op(i, j)]}
+                     for i in range(n) for j in range(n)}
+        return GradedFDAlgebra([f"b{i}" for i in range(n)], structure,
+                               {s.identity: 1 / scale[s.identity]}, s, range(n))
+    s = rng.choice([corpus.chain(2), corpus.chain(3), corpus.boolean_lattice(2)])
+    n = rng.randint(1, 5)
+    density = rng.random()
+    structure = {(i, j): {k: rng.choice(_COEFFS)
+                          for k in rng.sample(range(n), rng.randint(1, min(2, n)))}
+                 for i in range(n) for j in range(n) if rng.random() < density}
+    unit = {k: rng.choice(_COEFFS) for k in rng.sample(range(n), rng.randint(0, n))}
+    return GradedFDAlgebra([f"b{i}" for i in range(n)], structure, unit, s,
+                           [rng.randrange(len(s)) for _ in range(n)])
+
+
+def test_associativity_witness_matches_dense_search():
+    rng = random.Random(41)
+    failing = 0
+    for _ in range(320):
+        algebra = _random_algebra(rng)
+        line = verify_grading(algebra).lines[0]
+        want = dense_first_nonassociative_triple(algebra)
+        assert line.name == "associativity"
+        assert (line.status, line.witness) == (
+            ("FAIL", f"[witness {want}]") if want else ("PASS", ""))
+        failing += want is not None
+    assert 160 < failing < 270  # most fail, and at least 50 are associative
 
 
 def test_verify_grading_ut_family():
