@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactlin import Matrix, rank
 from .reporting import FAIL, PASS, Report
-from .semilattice import characters, validate
+from .semilattice import FiniteSemilattice, characters
 
 
 class ParentMismatchError(ValueError):
@@ -171,6 +171,7 @@ def check_bialgebra_axioms(s):
     n = len(s)
     basis = [MonoidAlgebraElement.basis(s, i) for i in range(n)]
     deltas = [comultiply(b) for b in basis]
+    counits = [counit(b) for b in basis]
 
     def first_element(fails):
         i = next((i for i in range(n) if fails(i)), None)
@@ -180,32 +181,34 @@ def check_bialgebra_axioms(s):
         pair = next(((i, j) for i in range(n) for j in range(n) if fails(i, j)), None)
         return "" if pair is None else f"[witness s={s.label(pair[0])} t={s.label(pair[1])}]"
 
-    def tensor3_from_left(t):
-        return {(a, a, b): v for (a, b), v in t.coeffs.items()}
+    def coassociative(t):
+        """(comultiply (x) id)(t) == (id (x) comultiply)(t), by linearity from the basis."""
+        left, right = {}, {}
+        for (a, c), v in t.coeffs.items():
+            for (x, y), w in deltas[a].coeffs.items():
+                left[(x, y, c)] = left.get((x, y, c), 0) + v * w
+            for (x, y), w in deltas[c].coeffs.items():
+                right[(a, x, y)] = right.get((a, x, y), 0) + v * w
+        return _clean(left) == _clean(right)
 
-    def tensor3_from_right(t):
-        return {(a, b, b): v for (a, b), v in t.coeffs.items()}
+    def apply_counit(t, factor):
+        """counit applied to tensor factor 0 or 1 of t, by linearity from the basis."""
+        out = {}
+        for pair, v in t.coeffs.items():
+            kept = pair[1 - factor]
+            out[kept] = out.get(kept, 0) + v * counits[pair[factor]]
+        return MonoidAlgebraElement(s, out)
 
-    def counit_sides(t):
-        left = {}
-        right = {}
-        for (a, b), v in t.coeffs.items():
-            left[b] = left.get(b, Fraction(0)) + v
-            right[a] = right.get(a, Fraction(0)) + v
-        return _clean(left), _clean(right)
-
-    witness = first_element(lambda i: tensor3_from_left(deltas[i]) != tensor3_from_right(deltas[i]))
+    witness = first_element(lambda i: not coassociative(deltas[i]))
     report.add("axiom", "coassociativity", FAIL if witness else PASS, witness)
-    sides = [counit_sides(t) for t in deltas]
-    witness = first_element(lambda i: sides[i][0] != {i: Fraction(1)})
+    witness = first_element(lambda i: apply_counit(deltas[i], 0) != basis[i])
     report.add("axiom", "counit-left", FAIL if witness else PASS, witness)
-    witness = first_element(lambda i: sides[i][1] != {i: Fraction(1)})
+    witness = first_element(lambda i: apply_counit(deltas[i], 1) != basis[i])
     report.add("axiom", "counit-right", FAIL if witness else PASS, witness)
 
     products = [[multiply(a, b) for b in basis] for a in basis]
     witness = first_pair(lambda i, j: comultiply(products[i][j]) != deltas[i] * deltas[j])
     report.add("axiom", "comultiplication-multiplicative", FAIL if witness else PASS, witness)
-    counits = [counit(b) for b in basis]
     witness = first_pair(lambda i, j: counit(products[i][j]) != counits[i] * counits[j])
     report.add("axiom", "counit-multiplicative", FAIL if witness else PASS, witness)
 
@@ -247,15 +250,16 @@ class Congruence:
         return self._class_of[i]
 
     def is_congruence(self):
+        """Whether a ~ b implies a t ~ b t, checked against class representatives.
+
+        By transitivity it suffices that a t ~ r t for each a and its
+        class representative r, so this is O(n^2).
+        """
         p = self.parent
-        for a in range(len(p)):
-            for b in range(len(p)):
-                if self.class_of(a) != self.class_of(b):
-                    continue
-                for t in range(len(p)):
-                    if self.class_of(p.op(a, t)) != self.class_of(p.op(b, t)):
-                        return False
-        return True
+        n = len(p)
+        reps = [self.classes[self._class_of[a]][0] for a in range(n)]
+        return all(self._class_of[p.op(a, t)] == self._class_of[p.op(reps[a], t)]
+                   for a in range(n) for t in range(n))
 
     def class_label(self, ci):
         return "+".join(self.parent.label(m) for m in self.classes[ci])
@@ -269,7 +273,11 @@ class Congruence:
 
 
 def congruence_closure(s, pairs):
-    """Smallest congruence of s containing the given label pairs (union-find)."""
+    """Smallest congruence of s containing the given label pairs (union-find).
+
+    Each pass unites a t with r t for every a, its root r and every t;
+    at the fixpoint that is compatibility, as in Congruence.is_congruence.
+    """
     parent = list(range(len(s)))
 
     def find(i):
@@ -291,11 +299,10 @@ def congruence_closure(s, pairs):
     while changed:
         changed = False
         for a in range(len(s)):
-            for b in range(len(s)):
-                if find(a) == find(b):
-                    for t in range(len(s)):
-                        if union(s.op(a, t), s.op(b, t)):
-                            changed = True
+            r = find(a)
+            for t in range(len(s)):
+                if union(s.op(a, t), s.op(r, t)):
+                    changed = True
     groups = {}
     for i in range(len(s)):
         groups.setdefault(find(i), []).append(i)
@@ -303,20 +310,20 @@ def congruence_closure(s, pairs):
 
 
 def quotient_semilattice(c):
-    """The quotient monoid of a congruence, as a validated semilattice.
+    """The quotient monoid of a congruence, a bounded semilattice again.
 
     Returns (quotient, projection) where projection maps old indices to
-    new ones. Class labels join the member labels with '+'.
+    new ones. Class labels join the member labels with '+'. The product
+    of two classes is the class of the product of their representatives,
+    which is well defined because c is checked to be a congruence.
     """
+    if not c.is_congruence():
+        raise NotACongruenceError("partition is not compatible with the operation")
     s = c.parent
-    labels = tuple(c.class_label(i) for i in range(len(c.classes)))
-    op_table = {}
-    for ci, members in enumerate(c.classes):
-        for cj in range(ci, len(c.classes)):
-            rep = s.op(members[0], c.classes[cj][0])
-            op_table[(labels[ci], labels[cj])] = labels[c.class_of(rep)]
-    identity = labels[c.class_of(s.identity)]
-    quotient = validate(labels, op_table, identity)
+    reps = [members[0] for members in c.classes]
+    table = [[c.class_of(s.op(a, b)) for b in reps] for a in reps]
+    quotient = FiniteSemilattice((c.class_label(i) for i in range(len(c.classes))),
+                                 c.class_of(s.identity), table)
     projection = tuple(c.class_of(i) for i in range(len(s)))
     return quotient, projection
 
@@ -364,8 +371,6 @@ def quotient_grouplikes(s, c):
     """
     if c.parent != s:
         raise NotACongruenceError("congruence belongs to a different semilattice")
-    if not c.is_congruence():
-        raise NotACongruenceError("partition is not compatible with the operation")
     quotient, projection = quotient_semilattice(c)
     cosets = [MonoidAlgebraElement.basis(quotient, i) for i in range(len(quotient))]
     report = Report()

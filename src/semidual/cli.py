@@ -129,14 +129,13 @@ def _cmd_slat(args, out):
             out.emit(f"{s.label(i)} -> {target}", ("map", s.label(i), target))
         out.emit("isomorphism: OK", ("isomorphism", "OK"))
         return 0
-    if args.slat_cmd == "ev-rank":
-        r = semilattice.ev_matrix_rank(s)
-        full = r == len(s)
-        out.emit(f"rank: {r}", ("rank", r))
-        out.emit(f"size: {len(s)}", ("size", len(s)))
-        out.emit(f"full-rank: {'yes' if full else 'no'}", ("full-rank", "yes" if full else "no"))
-        return 0 if full else 1
-    raise _UsageError(f"unknown slat command {args.slat_cmd!r}")
+    # ev-rank
+    r = semilattice.ev_matrix_rank(s)
+    full = r == len(s)
+    out.emit(f"rank: {r}", ("rank", r))
+    out.emit(f"size: {len(s)}", ("size", len(s)))
+    out.emit(f"full-rank: {'yes' if full else 'no'}", ("full-rank", "yes" if full else "no"))
+    return 0 if full else 1
 
 
 def _cmd_balg(args, out):
@@ -147,26 +146,25 @@ def _cmd_balg(args, out):
         status = PASS if report.passed else FAIL
         out.emit(f"axioms: {status}", ("axioms", status))
         return 0 if report.passed else 1
-    if args.balg_cmd == "quotient":
-        pairs = []
-        for piece in (args.glue or "").split(","):
-            if not piece:
-                continue
-            a, sep, b = piece.partition("=")
-            if not sep:
-                raise _UsageError(f"glue pair {piece!r} needs a=b")
-            pairs.append((a, b))
-        congruence = bialgebra.congruence_closure(s, pairs)
-        result = bialgebra.quotient_grouplikes(s, congruence)
-        for ci, members in enumerate(congruence.classes):
-            label = congruence.class_label(ci)
-            names = " ".join(s.label(m) for m in members)
-            out.emit(f"class {label}: {names}", ("class", label, names))
-        out.emit_report(result.report)
-        status = PASS if result.report.passed else FAIL
-        out.emit(f"quotient: {status}", ("quotient", status))
-        return 0 if result.report.passed else 1
-    raise _UsageError(f"unknown balg command {args.balg_cmd!r}")
+    # quotient
+    pairs = []
+    for piece in (args.glue or "").split(","):
+        if not piece:
+            continue
+        a, sep, b = piece.partition("=")
+        if not sep:
+            raise _UsageError(f"glue pair {piece!r} needs a=b")
+        pairs.append((a, b))
+    congruence = bialgebra.congruence_closure(s, pairs)
+    result = bialgebra.quotient_grouplikes(s, congruence)
+    for ci, members in enumerate(congruence.classes):
+        label = congruence.class_label(ci)
+        names = " ".join(s.label(m) for m in members)
+        out.emit(f"class {label}: {names}", ("class", label, names))
+    out.emit_report(result.report)
+    status = PASS if result.report.passed else FAIL
+    out.emit(f"quotient: {status}", ("quotient", status))
+    return 0 if result.report.passed else 1
 
 
 def _cmd_graded(args, out):
@@ -190,8 +188,6 @@ def _cmd_graded(args, out):
         out.emit(f"grading: {status}", ("grading", status))
         return 0 if report.passed else 1
     if args.graded_cmd == "act":
-        if not args.char or args.element is None:
-            raise _UsageError("act needs --char and --element")
         ch = _char_by_name(algebra.grading, args.char)
         element = _parse_element(algebra, args.element)
         image = graded.act_character(ch, element)
@@ -204,22 +200,21 @@ def _cmd_graded(args, out):
         status = PASS if report.passed else FAIL
         out.emit(f"module-algebra: {status}", ("module-algebra", status))
         return 0 if report.passed else 1
-    if args.graded_cmd == "action-table":
-        action = graded.dual_monoid_action(algebra)
-        for name in action.labels:
-            matrix = action.matrices[name]
-            images = []
-            for j, b in enumerate(algebra.basis):
-                column = {i: matrix.at(i, j) for i in range(algebra.dim)
-                          if matrix.at(i, j) != 0}
-                images.append(f"{b} -> {graded.format_algebra_element(algebra.element(column))}")
-            out.emit(f"gamma {name}: {', '.join(images)}",
-                     ("gamma", name, "; ".join(images)))
-        out.emit_report(action.report)
-        status = PASS if action.report.passed else FAIL
-        out.emit(f"action: {status}", ("action", status))
-        return 0 if action.report.passed else 1
-    raise _UsageError(f"unknown graded command {args.graded_cmd!r}")
+    # action-table
+    action = graded.dual_monoid_action(algebra)
+    for name in action.labels:
+        matrix = action.matrices[name]
+        images = []
+        for j, b in enumerate(algebra.basis):
+            column = {i: matrix.at(i, j) for i in range(algebra.dim)
+                      if matrix.at(i, j) != 0}
+            images.append(f"{b} -> {graded.format_algebra_element(algebra.element(column))}")
+        out.emit(f"gamma {name}: {', '.join(images)}",
+                 ("gamma", name, "; ".join(images)))
+    out.emit_report(action.report)
+    status = PASS if action.report.passed else FAIL
+    out.emit(f"action: {status}", ("action", status))
+    return 0 if action.report.passed else 1
 
 
 def _nbar_functional(args):
@@ -255,16 +250,15 @@ def _cmd_nbar(args, out):
         out.emit(body, tuple(f"{p}:{coeffs[p]}" for p in points))
         out.emit("verified: OK", ("verified", "OK"))
         return 0
-    if args.nbar_cmd == "translate-basis":
-        basis = nbar_dual.translate_span_basis(f)
-        points = " ".join(str(p) for p in basis.breakpoints)
-        out.emit(f"breakpoints:{(' ' + points) if points else ''}", ("breakpoints", points))
-        tail = str(basis.tail_point) if basis.tail_point is not None else "none"
-        out.emit(f"tail-point: {tail}", ("tail-point", tail))
-        out.emit(f"dimension: {basis.dimension}", ("dimension", basis.dimension))
-        out.emit("verified: OK", ("verified", "OK"))
-        return 0
-    raise _UsageError(f"unknown nbar command {args.nbar_cmd!r}")
+    # translate-basis
+    basis = nbar_dual.translate_span_basis(f)
+    points = " ".join(str(p) for p in basis.breakpoints)
+    out.emit(f"breakpoints:{(' ' + points) if points else ''}", ("breakpoints", points))
+    tail = str(basis.tail_point) if basis.tail_point is not None else "none"
+    out.emit(f"tail-point: {tail}", ("tail-point", tail))
+    out.emit(f"dimension: {basis.dimension}", ("dimension", basis.dimension))
+    out.emit("verified: OK", ("verified", "OK"))
+    return 0
 
 
 def _lp_context(args):
@@ -293,24 +287,21 @@ def _cmd_lp(args, out):
             out.emit(f"{w}: {text}", ("weight", w, text))
         return 0
     if args.lp_cmd == "act":
-        if args.z is None:
-            raise _UsageError("act needs --z")
         z = parse_point(args.z)
         p = letterplace.parse_poly(" ".join(args.expr), ctx)
         text = letterplace.format_poly(letterplace.act_min(z, p))
         out.emit(text, ("result", text))
         return 0
-    if args.lp_cmd == "embed":
-        try:
-            letters = [int(x) for x in args.expr]
-        except ValueError:
-            raise _UsageError("embed takes letter indices") from None
-        if any(x < 1 for x in letters):
-            raise _UsageError("letter indices start at 1")
-        text = letterplace.format_poly(letterplace.embed_word(letters, ctx))
-        out.emit(text, ("result", text))
-        return 0
-    raise _UsageError(f"unknown lp command {args.lp_cmd!r}")
+    # embed
+    try:
+        letters = [int(x) for x in args.expr]
+    except ValueError:
+        raise _UsageError("embed takes letter indices") from None
+    if any(x < 1 for x in letters):
+        raise _UsageError("letter indices start at 1")
+    text = letterplace.format_poly(letterplace.embed_word(letters, ctx))
+    out.emit(text, ("result", text))
+    return 0
 
 
 @functools.cache
@@ -343,8 +334,9 @@ def build_parser():
     for name in ("verify", "act", "module-algebra", "action-table"):
         sub = gr_sub.add_parser(name, parents=[common])
         sub.add_argument("file")
-        sub.add_argument("--char")
-        sub.add_argument("--element")
+        if name == "act":
+            sub.add_argument("--char", required=True)
+            sub.add_argument("--element", required=True)
         sub.set_defaults(func=_cmd_graded)
     ut = gr_sub.add_parser("ut", parents=[common])
     ut.add_argument("--size", type=int, required=True)
@@ -369,7 +361,8 @@ def build_parser():
         sub.add_argument("expr", nargs="+")
         sub.add_argument("--odd-letters", default="")
         sub.add_argument("--odd-places", default="")
-        sub.add_argument("--z")
+        if name == "act":
+            sub.add_argument("--z", required=True)
         sub.set_defaults(func=_cmd_lp)
 
     return parser

@@ -21,8 +21,8 @@ from fractions import Fraction
 from .errors import ParseError
 from .exactlin import Matrix
 from .reporting import FAIL, INFO, PASS, Report
-from .semilattice import (UnknownLabelError, characters, character_label,
-                          parse_semilattice, validate)
+from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
+                          character_label, parse_semilattice)
 
 
 class BadLabelsError(ValueError):
@@ -341,12 +341,8 @@ def ut_graded(m, labels):
     if any(labels[i] >= labels[i + 1] for i in range(m - 1)):
         raise BadLabelsError("labels must be strictly increasing")
 
-    chain_labels = tuple(f"n{v}" for v in labels)
-    op_table = {}
-    for a in range(m):
-        for b in range(a, m):
-            op_table[(chain_labels[a], chain_labels[b])] = chain_labels[max(a, b)]
-    grading = validate(chain_labels, op_table, chain_labels[0])
+    grading = FiniteSemilattice((f"n{v}" for v in labels), 0,
+                                [[max(a, b) for b in range(m)] for a in range(m)])
 
     units = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
     basis = tuple(f"E{p}{q}" for p, q in units)

@@ -76,8 +76,9 @@ class NotMultiplicativeError(DoubleDualError):
 class FiniteSemilattice:
     """Labels plus a total commutative idempotent associative op with identity.
 
-    Construct through validate() or parse_semilattice(); the constructor
-    trusts its arguments.
+    The constructor trusts its arguments. Outside input goes through
+    validate() or parse_semilattice(); the dual, quotients and the ut
+    chain gradings are built from tables that are semilattices by theorem.
     """
 
     __slots__ = ("elements", "identity", "table", "_index")
@@ -249,18 +250,16 @@ def dual_semilattice(s):
     """The semilattice of characters under pointwise product.
 
     Elements are labelled f1, f2, ... in canonical character order; the
-    identity is the constant-1 character. The result passes validate.
+    identity is the constant-1 character. The product of the characters
+    of x and y is the indicator of the down-set of x meet y (a finite
+    join-semilattice with a bottom is a lattice), so the table is closed
+    and is a bounded semilattice by construction.
     """
     chars = characters(s)
-    labels = tuple(character_label(i) for i in range(len(chars)))
     lookup = {ch.values: i for i, ch in enumerate(chars)}
-    op_table = {}
-    for i in range(len(chars)):
-        for j in range(i, len(chars)):
-            prod = chars[i].pointwise_mul(chars[j])
-            op_table[(labels[i], labels[j])] = labels[lookup[prod.values]]
-    one = labels[lookup[tuple(1 for _ in range(len(s)))]]
-    return validate(labels, op_table, one)
+    table = [[lookup[a.pointwise_mul(b).values] for b in chars] for a in chars]
+    return FiniteSemilattice((character_label(i) for i in range(len(chars))),
+                             lookup[(1,) * len(s)], table)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ package: cofactor expansion instead of elimination, largest nonzero
 minor instead of echelon rank, inversion counting instead of sort-time
 sign tracking, pairwise multiplicativity instead of the down-set test
 for characters, every basis pair and triple instead of the stored
-products of a graded algebra. Tests compare package output against these.
+products of a graded algebra, every same-class pair instead of class
+representatives for congruences. Tests compare package output against these.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from semidual.semilattice import validate
 
 
 def cofactor_det(rows):
@@ -132,3 +135,49 @@ def dense_ut_structure(m):
             if q == r:
                 structure[(i, j)] = {pos[(p, t)]: Fraction(1)}
     return structure
+
+
+def all_pairs_is_congruence(congruence):
+    """a ~ b implies a t ~ b t, tried for every same-class pair (a, b) and every t."""
+    p, class_of = congruence.parent, congruence.class_of
+    n = len(p)
+    return all(class_of(p.op(a, t)) == class_of(p.op(b, t))
+               for a in range(n) for b in range(n) if class_of(a) == class_of(b)
+               for t in range(n))
+
+
+def all_pairs_congruence_classes(s, pairs):
+    """Classes of the smallest congruence containing the label pairs, as sorted index tuples.
+
+    Merges class sets until no same-class pair (a, b) and t put a t and b t
+    in different classes.
+    """
+    class_of = {i: frozenset([i]) for i in range(len(s))}
+
+    def merge(i, j):
+        if class_of[i] is class_of[j]:
+            return False
+        merged = class_of[i] | class_of[j]
+        for k in merged:
+            class_of[k] = merged
+        return True
+
+    for a, b in pairs:
+        merge(s.index(a), s.index(b))
+    n = len(s)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if class_of[a] is class_of[b]:
+                    for t in range(n):
+                        changed |= merge(s.op(a, t), s.op(b, t))
+    return sorted({tuple(sorted(c)) for c in class_of.values()})
+
+
+def validated_copy(s):
+    """What semilattice.validate builds from the full table of s, laws checked."""
+    n = len(s)
+    table = {(s.label(i), s.label(j)): s.label(s.op(i, j)) for i in range(n) for j in range(n)}
+    return validate(s.elements, table, s.label(s.identity))

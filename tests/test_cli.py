@@ -265,6 +265,24 @@ def test_exit_2_on_unknown_flag():
 
 
 @pytest.mark.parametrize("argv", [
+    ["graded", "verify", "ut2.galg", "--char", "f9", "--element", "zz:1"],
+    ["graded", "verify", "ut2.galg", "--char", "f1"],
+    ["graded", "module-algebra", "ut2.galg", "--element", "E11:1"],
+    ["graded", "action-table", "ut2.galg", "--char=f1"],
+    ["graded", "act", "ut2.galg", "--char", "f1"],
+    ["graded", "act", "ut2.galg", "--element", "E11:1"],
+    ["lp", "mul", "(x1|1)", "(x2|2)", "--z", "2"],
+    ["lp", "weight", "(x1|1)", "--z=-inf"],
+    ["lp", "embed", "1", "2", "--z", "3"],
+    ["lp", "act", "(x1|1)"],
+])
+def test_exit_2_on_misplaced_or_missing_flag(argv):
+    argv = [galg("ut2") if a == "ut2.galg" else a for a in argv]
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
     ["nbar", "det", "--row", "1/0"],
     ["nbar", "decompose", "--tail", "1/0"],
     ["nbar", "is-char", "--tail", "1/0"],

@@ -1,7 +1,8 @@
 """Random command lines against the exit-code contract of cli.run.
 
 Argv is drawn from the subcommand grammar, over the corpus files and
-over generated `.slat` and `.galg` documents, valid or not. Integers
+over generated `.slat` and `.galg` documents, valid or not. A flag
+drawn for a subcommand that does not take it must exit 2. Integers
 stay at most 8: `graded ut --size m` prints Theta(m^3) lines.
 """
 
@@ -153,6 +154,12 @@ command = st.sampled_from([_slat_argv, _balg_argv, _graded_argv, _nbar_argv, _lp
     lambda group: group())
 
 
+def misplaced_flag(argv):
+    """Whether argv gives --char/--element or --z to a subcommand other than act."""
+    flags = {"graded": ("--char", "--element"), "lp": ("--z",)}.get(argv[0])
+    return bool(flags) and argv[1] != "act" and any(a.startswith(flags) for a in argv[2:])
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out, err)
@@ -178,6 +185,8 @@ def test_cli_exit_contract(argv, fmt, slat_choice, galg_choice, slat_src, galg_s
         argv = [paths.get(arg, arg) for arg in argv] + fmt
         code, out, err = invoke(argv)
         assert code in (0, 1, 2), (argv, code)
+        if misplaced_flag(argv):
+            assert code == 2 and out == "", argv
         if code == 1:
             lines = out.replace("\t", ": ").splitlines()  # tsv writes `valid<TAB>no`
             assert any(mark in line for line in lines for mark in FAIL_MARKS), argv

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_first_nonassociative_triple, dense_ut_structure
+from oracles import dense_first_nonassociative_triple, dense_ut_structure, validated_copy
 from semidual import corpus, graded
 from semidual.errors import ParseError
 from semidual.exactlin import Matrix
@@ -223,6 +223,15 @@ def test_ut_graded_matches_dense_construction(m):
     a = ut_graded(m, list(range(1, m + 1)))
     assert a.structure == dense_ut_structure(m)
     assert len(a.structure) == m * (m + 1) * (m + 2) // 6
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_ut_grading_equals_its_validated_table(m):
+    # ut_graded builds the chain as max on indices; validate re-checks the laws
+    grading = ut_graded(m, [2 * v + 1 for v in range(m)]).grading
+    assert validated_copy(grading) == grading
+    assert grading.elements == tuple(f"n{2 * v + 1}" for v in range(m))
+    assert grading.label(grading.identity) == "n1"
 
 
 _COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semidual import corpus
+from semidual import corpus, semilattice
 from semidual.cli import run
 from semidual.errors import ParseError
 from semidual.semilattice import (Character, ConflictingEntryError,
-                                  DuplicateLabelError, MissingPairError,
-                                  NoIdentityError, NotAssociativeError,
+                                  DuplicateLabelError, FiniteSemilattice,
+                                  MissingPairError, NoIdentityError, NotAssociativeError,
                                   NotIdempotentError, UnknownLabelError,
                                   characters, double_dual_iso, dual_semilattice,
                                   ev_matrix_rank, induced_order,
                                   parse_semilattice, print_semilattice, validate)
 
-from oracles import pairwise_is_character
+from oracles import pairwise_is_character, validated_copy
 
 
 def chain2():
@@ -197,10 +197,19 @@ def test_dual_trivial():
 
 
 def test_dual_validates_for_corpus():
-    # dual_semilattice builds through validate(), so construction is the check
+    # dual_semilattice trusts the duality; validate re-checks the laws on its table
     for name, s in corpus.semilattices().items():
         d = dual_semilattice(s)
         assert len(d) == len(s), name
+        assert validated_copy(d) == d, name
+
+
+@given(union_closed_families())
+@settings(max_examples=60, deadline=None)
+def test_dual_equals_its_validated_table(s):
+    d = dual_semilattice(s)
+    assert validated_copy(d) == d
+    assert d.label(d.identity) == f"f{len(s)}"  # the constant-1 character sorts last
 
 
 def test_double_dual_two_chain_and_divisors():
@@ -242,6 +251,48 @@ def test_double_dual_non_distributive_lattice():
     assert corpus.brute_characters(s) == chars
     iso = double_dual_iso(s)
     assert sorted(iso.assignment) == list(range(5))
+
+
+def _faulty(fault, on_dual=True):
+    """Corrupt a function's result on duals (labelled f1, f2, ...), or else on the rest."""
+    def wrap(real):
+        return lambda t: fault(real(t)) if (t.elements[0] == "f1") == on_dual else real(t)
+    return wrap
+
+
+def _moved_identity(d):
+    return FiniteSemilattice(d.elements, (d.identity + 1) % len(d), d.table)
+
+
+def _joins_to_identity(d):
+    # two non-identity elements now multiply to the identity
+    a, b = [i for i in range(len(d)) if i != d.identity][:2]
+    table = [list(row) for row in d.table]
+    table[a][b] = table[b][a] = d.identity
+    return FiniteSemilattice(d.elements, d.identity, table)
+
+
+@pytest.mark.parametrize("attr, fault, message", [
+    ("characters", _faulty(lambda chars: chars[1:]),
+     "evaluation at n3 is not a character of the dual"),
+    ("characters", _faulty(lambda chars: [chars[0], chars[2]], on_dual=False),
+     "evaluation map identifies distinct elements"),
+    ("characters", _faulty(lambda chars: chars + [Character((0,) * len(chars))]),
+     "evaluation map misses a double-dual element"),
+    ("dual_semilattice", _faulty(_moved_identity), "evaluation map moves the identity"),
+    ("dual_semilattice", _faulty(_joins_to_identity),
+     "evaluation map is not multiplicative at (n2, n3)"),
+], ids=["dual-character-dropped", "character-dropped", "dual-character-added",
+        "identity-moved", "table-corrupted"])
+def test_double_dual_faults_are_caught(monkeypatch, attr, fault, message):
+    # once the dual is no longer re-validated, these raises are its only certificate
+    monkeypatch.setattr(semilattice, attr, fault(getattr(semilattice, attr)))
+    for fmt, line in (("human", f"isomorphism: FAIL {message}\n"),
+                      ("tsv", f"isomorphism\tFAIL\t{message}\n")):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["slat", "double-dual", corpus.data_path("chain3.slat"), "--format", fmt]
+        assert run(argv, out, err) == 1
+        assert (out.getvalue(), err.getvalue()) == (line, "")
 
 
 def test_double_dual_trivial_is_identity():
