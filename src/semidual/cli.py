@@ -3,8 +3,9 @@
 Exit codes: 0 for success / all-PASS reports, 1 when any check FAILs,
 2 for input errors (with a position diagnostic where available). An
 internal cross-check that finds its two computations disagreeing
-(an ArithmeticError from the nbar certificates) is a FAIL too: it
-prints `check: FAIL [message]` and exits 1.
+(an ArithmeticError from the nbar certificates, or a glued pair that
+`balg quotient` finds in two classes) is a FAIL too: it prints
+`check: FAIL [message]` and exits 1.
 `--format tsv` mirrors every line as tab-separated fields for scripts.
 """
 
@@ -156,6 +157,9 @@ def _cmd_balg(args, out):
             raise _UsageError(f"glue pair {piece!r} needs a=b")
         pairs.append((a, b))
     congruence = bialgebra.congruence_closure(s, pairs)
+    for a, b in pairs:
+        if congruence.class_of(s.index(a)) != congruence.class_of(s.index(b)):
+            raise ArithmeticError(f"glued pair {a}={b} lies in two classes")
     result = bialgebra.quotient_grouplikes(s, congruence)
     for ci, members in enumerate(congruence.classes):
         label = congruence.class_label(ci)

@@ -2,9 +2,10 @@
 
 Variables are letter-place pairs (x_i|j) with i, j >= 1 and a Z_2 parity
 |x_i| + |j| coming from a parity context (letters and places are even
-unless declared odd). Monomials are kept in canonical ascending order;
-sorting two odd variables past each other flips the sign, and an odd
-variable squares to zero. The place maximum grades the algebra over the
+unless declared odd). Monomials are kept in canonical ascending order.
+Only odd variables anticommute, so sorting a word costs the sign (-1)^k,
+with k the number of out-of-order pairs of odd variables in it, and an
+odd variable squares to zero. The place maximum grades the algebra over the
 max-monoid of naturals-with-bottom, and each point z of the min-monoid
 acts by deleting all terms of weight above z.
 
@@ -53,26 +54,18 @@ def variable(letter, place):
 
 
 def normalize(word, ctx):
-    """Sort a word into canonical order, tracking the Koszul sign.
+    """Sort a word into canonical order with its Koszul sign.
 
     Returns (sign, monomial) or None when an odd variable repeats.
-    The sign flips once for each transposition of two odd variables.
+    The sign is (-1)^k, where k counts the pairs i < j of odd entries
+    with word[i] > word[j]: each such pair is transposed once by any
+    sort, and even variables commute with everything.
     """
-    vs = list(word)
-    parities = [ctx.parity(v) for v in vs]
-    sign = 1
-    for i in range(1, len(vs)):
-        j = i
-        while j > 0 and vs[j] < vs[j - 1]:
-            if parities[j] and parities[j - 1]:
-                sign = -sign
-            vs[j], vs[j - 1] = vs[j - 1], vs[j]
-            parities[j], parities[j - 1] = parities[j - 1], parities[j]
-            j -= 1
-    for i in range(1, len(vs)):
-        if vs[i] == vs[i - 1] and parities[i]:
-            return None
-    return sign, tuple(vs)
+    odd = [v for v in word if ctx.parity(v)]
+    if len(set(odd)) < len(odd):
+        return None
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return (-1) ** inversions, tuple(sorted(word))
 
 
 class LPPoly:

@@ -26,12 +26,23 @@ from .exactlin import Matrix, det, rank
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
 
 
+def _position(point):
+    """-inf sits at position 0 and n at position n + 1; +inf has none."""
+    return point.n + 1 if point.finite else 0
+
+
+def _point(i):
+    """The chain point at position i."""
+    return fin(i - 1) if i else NEG_INF
+
+
 class StepFunctional:
     """Eventually constant rational values on the chain -inf, 0, 1, ...
 
-    prefix holds the values at -inf, 0, ..., N-1 and tail the value from
-    N on; the stored prefix is trimmed so its last entry differs from
-    the tail.
+    The chain is indexed by position: -inf is position 0 and n is
+    position n + 1. prefix[i] is the value at position i and tail the
+    value at every position from len(prefix) on; the stored prefix is
+    trimmed so its last entry differs from the tail.
     """
 
     __slots__ = ("prefix", "tail")
@@ -44,31 +55,29 @@ class StepFunctional:
         self.prefix = tuple(values)
         self.tail = tail
 
+    def _at(self, i):
+        """The value at position i."""
+        return self.prefix[i] if i < len(self.prefix) else self.tail
+
     def eval(self, point):
         if point == POS_INF:
             raise ValueError("functionals on the max-monoid have no value at +inf")
-        if point == NEG_INF:
-            return self.prefix[0] if self.prefix else self.tail
-        idx = point.n + 1
-        return self.prefix[idx] if idx < len(self.prefix) else self.tail
+        return self._at(_position(point))
 
     def tail_onset(self):
         """First point from which the functional equals its tail forever."""
-        if not self.prefix:
-            return NEG_INF
-        return fin(len(self.prefix) - 1)
+        return _point(len(self.prefix))
 
     def window(self, extra=2):
         """-inf and the naturals through tail onset + extra."""
-        return [NEG_INF] + [fin(i) for i in range(len(self.prefix) + extra)]
+        return [_point(i) for i in range(len(self.prefix) + extra + 1)]
 
     def is_zero(self):
         return not self.prefix and self.tail == 0
 
     def pointwise_mul(self, other):
         n = max(len(self.prefix), len(other.prefix))
-        points = [NEG_INF] + [fin(i) for i in range(max(n - 1, 0))]
-        return StepFunctional([self.eval(p) * other.eval(p) for p in points],
+        return StepFunctional([self._at(i) * other._at(i) for i in range(n)],
                               self.tail * other.tail)
 
     def __eq__(self, other):
@@ -87,19 +96,17 @@ def threshold_functional(c):
     """The character f_c: 1 at points <= c, 0 beyond; f_{+inf} is constant 1."""
     if c == POS_INF:
         return StepFunctional((), 1)
-    if c == NEG_INF:
-        return StepFunctional((1,), 0)
-    return StepFunctional((1,) * (c.n + 2), 0)
+    return StepFunctional((1,) * (_position(c) + 1), 0)
 
 
 def translate(f, n):
     """The translate m -> f(max(n, m)), recanonicalized."""
     if not isinstance(n, ExtNat) or n == POS_INF:
         raise ValueError("translation points live in the max-monoid (no +inf)")
-    if n == NEG_INF or not f.prefix:
+    i = _position(n)
+    if i == 0 or not f.prefix:
         return f
-    points = [NEG_INF] + [fin(i) for i in range(max(len(f.prefix) - 1, 0))]
-    return StepFunctional([f.eval(max(n, p)) for p in points], f.tail)
+    return StepFunctional([f._at(max(i, j)) for j in range(len(f.prefix))], f.tail)
 
 
 def finite_runs(f):
@@ -108,15 +115,9 @@ def finite_runs(f):
     The trailing infinite run (the tail) is not listed; canonical form
     guarantees the last listed run really ends.
     """
-    if not f.prefix:
-        return []
-    points = [NEG_INF] + [fin(i) for i in range(len(f.prefix) - 1)]
-    runs = []
-    for idx, point in enumerate(points):
-        value = f.prefix[idx]
-        if idx + 1 == len(points) or f.prefix[idx + 1] != value:
-            runs.append((point, value))
-    return runs
+    last = len(f.prefix) - 1
+    return [(_point(i), value) for i, value in enumerate(f.prefix)
+            if i == last or f.prefix[i + 1] != value]
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,8 @@ def translate_span_basis(f):
 
     window = f.window()
     basis = [translate(f, p) for p in points]
-    dim = rank(Matrix.from_rows([[g.eval(q) for q in window] for g in basis])) if basis else 0
+    rows = [[g._at(j) for j in range(len(window))] for g in basis]
+    dim = rank(Matrix.from_rows(rows)) if basis else 0
     if dim != len(basis):
         raise ArithmeticError("breakpoint translates are not linearly independent")
     for n in window:
@@ -183,24 +185,17 @@ def is_character(f):
     """The threshold index when f is multiplicative, else None.
 
     Characters take values in {0, 1}, send the identity -inf to 1, and
-    drop from 1 to 0 at most once. The window covers the prefix and the
-    tail, so a functional of that shape is f_c = [p <= c], which is
-    multiplicative because max(a, b) <= c iff a <= c and b <= c.
+    once 0 stay 0 (f(b) = f(a) f(b) for a < b), so they are the f_c =
+    [p <= c], multiplicative because max(a, b) <= c iff a <= c and
+    b <= c. The canonical form has the tail values trimmed off its
+    prefix, so f_{+inf} is the empty prefix with tail 1 and f_c for
+    c < +inf is an all-ones prefix ending at c with tail 0.
     """
-    window = f.window()
-    values = [f.eval(p) for p in window]
-    if any(v not in (0, 1) for v in values) or values[0] != 1 or f.tail not in (0, 1):
-        return None
-    if f.tail == 1:
-        if any(v != 1 for v in values):
-            return None
-        threshold = POS_INF
-    else:
-        ones = [i for i, v in enumerate(values) if v == 1]
-        if ones != list(range(len(ones))):
-            return None
-        threshold = window[ones[-1]]
-    return threshold
+    if not f.prefix:
+        return POS_INF if f.tail == 1 else None
+    if f.tail == 0 and all(v == 1 for v in f.prefix):
+        return _point(len(f.prefix) - 1)
+    return None
 
 
 def char_mult(s, t):
@@ -273,7 +268,5 @@ def grouplike_decompose(f):
 def verify_decomposition(f, coeffs, extra=2):
     """Pointwise check of sum c_i f_i = f on the verification window."""
     terms = [(v, threshold_functional(c)) for c, v in coeffs.items()]
-    for p in f.window(extra):
-        if sum((v * g.eval(p) for v, g in terms), Fraction(0)) != f.eval(p):
-            return False
-    return True
+    return all(sum((v * g.eval(p) for v, g in terms), Fraction(0)) == f.eval(p)
+               for p in f.window(extra))

@@ -2,16 +2,20 @@
 
 Each of these reimplements a result by a different method than the
 package: cofactor expansion instead of elimination, largest nonzero
-minor instead of echelon rank, inversion counting instead of sort-time
-sign tracking, pairwise multiplicativity instead of the down-set test
-for characters, every basis pair and triple instead of the stored
-products of a graded algebra, every same-class pair instead of class
-representatives for congruences. Tests compare package output against these.
+minor instead of echelon rank, sort-time sign tracking and explicit
+inversion counting for the Koszul sign, pairwise multiplicativity
+instead of the down-set test for characters, every basis pair and
+triple instead of the stored products of a graded algebra, every
+same-class pair instead of class representatives for congruences,
+evaluation at chain points instead of prefix positions for step
+functionals. Tests compare package output against these.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from semidual.extnat import NEG_INF, fin
+from semidual.nbar_dual import StepFunctional
 from semidual.semilattice import validate
 
 
@@ -79,6 +83,58 @@ def koszul_sign(word, ctx):
                      if word[i] > word[j]
                      and ctx.parity(word[i]) == 1 and ctx.parity(word[j]) == 1)
     return -1 if inversions % 2 else 1
+
+
+def insertion_sort_normalize(word, ctx):
+    """(sign, sorted word) by insertion sort, flipping the sign per swap of two odd variables.
+
+    None when two equal odd variables end up adjacent.
+    """
+    vs = list(word)
+    parities = [ctx.parity(v) for v in vs]
+    sign = 1
+    for i in range(1, len(vs)):
+        j = i
+        while j > 0 and vs[j] < vs[j - 1]:
+            if parities[j] and parities[j - 1]:
+                sign = -sign
+            vs[j], vs[j - 1] = vs[j - 1], vs[j]
+            parities[j], parities[j - 1] = parities[j - 1], parities[j]
+            j -= 1
+    for i in range(1, len(vs)):
+        if vs[i] == vs[i - 1] and parities[i]:
+            return None
+    return sign, tuple(vs)
+
+
+def _prefix_points(f):
+    """The chain points -inf, 0, ..., len(f.prefix) - 2 that f.prefix covers."""
+    return [NEG_INF] + [fin(i) for i in range(max(len(f.prefix) - 1, 0))]
+
+
+def point_translate(f, n):
+    """m -> f(max(n, m)), evaluated at chain points through max on ExtNat."""
+    return StepFunctional([f.eval(max(n, p)) for p in _prefix_points(f)], f.tail)
+
+
+def point_pointwise_mul(f, g):
+    """f g evaluated at the chain points that either prefix covers."""
+    longer = f if len(f.prefix) >= len(g.prefix) else g
+    return StepFunctional([f.eval(p) * g.eval(p) for p in _prefix_points(longer)],
+                          f.tail * g.tail)
+
+
+def point_finite_runs(f):
+    """(end point, value) per maximal constant run of the prefix, walking chain points."""
+    if not f.prefix:
+        return []
+    points = _prefix_points(f)
+    runs = []
+    for idx, point in enumerate(points):
+        value = f.prefix[idx]
+        if idx + 1 == len(points) or f.prefix[idx + 1] != value:
+            runs.append((point, value))
+    return runs
 
 
 def step_values(prefix, tail, count):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import semidual
-from semidual import corpus, nbar_dual
+from semidual import bialgebra, corpus, nbar_dual
 from semidual.cli import run
 
 
@@ -324,6 +324,16 @@ def test_exit_1_on_failing_cross_check(monkeypatch):
     monkeypatch.setattr(nbar_dual, "translate", lambda f, n: f)
     argv = ["nbar", "translate-basis", "--prefix", "3,2", "--tail", "1"]
     message = "breakpoint translates are not linearly independent"
+    assert invoke(*argv) == (1, f"check: FAIL [{message}]\n", "")
+    assert invoke(*argv, "--format", "tsv") == (1, f"check\tFAIL\t{message}\n", "")
+
+
+def test_exit_1_when_glued_pair_is_not_glued(monkeypatch):
+    # a closure that drops the requested pair: the quotient itself is still consistent
+    monkeypatch.setattr(bialgebra, "congruence_closure",
+                        lambda s, pairs: bialgebra.Congruence(s, [[i] for i in range(len(s))]))
+    argv = ["balg", "quotient", slat("chain3"), "--glue=n2=n3"]
+    message = "glued pair n2=n3 lies in two classes"
     assert invoke(*argv) == (1, f"check: FAIL [{message}]\n", "")
     assert invoke(*argv, "--format", "tsv") == (1, f"check\tFAIL\t{message}\n", "")
 

@@ -1,11 +1,14 @@
-"""Exit codes and stdout digests of 1188 CLI commands, pinned.
+"""Exit codes and stdout digests of 2644 CLI commands, pinned.
 
 The commands are the six `slat` subcommands, `balg axioms` and
 `balg quotient --glue=a=b` for every ordered label pair, on each
 bundled `.slat` file; `graded verify|module-algebra|action-table` on
-ut1-ut5, all in human and tsv format; and `graded ut --size 1..24`.
+ut1-ut5; `nbar is-char|decompose|translate-basis` on 100 seeded
+step functionals and `nbar det` on 20 seeded rows; `lp mul|weight|act|embed`
+on 100 seeded inputs each under four parity contexts; a few inputs that must
+exit 2; all in human and tsv format; and `graded ut --size 1..24`.
 Each is recorded as its exit code and the sha256 of its stdout, because
-the raw text is about 0.9 MB.
+the raw text is about 1 MB.
 
 Regenerate the stored digests (only when an output change is intended):
 
@@ -16,6 +19,8 @@ import hashlib
 import io
 import json
 import pathlib
+import random
+from fractions import Fraction
 
 from semidual import corpus
 from semidual.cli import run
@@ -26,6 +31,70 @@ SLATS = [f"chain{m}" for m in range(1, 9)] + ["bool1", "bool2", "bool3",
 GALGS = [f"ut{m}" for m in range(1, 6)]
 SLAT_CMDS = ("check", "order", "characters", "dual", "double-dual", "ev-rank")
 GRADED_CMDS = ("verify", "module-algebra", "action-table")
+LP_CONTEXTS = ([], ["--odd-letters=1,3"], ["--odd-places=2"],
+               ["--odd-letters=1,2", "--odd-places=1,3"])
+EXIT_2 = [["nbar", "decompose", "--tail=1/0"], ["nbar", "is-char", "--prefix=1,x", "--tail=0"],
+          ["nbar", "det", "--row=1/0"], ["lp", "embed", "0"], ["lp", "mul", "(x1|1)"],
+          ["lp", "weight", "(x0|1)"], ["lp", "act", "(x1|1)", "--z=x"], ["lp", "weight", "(x1|1)+"]]
+
+
+def _rational(rng):
+    return str(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
+
+
+def _unique(make, count):
+    """The first `count` distinct values of make()."""
+    seen = []
+    while len(seen) < count:
+        value = make()
+        if value not in seen:
+            seen.append(value)
+    return seen
+
+
+def _step_functional(rng):
+    """--prefix/--tail texts: rational, 0/1, or threshold-shaped with trailing tail values."""
+    shape = rng.randrange(3)
+    if shape == 2:
+        ones, zeros, tail = rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 1)
+        prefix = ["1"] * ones + [str(tail)] * zeros
+        return ",".join(prefix), str(tail)
+    value = _rational if shape == 0 else (lambda r: str(r.randint(0, 1)))
+    return ",".join(value(rng) for _ in range(rng.randint(0, 8))), value(rng)
+
+
+def _lp_expr(rng):
+    """A sum of 1-4 terms, each a rational, a product of variables, or both."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = [f"(x{rng.randint(1, 3)}|{rng.randint(1, 3)})" for _ in range(rng.randint(0, 3))]
+        if not factors or rng.random() < 0.4:
+            factors.insert(0, str(Fraction(rng.randint(0, 5), rng.choice((1, 2)))))
+        terms.append("*".join(factors))
+    # a space after a leading minus keeps argparse from reading the expression as a flag
+    text = terms[0] if rng.random() < 0.7 else "- " + terms[0]
+    return text + "".join(rng.choice("+-") + t for t in terms[1:])
+
+
+def nbar_lp_commands():
+    """Seeded `nbar` and `lp` argv, without --format."""
+    rng = random.Random(7)
+    out = []
+    for prefix, tail in _unique(lambda: _step_functional(rng), 100):
+        out += [["nbar", cmd, f"--prefix={prefix}", f"--tail={tail}"]
+                for cmd in ("is-char", "decompose", "translate-basis")]
+    for row in _unique(lambda: ",".join(_rational(rng) for _ in range(rng.randint(1, 6))), 20):
+        out.append(["nbar", "det", f"--row={row}"])
+    points = ("-inf", "0", "1", "2", "3", "+inf")
+    lp_args = {
+        "mul": lambda: [_lp_expr(rng), _lp_expr(rng)],
+        "weight": lambda: [_lp_expr(rng)],
+        "act": lambda: [_lp_expr(rng), f"--z={rng.choice(points)}"],
+        "embed": lambda: [str(rng.randint(1, 3)) for _ in range(rng.randint(1, 6))],
+    }
+    for cmd, args in lp_args.items():
+        out += _unique(lambda: ["lp", cmd] + args() + rng.choice(LP_CONTEXTS), 100)
+    return out + EXIT_2
 
 
 def commands():
@@ -46,6 +115,8 @@ def commands():
             for cmd in GRADED_CMDS:
                 tail = ["--format", fmt]
                 out.append((["graded", cmd, f"{name}.galg"] + tail, ["graded", cmd, path] + tail))
+        for argv in nbar_lp_commands():
+            out.append((argv + ["--format", fmt], argv + ["--format", fmt]))
     for m in range(1, 25):
         argv = ["graded", "ut", f"--size={m}", "--labels=" + ",".join(map(str, range(1, m + 1)))]
         out.append((argv, argv))
@@ -64,7 +135,7 @@ def digests():
 def test_cli_outputs_match_stored_digests():
     stored = json.loads(DIGESTS.read_text(encoding="utf-8"))
     current = digests()
-    assert len(current) == 1188
+    assert len(current) == 2644
     assert sorted(current) == sorted(stored)
     changed = [key for key in current if current[key] != stored[key]]
     assert not changed, changed[:10]

@@ -1,3 +1,4 @@
+import io
 import random
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import dense_first_nonassociative_triple, dense_ut_structure, validated_copy
 from semidual import corpus, graded
+from semidual.cli import run
 from semidual.errors import ParseError
 from semidual.exactlin import Matrix
 from semidual.graded import (AlgebraElement, BadLabelsError,
@@ -15,7 +17,7 @@ from semidual.graded import (AlgebraElement, BadLabelsError,
                              homogeneous_components, parse_graded,
                              print_graded, ut_graded, verify_grading)
 from semidual.reporting import INFO
-from semidual.semilattice import characters, validate
+from semidual.semilattice import characters, print_semilattice, validate
 
 
 def ut2():
@@ -62,6 +64,20 @@ def test_verify_grading_ut2_passes_with_info():
     assert report.passed
     info = [line for line in report.lines if line.status == INFO]
     assert len(info) == 1 and info[0].name == "unit-degrees"
+
+
+def test_corrupted_unit_fails_the_unit_law(tmp_path):
+    a = ut2()
+    bad = GradedFDAlgebra(a.basis, a.structure, {a.index("E11"): 1}, a.grading, a.degree)
+    failed = [line.render() for line in verify_grading(bad).lines if line.status == "FAIL"]
+    assert failed == ["invariant unit-law: FAIL [witness E12]"]
+
+    (tmp_path / "chain2.slat").write_text(print_semilattice(a.grading))
+    (tmp_path / "bad.galg").write_text(print_graded(bad, "chain2.slat"))
+    out = io.StringIO()
+    assert run(["graded", "verify", str(tmp_path / "bad.galg")], out, io.StringIO()) == 1
+    assert "invariant unit-law: FAIL [witness E12]" in out.getvalue().splitlines()
+    assert out.getvalue().splitlines()[-1] == "grading: FAIL"
 
 
 def test_verify_grading_trivial():
@@ -358,7 +374,6 @@ def test_parse_graded_unknown_labels_are_positioned(old, new, line, message):
 
 def test_parse_graded_file_resolves_sibling(tmp_path):
     from semidual.graded import parse_graded_file
-    from semidual.semilattice import print_semilattice
     a = ut2()
     (tmp_path / "chain2.slat").write_text(print_semilattice(a.grading))
     (tmp_path / "ut2.galg").write_text(print_graded(a, "chain2.slat"))

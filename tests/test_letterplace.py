@@ -10,7 +10,7 @@ from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
                                   normalize, parse_poly, variable, weight,
                                   weight_components)
 
-from oracles import koszul_sign
+from oracles import insertion_sort_normalize, koszul_sign
 
 EVEN = ParityContext.make()
 ODD_LETTERS = ParityContext.make(odd_letters=[1, 2, 3])
@@ -46,6 +46,18 @@ def test_normalize_sign_against_inversion_oracle():
             assert got is None
         else:
             assert got is not None and got[0] == expected
+
+
+@pytest.mark.parametrize("ctx", [
+    EVEN, ODD_LETTERS, ParityContext.make(odd_places=[1, 3]),
+    ParityContext.make(odd_letters=[2], odd_places=[1, 2]),
+], ids=["even", "odd-letters", "odd-places", "mixed"])
+def test_normalize_matches_insertion_sort(ctx):
+    rng = random.Random(37)
+    for length in range(10):
+        for _ in range(60):
+            word = [v(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(length)]
+            assert normalize(word, ctx) == insertion_sort_normalize(word, ctx), word
 
 
 def test_multiply_even_square():

@@ -12,7 +12,8 @@ from semidual.nbar_dual import (StepFunctional, char_mult, finite_runs,
                                 threshold_functional, translate,
                                 translate_span_basis, verify_decomposition)
 
-from oracles import cofactor_det
+from oracles import (cofactor_det, point_finite_runs, point_pointwise_mul,
+                     point_translate)
 
 
 def F(prefix, tail):
@@ -78,6 +79,26 @@ def test_translate_action_law():
         f = F(prefix, Fraction(rng.randint(-3, 3)))
         a, b = rng.choice(points), rng.choice(points)
         assert translate(translate(f, a), b) == translate(f, max(a, b))
+
+
+def test_translate_matches_point_oracle():
+    for f in random_functionals(83, 80):
+        for n in f.window():
+            assert translate(f, n) == point_translate(f, n), (f, n)
+
+
+def test_pointwise_mul_matches_point_oracle():
+    fs = random_functionals(89, 30)
+    for f in fs:
+        for g in fs:
+            assert f.pointwise_mul(g) == point_pointwise_mul(f, g), (f, g)
+
+
+def test_finite_runs_matches_point_oracle():
+    fs = random_functionals(97, 80)
+    assert not fs[0].prefix
+    for f in fs:
+        assert finite_runs(f) == point_finite_runs(f), f
 
 
 def test_finite_runs_examples():
