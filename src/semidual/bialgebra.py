@@ -13,31 +13,20 @@ scope, as is any Hopf/antipode structure.
 
 from fractions import Fraction
 
-from .exactlin import Matrix, rank
+from .exactlin import (Matrix, ParentMismatchError,  # noqa: F401 (re-exported)
+                       SparseVector, clean, format_sum, rank)
 from .reporting import FAIL, PASS, Report
 from .semilattice import FiniteSemilattice, characters
-
-
-class ParentMismatchError(ValueError):
-    pass
 
 
 class NotACongruenceError(ValueError):
     pass
 
 
-def _clean(coeffs):
-    return {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-
-
-class MonoidAlgebraElement:
+class MonoidAlgebraElement(SparseVector):
     """Sparse rational combination of semilattice elements."""
 
-    __slots__ = ("parent", "coeffs")
-
-    def __init__(self, parent, coeffs):
-        self.parent = parent
-        self.coeffs = _clean(coeffs)
+    __slots__ = ()
 
     @classmethod
     def basis(cls, parent, i):
@@ -55,75 +44,25 @@ class MonoidAlgebraElement:
     def from_labels(cls, parent, labelled):
         return cls(parent, {parent.index(lbl): Fraction(v) for lbl, v in labelled.items()})
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return MonoidAlgebraElement(self.parent, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return MonoidAlgebraElement(self.parent, {k: v * c for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def _check(self, other):
-        if self.parent is not other.parent and self.parent != other.parent:
-            raise ParentMismatchError("elements of different monoid algebras")
-
-    def __eq__(self, other):
-        return (isinstance(other, MonoidAlgebraElement)
-                and self.parent == other.parent and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.parent, tuple(sorted(self.coeffs.items()))))
+    def basis_product(self, i, j):
+        return {self.parent.op(i, j): 1}
 
     def __repr__(self):
         return f"MonoidAlgebraElement({format_element(self)})"
 
 
 def format_element(a):
-    if not a.coeffs:
-        return "0"
-    bits = []
-    for i in sorted(a.coeffs):
-        c = a.coeffs[i]
-        label = a.parent.label(i)
-        if c == 1:
-            term = label
-        elif c == -1:
-            term = f"-{label}"
-        else:
-            term = f"{c}*{label}"
-        bits.append(term if not bits else (f"+ {term}" if c > 0 else f"- {term[1:]}"))
-    return " ".join(bits)
+    return format_sum((a.coeffs[i], a.parent.label(i)) for i in sorted(a.coeffs))
 
 
-class TensorElement:
+class TensorElement(SparseVector):
     """Sparse element of kS (x) kS, keyed by ordered index pairs."""
 
-    __slots__ = ("parent", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, parent, coeffs):
-        self.parent = parent
-        self.coeffs = _clean(coeffs)
-
-    def __mul__(self, other):
-        out = {}
-        for (a, b), x in self.coeffs.items():
-            for (c, d), y in other.coeffs.items():
-                key = (self.parent.op(a, c), self.parent.op(b, d))
-                out[key] = out.get(key, Fraction(0)) + x * y
-        return TensorElement(self.parent, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and self.parent == other.parent and self.coeffs == other.coeffs)
+    def basis_product(self, ab, cd):
+        (a, b), (c, d) = ab, cd
+        return {(self.parent.op(a, c), self.parent.op(b, d)): 1}
 
     def __repr__(self):
         return f"TensorElement({dict(sorted(self.coeffs.items()))})"
@@ -131,13 +70,7 @@ class TensorElement:
 
 def multiply(a, b):
     """Bilinear extension of the semilattice operation."""
-    a._check(b)
-    out = {}
-    for i, x in a.coeffs.items():
-        for j, y in b.coeffs.items():
-            k = a.parent.op(i, j)
-            out[k] = out.get(k, Fraction(0)) + x * y
-    return MonoidAlgebraElement(a.parent, out)
+    return a.product(b)
 
 
 def comultiply(a):
@@ -189,7 +122,7 @@ def check_bialgebra_axioms(s):
                 left[(x, y, c)] = left.get((x, y, c), 0) + v * w
             for (x, y), w in deltas[c].coeffs.items():
                 right[(a, x, y)] = right.get((a, x, y), 0) + v * w
-        return _clean(left) == _clean(right)
+        return clean(left) == clean(right)
 
     def apply_counit(t, factor):
         """counit applied to tensor factor 0 or 1 of t, by linearity from the basis."""
@@ -364,15 +297,17 @@ def quotient_grouplikes(s, c):
     """Group-likes of kS / I for the congruence ideal I = span{s - t : s ~ t}.
 
     The quotient is identified with the monoid algebra of S/~. The
-    returned cosets are the images of the congruence classes; the report
+    returned cosets are the images of the congruence classes, taken
+    through the projection of each class representative; the report
     verifies that each is group-like, that they are linearly independent
-    (distinct basis elements), and that the characteristic-zero forcing
-    argument admits no others.
+    (so the projection keeps the classes apart), and that the
+    characteristic-zero forcing argument admits no others.
     """
     if c.parent != s:
         raise NotACongruenceError("congruence belongs to a different semilattice")
     quotient, projection = quotient_semilattice(c)
-    cosets = [MonoidAlgebraElement.basis(quotient, i) for i in range(len(quotient))]
+    cosets = [MonoidAlgebraElement.basis(quotient, projection[members[0]])
+              for members in c.classes]
     report = Report()
     for i, coset in enumerate(cosets):
         report.add("grouplike", quotient.label(i),

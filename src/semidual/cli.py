@@ -28,6 +28,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # a minus sign before anything but a letter or a second minus starts
+        # a value, such as the letterplace expression -(x2|1), not a flag
+        if arg_string[:1] == "-" and len(arg_string) > 1 and not (
+                arg_string[1] == "-" or arg_string[1].isalpha()):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 class Output:
     def __init__(self, stream, fmt):
@@ -41,9 +49,13 @@ class Output:
         else:
             self.stream.write(human + "\n")
 
-    def emit_report(self, report):
+    def emit_verdict(self, name, report):
+        """The report's lines, then `name: PASS|FAIL`; returns the exit code."""
         for line in report.lines:
             self.emit(line.render(), (line.kind, line.name, line.status, line.witness))
+        status = PASS if report.passed else FAIL
+        self.emit(f"{name}: {status}", (name, status))
+        return 0 if report.passed else 1
 
 
 def _read(path):
@@ -142,11 +154,7 @@ def _cmd_slat(args, out):
 def _cmd_balg(args, out):
     s = _load_slat(args.file)
     if args.balg_cmd == "axioms":
-        report = bialgebra.check_bialgebra_axioms(s)
-        out.emit_report(report)
-        status = PASS if report.passed else FAIL
-        out.emit(f"axioms: {status}", ("axioms", status))
-        return 0 if report.passed else 1
+        return out.emit_verdict("axioms", bialgebra.check_bialgebra_axioms(s))
     # quotient
     pairs = []
     for piece in (args.glue or "").split(","):
@@ -165,10 +173,7 @@ def _cmd_balg(args, out):
         label = congruence.class_label(ci)
         names = " ".join(s.label(m) for m in members)
         out.emit(f"class {label}: {names}", ("class", label, names))
-    out.emit_report(result.report)
-    status = PASS if result.report.passed else FAIL
-    out.emit(f"quotient: {status}", ("quotient", status))
-    return 0 if result.report.passed else 1
+    return out.emit_verdict("quotient", result.report)
 
 
 def _cmd_graded(args, out):
@@ -186,11 +191,7 @@ def _cmd_graded(args, out):
 
     algebra = graded.parse_graded_file(args.file)
     if args.graded_cmd == "verify":
-        report = graded.verify_grading(algebra)
-        out.emit_report(report)
-        status = PASS if report.passed else FAIL
-        out.emit(f"grading: {status}", ("grading", status))
-        return 0 if report.passed else 1
+        return out.emit_verdict("grading", graded.verify_grading(algebra))
     if args.graded_cmd == "act":
         ch = _char_by_name(algebra.grading, args.char)
         element = _parse_element(algebra, args.element)
@@ -199,26 +200,18 @@ def _cmd_graded(args, out):
         out.emit(text, ("result", text))
         return 0
     if args.graded_cmd == "module-algebra":
-        report = graded.check_module_algebra(algebra)
-        out.emit_report(report)
-        status = PASS if report.passed else FAIL
-        out.emit(f"module-algebra: {status}", ("module-algebra", status))
-        return 0 if report.passed else 1
+        return out.emit_verdict("module-algebra", graded.check_module_algebra(algebra))
     # action-table
     action = graded.dual_monoid_action(algebra)
     for name in action.labels:
         matrix = action.matrices[name]
         images = []
         for j, b in enumerate(algebra.basis):
-            column = {i: matrix.at(i, j) for i in range(algebra.dim)
-                      if matrix.at(i, j) != 0}
-            images.append(f"{b} -> {graded.format_algebra_element(algebra.element(column))}")
+            column = algebra.element({i: matrix.at(i, j) for i in range(algebra.dim)})
+            images.append(f"{b} -> {graded.format_algebra_element(column)}")
         out.emit(f"gamma {name}: {', '.join(images)}",
                  ("gamma", name, "; ".join(images)))
-    out.emit_report(action.report)
-    status = PASS if action.report.passed else FAIL
-    out.emit(f"action: {status}", ("action", status))
-    return 0 if action.report.passed else 1
+    return out.emit_verdict("action", action.report)
 
 
 def _nbar_functional(args):

@@ -4,6 +4,13 @@ Determinant and rank run fraction-free (Bareiss) elimination on an
 integer rescaling of the matrix, so intermediate values stay integral
 and nothing is ever rounded. Solving uses ordinary Gaussian elimination
 on Fractions, which is exact as well.
+
+SparseVector is the one rational vector space behind every algebra in
+the package: the monoid algebra kS and its tensor square, the graded
+algebras, and the letterplace polynomials. It stores the nonzero
+coordinates on a basis, does the linear operations and the parent
+check, and extends a product given on basis keys bilinearly;
+format_sum writes such a vector as a signed sum.
 """
 
 from fractions import Fraction
@@ -18,6 +25,98 @@ class NonSquareError(ValueError):
 
 class DimensionMismatchError(ValueError):
     pass
+
+
+class ParentMismatchError(ValueError):
+    pass
+
+
+def clean(coeffs):
+    """The nonzero entries of a coordinate mapping, each as a Fraction."""
+    out = {}
+    for k, v in coeffs.items():
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
+        if v:
+            out[k] = v
+    return out
+
+
+class SparseVector:
+    """A rational vector: `coeffs` maps basis keys to nonzero Fractions.
+
+    Vectors combine only with vectors of the same class and parent (the
+    space they live in). Subclasses supply `basis_product(i, j)`, the
+    product of two basis keys as a mapping from keys to rationals, which
+    `*` extends bilinearly. Treat instances as immutable.
+    """
+
+    __slots__ = ("parent", "coeffs")
+
+    def __init__(self, parent, coeffs):
+        self.parent = parent
+        self.coeffs = clean(coeffs)
+
+    def _check(self, other):
+        if self.parent is not other.parent and self.parent != other.parent:
+            raise ParentMismatchError(f"{type(self).__name__} operands from different parents")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return type(self)(self.parent, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(self.parent, {k: v * c for k, v in self.coeffs.items()})
+
+    def product(self, other):
+        """Sum of x_i y_j basis_product(i, j) over the coordinates of both factors."""
+        self._check(other)
+        times = self.basis_product
+        out = {}
+        for i, x in self.coeffs.items():
+            for j, y in other.coeffs.items():
+                terms = times(i, j)
+                if not terms:
+                    continue
+                xy = x * y
+                for k, c in terms.items():
+                    v = xy if c == 1 else xy * c
+                    out[k] = out[k] + v if k in out else v
+        return type(self)(self.parent, out)
+
+    __mul__ = product
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.coeffs == other.coeffs
+                and (self.parent is other.parent or self.parent == other.parent))
+
+    def __hash__(self):
+        return hash((self.parent, frozenset(self.coeffs.items())))
+
+
+def format_sum(terms):
+    """Signed sum such as `a - 2*b + 1/2` of (rational, name) pairs; an empty name is 1."""
+    pieces = []
+    for c, name in terms:
+        size = abs(c)
+        if not name:
+            text = str(size)
+        elif size == 1:
+            text = name
+        else:
+            text = f"{size}*{name}"
+        if pieces:
+            pieces.append(f"- {text}" if c < 0 else f"+ {text}")
+        else:
+            pieces.append(f"-{text}" if c < 0 else text)
+    return " ".join(pieces) or "0"
 
 
 class Matrix:
@@ -68,13 +167,6 @@ class Matrix:
                 out.append(sum((self.at(i, k) * other.at(k, j) for k in range(self.cols)),
                                Fraction(0)))
         return Matrix(self.rows, other.cols, out)
-
-    def apply(self, vec):
-        vec = [Fraction(v) for v in vec]
-        if len(vec) != self.cols:
-            raise DimensionMismatchError(f"vector of length {len(vec)} for {self.rows}x{self.cols}")
-        return tuple(sum((self.at(i, j) * vec[j] for j in range(self.cols)), Fraction(0))
-                     for i in range(self.rows))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows

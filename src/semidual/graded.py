@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 
 from .errors import ParseError
-from .exactlin import Matrix
+from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
 from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
                           character_label, parse_semilattice)
@@ -31,10 +31,6 @@ class BadLabelsError(ValueError):
 
 class CharacterMismatchError(ValueError):
     pass
-
-
-def _clean(coeffs):
-    return {k: Fraction(v) for k, v in coeffs.items() if v != 0}
 
 
 class GradedFDAlgebra:
@@ -59,9 +55,9 @@ class GradedFDAlgebra:
         bad = next((i for i in unit if i not in indices), None)
         if bad is not None:
             raise BadLabelsError(f"unit index {bad!r} outside the basis")
-        cleaned = ((key, _clean(structure[key])) for key in sorted(structure))
+        cleaned = ((key, clean(structure[key])) for key in sorted(structure))
         self.structure = {key: vec for key, vec in cleaned if vec}
-        self.unit = _clean(unit)
+        self.unit = clean(unit)
         self.grading = grading
         self.degree = tuple(degree)
         if len(self.degree) != len(self.basis):
@@ -102,51 +98,27 @@ class GradedFDAlgebra:
         return f"GradedFDAlgebra(dim={self.dim}, grading={list(self.grading.elements)})"
 
 
-class AlgebraElement:
+class AlgebraElement(SparseVector):
     """Sparse coordinate vector in a graded algebra."""
 
-    __slots__ = ("parent", "coords")
+    __slots__ = ()
 
-    def __init__(self, parent, coords):
-        self.parent = parent
-        self.coords = _clean(coords)
+    @property
+    def coords(self):
+        """The coordinates; another name for coeffs."""
+        return self.coeffs
 
-    def __add__(self, other):
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return AlgebraElement(self.parent, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return AlgebraElement(self.parent, {k: v * c for k, v in self.coords.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for i, x in self.coords.items():
-            for j, y in other.coords.items():
-                for k, ck in self.parent.mul_basis(i, j).items():
-                    out[k] = out.get(k, Fraction(0)) + x * y * ck
-        return AlgebraElement(self.parent, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        if self.parent is not other.parent and self.parent != other.parent:
-            return False
-        return self.coords == other.coords
+    def basis_product(self, i, j):
+        return self.parent.mul_basis(i, j)
 
     def __repr__(self):
         return f"AlgebraElement({format_algebra_element(self)})"
 
 
 def format_algebra_element(a):
-    if not a.coords:
+    if not a.coeffs:
         return "0"
-    return ",".join(f"{a.parent.basis[i]}:{a.coords[i]}" for i in sorted(a.coords))
+    return ",".join(f"{a.parent.basis[i]}:{a.coeffs[i]}" for i in sorted(a.coeffs))
 
 
 def _split_unit_degrees(algebra):
@@ -185,7 +157,7 @@ def verify_grading(algebra):
         for m, c in mul(j, k).items():
             for l, d in mul(i, m).items():
                 right[l] = right.get(l, Fraction(0)) + c * d
-        return _clean(left) == _clean(right)
+        return clean(left) == clean(right)
 
     witness = next(((label[i], label[j], label[k])
                     for i in every for j in every
@@ -221,7 +193,7 @@ def verify_grading(algebra):
 def homogeneous_components(a):
     """Split an element by degree; the components sum back to the input."""
     parts = {}
-    for i, v in a.coords.items():
+    for i, v in a.coeffs.items():
         parts.setdefault(a.parent.degree[i], {})[i] = v
     return {d: AlgebraElement(a.parent, coords) for d, coords in sorted(parts.items())}
 
@@ -231,7 +203,7 @@ def act_character(f, a):
     algebra = a.parent
     if not f.is_character_of(algebra.grading):
         raise CharacterMismatchError("not a character of the grading semilattice")
-    return AlgebraElement(algebra, {i: v for i, v in a.coords.items()
+    return AlgebraElement(algebra, {i: v for i, v in a.coeffs.items()
                                     if f(algebra.degree[i]) == 1})
 
 
@@ -309,7 +281,7 @@ def dual_monoid_action(algebra):
         " gamma(f,1) != 1 for characters vanishing on a unit degree")
     labels = [character_label(i) for i in range(len(chars))]
     n = algebra.dim
-    matrices = {name: Matrix.from_rows([[image[j].coords.get(i, Fraction(0))
+    matrices = {name: Matrix.from_rows([[image[j].coeffs.get(i, Fraction(0))
                                          for j in range(n)] for i in range(n)])
                 for name, image in zip(labels, images)}
     lookup = {ch.values: i for i, ch in enumerate(chars)}
@@ -320,7 +292,7 @@ def dual_monoid_action(algebra):
     report.add("action", "composition", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
     top = lookup[tuple(1 for _ in range(len(algebra.grading)))]
-    identity = all(image.coords == {j: 1} for j, image in enumerate(images[top]))
+    identity = all(image.coeffs == {j: 1} for j, image in enumerate(images[top]))
     report.add("action", "identity-character", PASS if identity else FAIL)
     return DualAction(algebra, labels, matrices, report)
 

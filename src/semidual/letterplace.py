@@ -18,11 +18,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
+from .exactlin import ParentMismatchError as ContextMismatchError, SparseVector, format_sum
 from .extnat import NEG_INF, ExtNat, fin
-
-
-class ContextMismatchError(ValueError):
-    pass
 
 
 class ParityContext(NamedTuple):
@@ -68,14 +65,22 @@ def normalize(word, ctx):
     return (-1) ** inversions, tuple(sorted(word))
 
 
-class LPPoly:
-    """Sparse rational polynomial on canonical letterplace monomials."""
+class LPPoly(SparseVector):
+    """Sparse rational polynomial on canonical letterplace monomials.
 
-    __slots__ = ("context", "terms")
+    The parent is the parity context; `context` and `terms` are other
+    names for `parent` and `coeffs`.
+    """
 
-    def __init__(self, context, terms):
-        self.context = context
-        self.terms = {m: Fraction(c) for m, c in terms.items() if c != 0}
+    __slots__ = ()
+
+    @property
+    def context(self):
+        return self.parent
+
+    @property
+    def terms(self):
+        return self.coeffs
 
     @classmethod
     def zero(cls, ctx):
@@ -101,37 +106,19 @@ class LPPoly:
     def constant(cls, ctx, c):
         return cls(ctx, {(): Fraction(c)})
 
-    def _check(self, other):
-        if self.context != other.context:
-            raise ContextMismatchError("polynomials from different parity contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return LPPoly(self.context, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return LPPoly(self.context, {m: v * c for m, v in self.terms.items()})
+    def basis_product(self, m1, m2):
+        normalized = normalize(m1 + m2, self.parent)
+        if normalized is None:
+            return {}
+        sign, mono = normalized
+        return {mono: sign}
 
     def __mul__(self, other):
         return multiply(self, other)
 
-    def __eq__(self, other):
-        return (isinstance(other, LPPoly) and self.context == other.context
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.context, tuple(sorted(self.terms.items()))))
-
     def parity(self):
         """0 or 1 when all monomials share one parity, else None."""
-        seen = {sum(self.context.parity(v) for v in m) % 2 for m in self.terms}
+        seen = {sum(self.parent.parity(v) for v in m) % 2 for m in self.coeffs}
         if not seen:
             return 0
         return seen.pop() if len(seen) == 1 else None
@@ -142,16 +129,7 @@ class LPPoly:
 
 def multiply(p, q):
     """Bilinear product; term products concatenate and renormalize."""
-    p._check(q)
-    out = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            normalized = normalize(m1 + m2, p.context)
-            if normalized is None:
-                continue
-            sign, mono = normalized
-            out[mono] = out.get(mono, Fraction(0)) + c1 * c2 * sign
-    return LPPoly(p.context, out)
+    return p.product(q)
 
 
 def weight(mono):
@@ -164,16 +142,16 @@ def weight(mono):
 def weight_components(p):
     """Split a polynomial by weight; the components sum back to the input."""
     parts = {}
-    for m, c in p.terms.items():
+    for m, c in p.coeffs.items():
         parts.setdefault(weight(m), {})[m] = c
-    return {w: LPPoly(p.context, terms) for w, terms in sorted(parts.items())}
+    return {w: LPPoly(p.parent, terms) for w, terms in sorted(parts.items())}
 
 
 def act_min(z, p):
     """Delete every term of weight above z; +inf acts as the identity."""
     if not isinstance(z, ExtNat):
         raise TypeError("z must be a point of the extended chain")
-    return LPPoly(p.context, {m: c for m, c in p.terms.items() if weight(m) <= z})
+    return LPPoly(p.parent, {m: c for m, c in p.coeffs.items() if weight(m) <= z})
 
 
 def embed_word(letters, ctx):
@@ -188,23 +166,8 @@ def _term_sort_key(mono):
 
 def format_poly(p):
     """Canonical form: terms sorted by (weight, monomial), exact coefficients."""
-    if not p.terms:
-        return "0"
-    pieces = []
-    for mono in sorted(p.terms, key=_term_sort_key):
-        c = p.terms[mono]
-        body = "*".join(str(v) for v in mono)
-        if not mono:
-            text = str(abs(c))
-        elif abs(c) == 1:
-            text = body
-        else:
-            text = f"{abs(c)}*{body}"
-        if not pieces:
-            pieces.append(text if c > 0 else f"-{text}")
-        else:
-            pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(pieces)
+    return format_sum((p.coeffs[mono], "*".join(str(v) for v in mono))
+                      for mono in sorted(p.coeffs, key=_term_sort_key))
 
 
 class _Scanner:

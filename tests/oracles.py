@@ -8,7 +8,8 @@ instead of the down-set test for characters, every basis pair and
 triple instead of the stored products of a graded algebra, every
 same-class pair instead of class representatives for congruences,
 evaluation at chain points instead of prefix positions for step
-functionals. Tests compare package output against these.
+functionals, and one hand-written double loop per algebra instead of
+the shared bilinear product. Tests compare package output against these.
 """
 
 from fractions import Fraction
@@ -237,3 +238,51 @@ def validated_copy(s):
     n = len(s)
     table = {(s.label(i), s.label(j)): s.label(s.op(i, j)) for i in range(n) for j in range(n)}
     return validate(s.elements, table, s.label(s.identity))
+
+
+def _nonzero(coeffs):
+    return {k: v for k, v in coeffs.items() if v != 0}
+
+
+def loop_monoid_product(a, b):
+    """Coefficients of a b in kS: x y added at op(i, j) for every pair of terms."""
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            k = a.parent.op(i, j)
+            out[k] = out.get(k, Fraction(0)) + x * y
+    return _nonzero(out)
+
+
+def loop_tensor_product(a, b):
+    """Coefficients of a b in kS (x) kS: factorwise op on every pair of index pairs."""
+    op = a.parent.op
+    out = {}
+    for (p, q), x in a.coeffs.items():
+        for (r, t), y in b.coeffs.items():
+            key = (op(p, r), op(q, t))
+            out[key] = out.get(key, Fraction(0)) + x * y
+    return _nonzero(out)
+
+
+def loop_graded_product(a, b):
+    """Coefficients of a b in a graded algebra: x y c_k over the stored products."""
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            for k, ck in a.parent.mul_basis(i, j).items():
+                out[k] = out.get(k, Fraction(0)) + x * y * ck
+    return _nonzero(out)
+
+
+def loop_letterplace_product(p, q):
+    """Coefficients of p q: concatenated monomials renormalized by insertion sort."""
+    out = {}
+    for m1, c1 in p.coeffs.items():
+        for m2, c2 in q.coeffs.items():
+            normalized = insertion_sort_normalize(m1 + m2, p.parent)
+            if normalized is None:
+                continue
+            sign, mono = normalized
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2 * sign
+    return _nonzero(out)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_pairs_congruence_classes, all_pairs_is_congruence, validated_copy
+from oracles import (all_pairs_congruence_classes, all_pairs_is_congruence,
+                     loop_monoid_product, loop_tensor_product, validated_copy)
 from semidual import bialgebra, corpus
 from semidual.bialgebra import (Congruence, MonoidAlgebraElement,
                                 NotACongruenceError, ParentMismatchError,
@@ -48,6 +49,24 @@ def test_multiply_hand_expansion():
 def test_multiply_parent_mismatch():
     with pytest.raises(ParentMismatchError):
         multiply(elem(chain(2), n1=1), elem(chain(3), n1=1))
+
+
+def test_products_match_loop_oracles():
+    rng = random.Random(53)
+    pool = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1)]
+
+    def coeffs(keys):
+        return {k: rng.choice(pool) for k in rng.sample(keys, rng.randint(0, min(6, len(keys))))}
+
+    for name in ("chain1", "chain4", "bool2", "bool3", "div12", "div30"):
+        s = corpus.load_semilattice(name)
+        indices = list(range(len(s)))
+        pairs = [(i, j) for i in indices for j in indices]
+        for _ in range(40):
+            a, b = (MonoidAlgebraElement(s, coeffs(indices)) for _ in range(2))
+            assert multiply(a, b).coeffs == loop_monoid_product(a, b)
+            t, u = (TensorElement(s, coeffs(pairs)) for _ in range(2))
+            assert (t * u).coeffs == loop_tensor_product(t, u)
 
 
 def test_comultiply_examples():

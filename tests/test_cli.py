@@ -227,11 +227,16 @@ def test_lp_mul():
                  "(x1|1)*(x2|1)\n")
     check_golden(["lp", "mul", "(x2|1)", "(x1|1)", "--odd-letters", "1,2"],
                  "-(x1|1)*(x2|1)\n")
+    # an expression may start with a minus sign, with or without `--` before it
+    check_golden(["lp", "mul", "(x1|1)", "-(x2|1)"], "-(x1|1)*(x2|1)\n")
+    check_golden(["lp", "mul", "--", "(x1|1)", "-(x2|1)"], "-(x1|1)*(x2|1)\n")
 
 
 def test_lp_weight():
     check_golden(["lp", "weight", "1 + (x1|3)"],
                  "-inf: 1\n3: (x1|3)\n")
+    check_golden(["lp", "weight", "-1/2*(x1|1)"], "1: -1/2*(x1|1)\n")
+    check_golden(["lp", "weight", "--", "-1/2*(x1|1)"], "1: -1/2*(x1|1)\n")
 
 
 def test_lp_act():
@@ -336,6 +341,17 @@ def test_exit_1_when_glued_pair_is_not_glued(monkeypatch):
     message = "glued pair n2=n3 lies in two classes"
     assert invoke(*argv) == (1, f"check: FAIL [{message}]\n", "")
     assert invoke(*argv, "--format", "tsv") == (1, f"check\tFAIL\t{message}\n", "")
+
+
+def test_exit_1_when_projection_merges_classes(monkeypatch):
+    # both classes of chain3 / (n2 = n3) projected onto the first: their cosets coincide
+    quotient_semilattice = bialgebra.quotient_semilattice
+    monkeypatch.setattr(bialgebra, "quotient_semilattice",
+                        lambda c: (quotient_semilattice(c)[0], (0,) * len(c.parent)))
+    code, out, err = invoke("balg", "quotient", slat("chain3"), "--glue=n2=n3")
+    assert (code, err) == (1, "")
+    assert "check linear-independence: FAIL [coefficient rank 1 of 2]\n" in out
+    assert out.endswith("quotient: FAIL\n")
 
 
 def test_tsv_mirror_report():

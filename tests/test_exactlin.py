@@ -1,10 +1,16 @@
+import operator
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from semidual import corpus
+from semidual.bialgebra import MonoidAlgebraElement, TensorElement
 from semidual.exactlin import (DimensionMismatchError, Matrix, NonSquareError,
-                               det, rank, solve)
+                               ParentMismatchError, det, rank, solve)
+from semidual.graded import AlgebraElement, ut_graded
+from semidual.letterplace import LPPoly, ParityContext, normalize, variable
 
 from oracles import cofactor_det, gauss_rank, minor_rank
 
@@ -140,4 +146,61 @@ def test_solve_postconditions():
         if x is None:
             assert det(m) == 0
         else:
-            assert list(m.apply(x)) == b
+            assert [sum(a * xj for a, xj in zip(m.row(i), x)) for i in range(n)] == b
+
+
+POOL = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(2)]
+DIV12 = corpus.load_semilattice("div12")
+UT3 = ut_graded(3, [1, 2, 3])
+LP_CTX = ParityContext.make(odd_letters=[1], odd_places=[2])
+LP_VARIABLES = [variable(a, b) for a in (1, 2) for b in (1, 2)]
+LP_MONOMIALS = sorted({signed[1] for n in range(3) for word in product(LP_VARIABLES, repeat=n)
+                       for signed in [normalize(word, LP_CTX)] if signed})
+# class, parent and basis keys of each algebra; the graded parent is unhashable
+SPACES = {
+    "kS": (MonoidAlgebraElement, DIV12, list(range(len(DIV12)))),
+    "kS(x)kS": (TensorElement, DIV12, [(i, j) for i in range(len(DIV12)) for j in range(len(DIV12))]),
+    "graded": (AlgebraElement, UT3, list(range(UT3.dim))),
+    "letterplace": (LPPoly, LP_CTX, LP_MONOMIALS),
+}
+# two elements with different parents per algebra
+MIXED = {
+    "kS": (MonoidAlgebraElement.unit(corpus.chain(2)), MonoidAlgebraElement.unit(corpus.chain(3))),
+    "kS(x)kS": (TensorElement(corpus.chain(2), {(0, 1): 1}),
+                TensorElement(corpus.chain(3), {(0, 1): 1})),
+    "graded": (ut_graded(2, [1, 2]).one(), ut_graded(3, [1, 2, 3]).one()),
+    "letterplace": (LPPoly.one(ParityContext.make()), LPPoly.one(LP_CTX)),
+}
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_vector_space_laws(space):
+    cls, parent, keys = SPACES[space]
+    rng = random.Random(61)
+
+    def vector():
+        return cls(parent, {k: rng.choice(POOL) for k in rng.sample(keys, rng.randint(0, 5))})
+
+    for _ in range(40):
+        a, b, c = vector(), vector(), vector()
+        k, m = rng.choice(POOL), rng.choice(POOL)
+        assert (a + b) - b == a
+        assert (a + b).scale(k) == a.scale(k) + b.scale(k)
+        assert a.scale(k + m) == a.scale(k) + a.scale(m)
+        assert (a + b) * c == a * c + b * c
+        assert c * (a + b) == c * a + c * b
+        assert a.scale(k) * b == (a * b).scale(k) == a * b.scale(k)
+        assert not (a - a).coeffs and all((a + b).coeffs.values())
+        if space != "graded":
+            assert hash((a + b) - b) == hash(a)
+
+
+@pytest.mark.parametrize("space", sorted(MIXED))
+def test_mixed_parents_raise(space):
+    x, y = MIXED[space]
+    for combine in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ParentMismatchError):
+            combine(x, y)
+        with pytest.raises(ParentMismatchError):
+            combine(y, x)
+    assert x != y

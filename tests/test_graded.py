@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_first_nonassociative_triple, dense_ut_structure, validated_copy
+from oracles import (dense_first_nonassociative_triple, dense_ut_structure,
+                     loop_graded_product, validated_copy)
 from semidual import corpus, graded
 from semidual.cli import run
 from semidual.errors import ParseError
@@ -286,6 +287,16 @@ def test_associativity_witness_matches_dense_search():
             ("FAIL", f"[witness {want}]") if want else ("PASS", ""))
         failing += want is not None
     assert 160 < failing < 270  # most fail, and at least 50 are associative
+
+
+def test_product_matches_loop_oracle():
+    rng = random.Random(43)
+    for _ in range(200):
+        algebra = _random_algebra(rng)
+        x, y = (algebra.element({i: rng.choice(_COEFFS) for i in
+                                 rng.sample(range(algebra.dim), rng.randint(0, algebra.dim))})
+                for _ in range(2))
+        assert (x * y).coeffs == loop_graded_product(x, y)
 
 
 def test_verify_grading_ut_family():

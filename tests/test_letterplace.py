@@ -10,7 +10,7 @@ from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
                                   normalize, parse_poly, variable, weight,
                                   weight_components)
 
-from oracles import insertion_sort_normalize, koszul_sign
+from oracles import insertion_sort_normalize, koszul_sign, loop_letterplace_product
 
 EVEN = ParityContext.make()
 ODD_LETTERS = ParityContext.make(odd_letters=[1, 2, 3])
@@ -170,6 +170,17 @@ def test_multiply_associative_random():
     for _ in range(60):
         p, q, r = (_random_poly(rng, ctx) for _ in range(3))
         assert (p * q) * r == p * (q * r)
+
+
+@pytest.mark.parametrize("ctx", [EVEN, ParityContext.make(odd_letters=[1, 3]),
+                                 ParityContext.make(odd_places=[2]),
+                                 ParityContext.make([1, 2], [1, 3])])
+def test_multiply_matches_loop_oracle(ctx):
+    # the parity contexts of the golden `lp` commands
+    rng = random.Random(59)
+    for _ in range(80):
+        p, q = _random_poly(rng, ctx, max_terms=5), _random_poly(rng, ctx, max_terms=5)
+        assert multiply(p, q).coeffs == loop_letterplace_product(p, q)
 
 
 def test_supercommutativity_random():
