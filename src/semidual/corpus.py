@@ -17,8 +17,7 @@ from .bialgebra import (MonoidAlgebraElement, grouplike_basis_classification,
                         is_grouplike, quotient_semilattice)
 from .errors import SizeLimitError
 from .graded import parse_graded, print_graded, ut_graded
-from .semilattice import (Character, _canonical_sort, parse_semilattice,
-                          print_semilattice, validate)
+from .semilattice import Character, parse_semilattice, print_semilattice, validate
 
 BRUTE_CHARACTER_LIMIT = 16
 BRUTE_GROUPLIKE_LIMIT = 6
@@ -70,7 +69,11 @@ def ut_algebras():
 
 
 def brute_characters(s):
-    """Every bit-vector tested against the character equations directly."""
+    """Every bit-vector tested against the character equations directly.
+
+    Returned in the canonical order of semilattice.characters: support
+    size, then bits.
+    """
     n = len(s)
     if n > BRUTE_CHARACTER_LIMIT:
         raise SizeLimitError(f"{n} elements exceeds the brute-force limit {BRUTE_CHARACTER_LIMIT}")
@@ -82,7 +85,7 @@ def brute_characters(s):
         if all(bits[s.op(i, j)] == bits[i] * bits[j]
                for i in range(n) for j in range(i, n)):
             found.append(Character(bits))
-    return _canonical_sort(found)
+    return sorted(found, key=lambda ch: (ch.support_size, ch.values))
 
 
 def brute_grouplikes_smallfield(s, congruence):

@@ -151,13 +151,6 @@ class Matrix:
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatchError(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")

@@ -94,6 +94,9 @@ class GradedFDAlgebra:
                 and self.unit == other.unit and self.grading == other.grading
                 and self.degree == other.degree)
 
+    def __hash__(self):
+        return hash((self.basis, self.degree))
+
     def __repr__(self):
         return f"GradedFDAlgebra(dim={self.dim}, grading={list(self.grading.elements)})"
 

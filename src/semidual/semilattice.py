@@ -13,6 +13,18 @@ is the indicator of its support, and the characters are exactly the
 principal down-set indicators t -> [t <= x], one per element x.
 Non-idempotent inverse monoids, where characters may take other values,
 are out of scope.
+
+The layer works on these down-sets. With up(x) the bitmask of the
+elements above x, a symmetric idempotent table with an identity is
+associative iff up(op(i, j)) = up(i) & up(j) for every pair, so validate
+certifies associativity in O(n^2) word operations instead of walking n^3
+triples. The dual is the AND table of the down-set bitmasks, since
+down(x) & down(y) = down(x meet y). Sorted by size, the down-sets order
+the elements along a linear extension, in which the evaluation matrix is
+unitriangular, so its full rank is read off in O(n^2) steps. Only a
+table that fails the associativity certificate pays for the cubic search
+of its first non-associative triple, and the evaluation matrix is
+eliminated only when its triangle check fails.
 """
 
 from dataclasses import dataclass
@@ -127,6 +139,11 @@ def validate(elements, op_table, identity):
     op_table: mapping (label, label) -> label. One orientation per
     unordered pair of distinct elements is enough; diagonal entries
     default to idempotency but are checked when supplied.
+
+    Associativity is certified in O(n^2) steps on n-bit ints (see
+    _is_associative). Only a table that fails the certificate is searched,
+    in O(n^3) steps, for the first non-associative triple in index order,
+    which NotAssociativeError names.
     """
     elements = tuple(elements)
     seen = set()
@@ -170,13 +187,41 @@ def validate(elements, op_table, identity):
         if table[e][i] != i:
             raise NoIdentityError(
                 f"op({identity}, {elements[i]}) = {elements[table[e][i]]}, not {elements[i]}")
+    if not _is_associative(table):
+        raise NotAssociativeError(*(elements[x] for x in _first_nonassociative_triple(table)))
+
+    return FiniteSemilattice(elements, e, table)
+
+
+def _is_associative(table):
+    """Associativity of a symmetric idempotent table with an identity, in O(n^2) steps.
+
+    With up[x] the bitmask of {k : op(x, k) = k}, the table is associative
+    iff up[op(i, j)] = up[i] & up[j] for all i < j. If so, k >= x iff
+    k in up[x] is a partial order (reflexive by idempotency, antisymmetric
+    by symmetry, transitive since y >= x gives up[y] = up[op(x, y)] =
+    up[x] & up[y]), op(i, j) is the least upper bound of i and j, and
+    joins are associative. Conversely op(op(i, j), k) = k iff op(i, k) = k
+    and op(j, k) = k in any semilattice.
+    """
+    up = [sum(1 << k for k, v in enumerate(row) if v == k) for row in table]
+    for i, row in enumerate(table):
+        up_i = up[i]
+        for j in range(i + 1, len(table)):
+            if up[row[j]] != up_i & up[j]:
+                return False
+    return True
+
+
+def _first_nonassociative_triple(table):
+    """The lexicographically first (i, j, k) with op(op(i, j), k) != op(i, op(j, k))."""
+    n = len(table)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise NotAssociativeError(elements[i], elements[j], elements[k])
-
-    return FiniteSemilattice(elements, e, table)
+                    return i, j, k
+    return None
 
 
 def induced_order(s):
@@ -229,8 +274,15 @@ def character_label(i):
     return f"f{i + 1}"
 
 
-def _canonical_sort(chars):
-    return sorted(chars, key=lambda ch: (ch.support_size, ch.values))
+def _down_sets(s):
+    """(values, x) for every element x, in canonical character order.
+
+    values is the 0/1 list of t -> [t <= x] over the indices t. Sorting
+    by support size first orders the elements along a linear extension
+    of <=, since t < x makes the down-set of t strictly smaller.
+    """
+    return sorted((([int(v == x) for v in column], x) for x, column in enumerate(zip(*s.table))),
+                  key=lambda pair: (sum(pair[0]), pair[0]))
 
 
 def characters(s):
@@ -241,9 +293,23 @@ def characters(s):
     join x. Conversely t -> [t <= x] is a character for every x, since
     op(t, u) <= x iff t <= x and u <= x. Hence one character per element.
     """
-    n = len(s)
-    return _canonical_sort(Character(tuple(int(s.leq(t, x)) for t in range(n)))
-                           for x in range(n))
+    return [Character(tuple(values)) for values, _ in _down_sets(s)]
+
+
+def _and_table(rows, width):
+    """The semilattice of 0/1 sequences of the given width under pointwise product.
+
+    Elements are labelled f1, f2, ... in the order given; the identity
+    is the all-ones sequence. Each sequence is read as a bitmask, so a
+    product is one AND. Raises ValueError on an entry other than 0 or 1
+    and KeyError when a product or the all-ones sequence is not among
+    the rows.
+    """
+    masks = [int("".join(map(str, values)), 2) for values in rows]
+    lookup = {mask: i for i, mask in enumerate(masks)}
+    table = [[lookup[a & b] for b in masks] for a in masks]
+    return FiniteSemilattice((character_label(i) for i in range(len(masks))),
+                             lookup[(1 << width) - 1], table)
 
 
 def dual_semilattice(s):
@@ -253,13 +319,10 @@ def dual_semilattice(s):
     identity is the constant-1 character. The product of the characters
     of x and y is the indicator of the down-set of x meet y (a finite
     join-semilattice with a bottom is a lattice), so the table is closed
-    and is a bounded semilattice by construction.
+    and is a bounded semilattice by construction. It is built as the AND
+    table of the down-set bitmasks: n^2 dictionary lookups of n-bit ints.
     """
-    chars = characters(s)
-    lookup = {ch.values: i for i, ch in enumerate(chars)}
-    table = [[lookup[a.pointwise_mul(b).values] for b in chars] for a in chars]
-    return FiniteSemilattice((character_label(i) for i in range(len(chars))),
-                             lookup[(1,) * len(s)], table)
+    return _and_table([values for values, _ in _down_sets(s)], len(s))
 
 
 @dataclass(frozen=True)
@@ -277,32 +340,39 @@ class MonoidMap:
 def double_dual_iso(s):
     """The evaluation map s -> dual(dual(s)), verified to be an isomorphism.
 
-    ev_s sends a character to its value at s. Failure of injectivity,
-    surjectivity or multiplicativity is raised rather than asserted; for
-    a valid bounded semilattice none can occur.
+    ev_s sends a character to its value at s. The characters of s and of
+    the dual are enumerated once each; the double dual's table comes from
+    dual_semilattice. Failure of injectivity, surjectivity or
+    multiplicativity is raised rather than asserted; for a valid bounded
+    semilattice none can occur.
     """
     chars = characters(s)
-    dual = dual_semilattice(s)
-    double = dual_semilattice(dual)
+    try:
+        dual = _and_table([ch.values for ch in chars], len(s))
+    except (KeyError, ValueError):
+        raise NotMultiplicativeError(
+            "the characters are not closed under pointwise product") from None
     dual_chars = characters(dual)
+    double = dual_semilattice(dual)
     lookup = {ch.values: i for i, ch in enumerate(dual_chars)}
 
     assignment = []
     for i in range(len(s)):
-        ev = tuple(ch(i) for ch in chars)
+        ev = tuple(ch.values[i] for ch in chars)
         if ev not in lookup:
             raise NotMultiplicativeError(
                 f"evaluation at {s.label(i)} is not a character of the dual")
         assignment.append(lookup[ev])
     if len(set(assignment)) != len(s):
         raise NotInjectiveError("evaluation map identifies distinct elements")
-    if set(assignment) != set(range(len(double))):
+    if set(assignment) != set(range(len(dual_chars))) or len(double) != len(dual_chars):
         raise NotSurjectiveError("evaluation map misses a double-dual element")
     if assignment[s.identity] != double.identity:
         raise NotMultiplicativeError("evaluation map moves the identity")
-    for i in range(len(s)):
-        for j in range(len(s)):
-            if assignment[s.op(i, j)] != double.op(assignment[i], assignment[j]):
+    for i, row in enumerate(s.table):
+        image_row = double.table[assignment[i]]
+        for j, k in enumerate(row):
+            if assignment[k] != image_row[assignment[j]]:
                 raise NotMultiplicativeError(
                     f"evaluation map is not multiplicative at ({s.label(i)}, {s.label(j)})")
     return MonoidMap(s, double, tuple(assignment))
@@ -314,10 +384,18 @@ def ev_matrix_rank(s):
     Equality with |S| certifies that the evaluation functionals are
     linearly independent, i.e. the finite-case representative-function
     bialgebra of the dual is the whole monoid algebra (zero biideal).
+    With the rows taken along the linear extension of the canonical
+    order, the matrix is upper unitriangular: value 1 at the element of
+    each character, 0 at every later element. That is checked on the
+    actual values in O(n^2) steps and gives rank n; a matrix that fails
+    the check is ranked by fraction-free elimination.
     """
     chars = characters(s)
-    m = Matrix.from_rows([[ch(i) for ch in chars] for i in range(len(s))])
-    return rank(m)
+    order = [x for _, x in _down_sets(s)]
+    if len(chars) == len(s) and all(chars[c](x) == (c == r)
+                                    for r, x in enumerate(order) for c in range(r + 1)):
+        return len(s)
+    return rank(Matrix.from_rows([[ch(i) for ch in chars] for i in range(len(s))]))
 
 
 def parse_semilattice(text, source="<input>"):
@@ -339,6 +417,7 @@ def parse_semilattice(text, source="<input>"):
             if elements is not None:
                 raise ParseError("elements given twice", lineno, 1, source)
             elements = tuple(line[len("elements:"):].split())
+            known = set(elements)
             if not elements:
                 raise ParseError("empty elements line", lineno, 1, source)
             continue
@@ -358,7 +437,7 @@ def parse_semilattice(text, source="<input>"):
             raise ParseError("product line before elements line", lineno, 1, source)
         a, _, b, _, c = parts
         for lbl in (a, b, c):
-            if lbl not in elements:
+            if lbl not in known:
                 raise ParseError(f"unknown element {lbl!r}",
                                  lineno, raw.find(lbl) + 1, source)
         key, alt = (a, b), (b, a)

@@ -8,8 +8,11 @@ instead of the down-set test for characters, every basis pair and
 triple instead of the stored products of a graded algebra, every
 same-class pair instead of class representatives for congruences,
 evaluation at chain points instead of prefix positions for step
-functionals, and one hand-written double loop per algebra instead of
-the shared bilinear product. Tests compare package output against these.
+functionals, one hand-written double loop per algebra instead of
+the shared bilinear product, every triple instead of the up-set bitmask
+certificate for associativity, and pointwise products of character
+tuples instead of ANDs of down-set bitmasks for the dual. Tests compare
+package output against these.
 """
 
 from fractions import Fraction
@@ -17,7 +20,7 @@ from itertools import combinations
 
 from semidual.extnat import NEG_INF, fin
 from semidual.nbar_dual import StepFunctional
-from semidual.semilattice import validate
+from semidual.semilattice import FiniteSemilattice, character_label, characters, validate
 
 
 def cofactor_det(rows):
@@ -231,6 +234,29 @@ def all_pairs_congruence_classes(s, pairs):
                     for t in range(n):
                         changed |= merge(s.op(a, t), s.op(b, t))
     return sorted({tuple(sorted(c)) for c in class_of.values()})
+
+
+def first_nonassociative_triple(elements, op_table):
+    """First (s, t, u) in element order with op(op(s, t), u) != op(s, op(t, u)), or None.
+
+    op_table maps every ordered pair of labels to a label.
+    """
+    for s in elements:
+        for t in elements:
+            for u in elements:
+                if op_table[op_table[s, t], u] != op_table[s, op_table[t, u]]:
+                    return (s, t, u)
+    return None
+
+
+def pointwise_product_dual(s):
+    """The characters of s under pointwise product of their value tuples, labelled f1, f2, ..."""
+    chars = characters(s)
+    lookup = {ch.values: i for i, ch in enumerate(chars)}
+    table = [[lookup[tuple(x * y for x, y in zip(a.values, b.values))] for b in chars]
+             for a in chars]
+    return FiniteSemilattice((character_label(i) for i in range(len(chars))),
+                             lookup[(1,) * len(s)], table)
 
 
 def validated_copy(s):

@@ -193,6 +193,19 @@ def test_quotient_grouplikes_full_collapse():
     assert result.report.passed
 
 
+def test_quotient_completeness_fails_when_projection_merges_classes(monkeypatch):
+    # both classes of chain3 / (n2 = n3) sent to the first: the quotient keeps a
+    # group-like that no coset reaches
+    real = bialgebra.quotient_semilattice
+    monkeypatch.setattr(bialgebra, "quotient_semilattice",
+                        lambda c: (real(c)[0], (0,) * len(c.parent)))
+    s = chain(3)
+    report = quotient_grouplikes(s, congruence_closure(s, [("n2", "n3")])).report
+    assert [line.render() for line in report.failures()] == [
+        "check linear-independence: FAIL [coefficient rank 1 of 2]",
+        "check completeness: FAIL"]
+
+
 def test_quotient_grouplikes_rejects_non_congruence():
     s = corpus.boolean_lattice(2)
     # {0, 1} vs rest is not a congruence: 0~1 but 2 = 0|2 !~ 1|2 = 12

@@ -351,6 +351,7 @@ def test_exit_1_when_projection_merges_classes(monkeypatch):
     code, out, err = invoke("balg", "quotient", slat("chain3"), "--glue=n2=n3")
     assert (code, err) == (1, "")
     assert "check linear-independence: FAIL [coefficient rank 1 of 2]\n" in out
+    assert "check completeness: FAIL\n" in out
     assert out.endswith("quotient: FAIL\n")
 
 

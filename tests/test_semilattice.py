@@ -2,12 +2,13 @@ import io
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from semidual import corpus, semilattice
 from semidual.cli import run
 from semidual.errors import ParseError
+from semidual.exactlin import Matrix, rank
 from semidual.semilattice import (Character, ConflictingEntryError,
                                   DuplicateLabelError, FiniteSemilattice,
                                   MissingPairError, NoIdentityError, NotAssociativeError,
@@ -16,7 +17,8 @@ from semidual.semilattice import (Character, ConflictingEntryError,
                                   ev_matrix_rank, induced_order,
                                   parse_semilattice, print_semilattice, validate)
 
-from oracles import pairwise_is_character, validated_copy
+from oracles import (first_nonassociative_triple, pairwise_is_character,
+                     pointwise_product_dual, validated_copy)
 
 
 def chain2():
@@ -144,7 +146,7 @@ def test_characters_beyond_twenty_elements(tmp_path):
 
 
 @st.composite
-def union_closed_families(draw, max_members=12):
+def union_closed_masks(draw, max_members=12):
     """A union-closed family of subsets of {0..4} with the empty set, at most max_members."""
     family = {0}
     for g in draw(st.lists(st.integers(1, 31), max_size=6)):
@@ -152,9 +154,58 @@ def union_closed_families(draw, max_members=12):
         if len(grown) > max_members:
             break
         family = grown
-    labels = {x: f"s{x}" for x in sorted(family)}
+    return sorted(family)
+
+
+@st.composite
+def union_closed_families(draw, max_members=12):
+    """The semilattice of a union_closed_masks family under union, labelled s<mask>."""
+    family = draw(union_closed_masks(max_members))
+    labels = {x: f"s{x}" for x in family}
     table = {(labels[x], labels[y]): labels[x | y] for x in family for y in family}
     return validate(list(labels.values()), table, labels[0])
+
+
+@st.composite
+def unital_idempotent_tables(draw):
+    """(labels, identity, full op table) of a commutative idempotent magma with an identity.
+
+    A union-closed family in a drawn element order, with up to three
+    products of non-identity pairs redrawn, so associative and
+    non-associative tables both occur.
+    """
+    family = draw(union_closed_masks(max_members=8))
+    family = draw(st.permutations(family))
+    n = len(family)
+    table = {(i, j): family.index(family[i] | family[j]) for i in range(n) for j in range(n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if family[i] and family[j]]
+    if pairs:
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            table[i, j] = table[j, i] = draw(st.integers(0, n - 1))
+    labels = [f"e{x}" for x in family]
+    op_table = {(labels[i], labels[j]): labels[k] for (i, j), k in table.items()}
+    return labels, labels[family.index(0)], op_table
+
+
+@given(unital_idempotent_tables())
+@settings(max_examples=200, deadline=None)
+def test_associativity_certificate_matches_cubic_search(case):
+    labels, identity, op_table = case
+    witness = first_nonassociative_triple(labels, op_table)
+    if witness is None:
+        assert validate(labels, op_table, identity).elements == tuple(labels)
+    else:
+        with pytest.raises(NotAssociativeError) as exc:
+            validate(labels, op_table, identity)
+        assert exc.value.witness == witness
+
+
+def test_associativity_strategy_draws_both_verdicts():
+    # find raises NoSuchExample when the strategy never yields the verdict
+    for associative in (True, False):
+        find(unital_idempotent_tables(),
+             lambda case: (first_nonassociative_triple(case[0], case[2]) is None) == associative,
+             settings=settings(database=None))
 
 
 @given(union_closed_families())
@@ -210,6 +261,17 @@ def test_dual_equals_its_validated_table(s):
     d = dual_semilattice(s)
     assert validated_copy(d) == d
     assert d.label(d.identity) == f"f{len(s)}"  # the constant-1 character sorts last
+
+
+def test_dual_matches_pointwise_product_oracle_on_corpus():
+    for name, s in corpus.semilattices().items():
+        assert dual_semilattice(s) == pointwise_product_dual(s), name
+
+
+@given(union_closed_families())
+@settings(max_examples=60, deadline=None)
+def test_dual_matches_pointwise_product_oracle(s):
+    assert dual_semilattice(s) == pointwise_product_dual(s)
 
 
 def test_double_dual_two_chain_and_divisors():
@@ -295,6 +357,23 @@ def test_double_dual_faults_are_caught(monkeypatch, attr, fault, message):
         assert (out.getvalue(), err.getvalue()) == (line, "")
 
 
+@pytest.mark.parametrize("fault", [
+    lambda chars: chars[1:],
+    lambda chars: [Character(tuple(2 * v for v in ch.values)) for ch in chars],
+], ids=["bottom-dropped", "doubled"])
+def test_double_dual_reports_characters_not_closed_under_products(monkeypatch, fault):
+    # without the indicator of {0}, the characters of 1 and 2 multiply outside the list;
+    # doubled values are no 0/1 indicators and square outside it
+    real = semilattice.characters
+    monkeypatch.setattr(semilattice, "characters",
+                        lambda t: fault(real(t)) if t.elements[0] == "0" else real(t))
+    argv = ["slat", "double-dual", corpus.data_path("bool2.slat")]
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == 1
+    assert (out.getvalue(), err.getvalue()) == (
+        "isomorphism: FAIL the characters are not closed under pointwise product\n", "")
+
+
 def test_double_dual_trivial_is_identity():
     iso = double_dual_iso(validate(["e"], {}, "e"))
     assert iso.assignment == (0,)
@@ -304,6 +383,52 @@ def test_ev_matrix_rank_examples():
     assert ev_matrix_rank(chain2()) == 2
     assert ev_matrix_rank(validate(["e"], {}, "e")) == 1
     assert ev_matrix_rank(corpus.boolean_lattice(2)) == 4
+
+
+def _bareiss_ev_rank(s):
+    chars = semilattice.characters(s)
+    return rank(Matrix.from_rows([[ch(i) for ch in chars] for i in range(len(s))]))
+
+
+def _counting_rank(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(semilattice, "rank", counted)
+    return calls
+
+
+CORPUS_SLAT = sorted(name[:-len(".slat")] for name in corpus.render_corpus_files()
+                     if name.endswith(".slat"))
+
+
+def test_ev_matrix_rank_is_the_triangle_certificate_on_the_corpus(monkeypatch):
+    calls = _counting_rank(monkeypatch)
+    for name in CORPUS_SLAT:
+        s = corpus.load_semilattice(name)
+        assert ev_matrix_rank(s) == _bareiss_ev_rank(s) == len(s), name
+    assert not calls
+
+
+@pytest.mark.parametrize("fault, drop", [
+    (lambda chars: chars[::-1], 0),
+    (lambda chars: chars[:-1] + chars[:1], 1),
+    (lambda chars: [Character(tuple(2 * v for v in ch.values)) for ch in chars], 0),
+], ids=["reversed", "duplicated", "doubled"])
+def test_ev_matrix_rank_falls_back_when_the_triangle_breaks(monkeypatch, fault, drop):
+    real = semilattice.characters
+    monkeypatch.setattr(semilattice, "characters", lambda s: fault(real(s)))
+    calls = _counting_rank(monkeypatch)
+    for name in CORPUS_SLAT:
+        s = corpus.load_semilattice(name)
+        if len(s) < 2:
+            continue
+        calls.clear()
+        assert ev_matrix_rank(s) == _bareiss_ev_rank(s) == len(s) - drop, name
+        assert len(calls) == 1, name
 
 
 def test_no_characters_outside_enumeration():
