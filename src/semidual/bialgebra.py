@@ -175,8 +175,7 @@ class Congruence:
         for ci, members in enumerate(self.classes):
             for m in members:
                 self._class_of[m] = ci
-        covered = sorted(self._class_of)
-        if covered != list(range(len(parent))):
+        if sorted(m for c in self.classes for m in c) != list(range(len(parent))):
             raise NotACongruenceError("classes do not partition the elements")
 
     def class_of(self, i):

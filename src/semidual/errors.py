@@ -1,5 +1,8 @@
 """Errors shared by more than one module."""
 
+import re
+from itertools import islice
+
 
 class ParseError(ValueError):
     """A text input could not be parsed. Carries a 1-based position."""
@@ -10,6 +13,15 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
         self.source = source
+
+
+def word_column(raw, k, start=0, word=r"\S+"):
+    """1-based column in raw of the k-th match of the regex word from index start.
+
+    The parsers split lines with str.split and call this only to position
+    an error, so well-formed input never pays for a regex scan.
+    """
+    return next(islice(re.compile(word).finditer(raw, start), k, None)).start() + 1
 
 
 class SizeLimitError(ValueError):

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Determinant and rank run fraction-free (Bareiss) elimination on an
-integer rescaling of the matrix, so intermediate values stay integral
-and nothing is ever rounded. Solving uses ordinary Gaussian elimination
-on Fractions, which is exact as well.
+Rank, determinant and solve share one fraction-free (Bareiss)
+elimination on an integer rescaling of the rows, so intermediate values
+stay integral and nothing is ever rounded: rank counts its pivots, det
+reads its last pivot, and solve eliminates [m | b] and back-substitutes
+over Fractions.
 
 SparseVector is the one rational vector space behind every algebra in
 the package: the monoid algebra kS and its tensor square, the graded
@@ -14,7 +15,7 @@ format_sum writes such a vector as a signed sum.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 Rational = Fraction
 
@@ -173,89 +174,78 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(m):
+def _integer_rows(rows):
     """Clear denominators row by row; return (int rows, row scale factors)."""
     out, scales = [], []
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
         out.append([int(x * mult) for x in row])
         scales.append(mult)
     return out, scales
 
 
-def rank(m):
-    """Rank over the rationals, by fraction-free elimination."""
-    a, _ = _integer_rows(m)
-    rows, cols = m.rows, m.cols
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+def _eliminate(a, pivot_cols):
+    """Fraction-free (Bareiss) elimination of the integer rows a, in place.
+
+    Pivots are sought in pivot_cols from left to right; each pivot
+    updates every column to its right in the rows below it, and the
+    division by the previous pivot is exact because every entry is a
+    minor of the input. Entries below a pivot keep their old values, as
+    nothing reads them. Returns (number of pivots, number of row swaps).
+    """
+    prev, r, swaps = 1, 0, 0
+    for c in pivot_cols:
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            swaps += 1
+        top, p = a[r], a[r][c]
+        for row in a[r + 1:]:
+            x = row[c]
+            for j in range(c + 1, len(top)):
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
         r += 1
-    return r
+    return r, swaps
+
+
+def rank(m):
+    """Rank over the rationals: the number of pivots of the elimination."""
+    a, _ = _integer_rows(m.row(i) for i in range(m.rows))
+    return _eliminate(a, range(m.cols))[0]
 
 
 def det(m):
     """Exact determinant of a square matrix."""
     if m.rows != m.cols:
         raise NonSquareError(f"{m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a, scales = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    value = Fraction(sign * a[n - 1][n - 1])
-    for s in scales:
-        value /= s
-    return value
+    a, scales = _integer_rows(m.row(i) for i in range(m.rows))
+    pivots, swaps = _eliminate(a, range(m.cols))
+    if pivots < m.rows:
+        return Fraction(0)
+    last = a[-1][-1] if a else 1
+    return Fraction((-1) ** swaps * last, prod(scales))
 
 
 def solve(m, b):
-    """Solve m x = b for square m; None when m is singular."""
+    """Solve m x = b for square m; None when m is singular.
+
+    [m | b] is eliminated with pivots in the columns of m, then the
+    triangular system is back-substituted over the rationals.
+    """
     if m.rows != m.cols:
         raise NonSquareError(f"{m.rows}x{m.cols}")
     b = [Fraction(x) for x in b]
     if len(b) != m.rows:
         raise DimensionMismatchError(f"rhs of length {len(b)} for {m.rows}x{m.cols}")
     n = m.rows
-    a = [list(m.row(i)) + [b[i]] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return None
-        a[c], a[pivot] = a[pivot], a[c]
-        for i in range(c + 1, n):
-            if a[i][c] == 0:
-                continue
-            factor = a[i][c] / a[c][c]
-            for j in range(c, n + 1):
-                a[i][j] -= factor * a[c][j]
+    a, _ = _integer_rows([*m.row(i), b[i]] for i in range(n))
+    if _eliminate(a, range(n))[0] < n:
+        return None
     x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = a[i][n] - sum((a[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = acc / a[i][i]
+    for i in reversed(range(n)):
+        row = a[i]
+        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
     return tuple(x)

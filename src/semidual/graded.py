@@ -18,7 +18,7 @@ on a degree of the unit; that deviation is reported as INFO, never FAIL
 import os
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, word_column
 from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
 from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
@@ -329,70 +329,85 @@ def ut_graded(m, labels):
     return GradedFDAlgebra(basis, structure, unit, grading, degree)
 
 
-def _parse_rational(text, lineno, source):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}", lineno, 1, source) from None
+_TERM = r"[^\s+]+"  # a label:rational term; terms are separated by spaces or '+'
 
 
-def _parse_terms(text, lineno, source):
+def _term_column(raw, sep, k):
+    """Column of the k-th term after the first sep of raw, where the terms start."""
+    return word_column(raw, k, raw.index(sep) + 1, _TERM)
+
+
+def _parse_terms(text, raw, sep, lineno, source):
+    """The label:rational terms of text, which follows the first sep of raw."""
     out = {}
-    for part in text.replace("+", " ").split():
-        if ":" not in part:
-            raise ParseError(f"expected label:rational, got {part!r}", lineno, 1, source)
-        label, _, value = part.partition(":")
-        out[label] = _parse_rational(value, lineno, source)
+    for k, part in enumerate(text.replace("+", " ").split()):
+        label, colon, value = part.partition(":")
+        if not colon:
+            raise ParseError(f"expected label:rational, got {part!r}",
+                             lineno, _term_column(raw, sep, k), source)
+        try:
+            out[label] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            col = _term_column(raw, sep, k) + len(label) + 1
+            raise ParseError(f"bad rational {value!r}", lineno, col, source) from None
     return out
+
 
 def parse_graded(text, source="<input>", slat_loader=None):
     """Parse the graded-algebra text format.
 
-    Lines: `basis:`, `unit:`, `semilattice: <path>`, `degree <basis>
-    <element>`, and `mul a b = c:q [+ d:q ...]`; pairs without a mul
-    line multiply to zero. The semilattice path is resolved by
-    slat_loader (for files, relative to the file's directory).
+    Lines: `basis:`, `unit:`, `semilattice: <path>`, each exactly once,
+    `degree <basis> <element>`, and `mul a b = c:q [+ d:q ...]`; pairs
+    without a mul line multiply to zero. The semilattice path is
+    resolved by slat_loader (for files, relative to the file's
+    directory). Errors carry the line and column of the offending word.
     """
     basis = None
-    unit = None
+    unit = None        # (terms, line number, raw line)
     grading = None
-    degree_lines = {}  # basis label -> (semilattice label, line number)
-    mul_lines = {}     # (factor, factor) -> (terms, line number)
+    headers = {}       # header -> (line number, raw line)
+    degree_lines = {}  # basis label -> (semilattice label, line number, raw line)
+    mul_lines = {}     # (factor, factor) -> (terms, line number, raw line)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("basis:"):
-            basis = tuple(line[len("basis:"):].split())
-            continue
-        if line.startswith("unit:"):
-            unit = (_parse_terms(line[len("unit:"):], lineno, source), lineno)
-            continue
-        if line.startswith("semilattice:"):
-            path = line[len("semilattice:"):].strip()
-            if slat_loader is None:
-                raise ParseError("no semilattice loader available", lineno, 1, source)
-            grading = slat_loader(path)
+        if line.startswith(("basis:", "unit:", "semilattice:")):
+            header, _, rest = line.partition(":")
+            if header in headers:
+                raise ParseError(f"{header} given twice", lineno, word_column(raw, 0), source)
+            headers[header] = (lineno, raw)
+            if header == "basis":
+                basis = tuple(rest.split())
+            elif header == "unit":
+                unit = (_parse_terms(rest, raw, ":", lineno, source), lineno, raw)
+            elif slat_loader is None:
+                raise ParseError("no semilattice loader available",
+                                 lineno, word_column(raw, 0), source)
+            else:
+                grading = slat_loader(rest.strip())
             continue
         if line.startswith("degree "):
             parts = line.split()
             if len(parts) != 3:
-                raise ParseError("degree line needs basis label and element", lineno, 1, source)
-            degree_lines[parts[1]] = (parts[2], lineno)
+                raise ParseError("degree line needs basis label and element",
+                                 lineno, word_column(raw, 3 if parts[3:] else 0), source)
+            degree_lines[parts[1]] = (parts[2], lineno, raw)
             continue
         if line.startswith("mul "):
-            parts = line[len("mul "):].split("=", 1)
-            if len(parts) != 2:
-                raise ParseError("mul line needs `= products`", lineno, 1, source)
-            factors = parts[0].split()
+            factors, eq, terms = line[len("mul "):].partition("=")
+            if not eq:
+                raise ParseError("mul line needs `= products`", lineno, word_column(raw, 0), source)
+            factors = factors.split()
             if len(factors) != 2:
-                raise ParseError("mul line needs two factors", lineno, 1, source)
+                raise ParseError("mul line needs two factors",
+                                 lineno, word_column(raw, 3 if factors[2:] else 0), source)
             key = (factors[0], factors[1])
             if key in mul_lines:
-                raise ParseError(f"duplicate mul line for {key}", lineno, 1, source)
-            mul_lines[key] = (_parse_terms(parts[1], lineno, source), lineno)
+                raise ParseError(f"duplicate mul line for {key}", lineno, word_column(raw, 1), source)
+            mul_lines[key] = (_parse_terms(terms, raw, "=", lineno, source), lineno, raw)
             continue
-        raise ParseError(f"unrecognized line {line!r}", lineno, 1, source)
+        raise ParseError(f"unrecognized line {line!r}", lineno, word_column(raw, 0), source)
 
     if basis is None:
         raise ParseError("missing basis line", 1, 1, source)
@@ -402,33 +417,42 @@ def parse_graded(text, source="<input>", slat_loader=None):
         raise ParseError("missing semilattice line", 1, 1, source)
     index = {b: i for i, b in enumerate(basis)}
 
-    def basis_index(label, lineno):
-        if label not in index:
-            raise ParseError(f"unknown basis element {label!r}", lineno, 1, source)
-        return index[label]
+    def unknown(label, lineno, col):
+        return ParseError(f"unknown basis element {label!r}", lineno, col, source)
 
-    for label, (_, lineno) in degree_lines.items():
-        basis_index(label, lineno)
-    for pair, (_, lineno) in mul_lines.items():
-        for label in pair:
-            basis_index(label, lineno)
+    def vector(terms, lineno, raw, sep):
+        try:
+            return {index[label]: value for label, value in terms.items()}
+        except KeyError as exc:
+            bad = exc.args[0]
+        parts = raw.split(sep, 1)[1].replace("+", " ").split()
+        k = next(k for k, part in enumerate(parts) if part.partition(":")[0] == bad)
+        raise unknown(bad, lineno, _term_column(raw, sep, k))
+
+    for label, (_, lineno, raw) in degree_lines.items():
+        if label not in index:
+            raise unknown(label, lineno, word_column(raw, 1))
+    for pair, (_, lineno, raw) in mul_lines.items():
+        for k, label in enumerate(pair, 1):
+            if label not in index:
+                raise unknown(label, lineno, word_column(raw, k))
     missing = [b for b in basis if b not in degree_lines]
     if missing:
-        raise ParseError(f"no degree for basis element {missing[0]!r}", 1, 1, source)
+        lineno, raw = headers["basis"]
+        col = word_column(raw, basis.index(missing[0]), raw.index(":") + 1)
+        raise ParseError(f"no degree for basis element {missing[0]!r}", lineno, col, source)
     degree = []
     for b in basis:
-        element, lineno = degree_lines[b]
+        element, lineno, raw = degree_lines[b]
         try:
             degree.append(grading.index(element))
         except UnknownLabelError:
-            raise ParseError(f"unknown degree element {element!r}", lineno, 1, source) from None
-    structure = {}
-    for (a, b), (terms, lineno) in mul_lines.items():
-        structure[(index[a], index[b])] = {basis_index(label, lineno): value
-                                           for label, value in terms.items()}
-    terms, lineno = unit
-    unit_vec = {basis_index(label, lineno): value for label, value in terms.items()}
-    return GradedFDAlgebra(basis, structure, unit_vec, grading, degree)
+            raise ParseError(f"unknown degree element {element!r}",
+                             lineno, word_column(raw, 2), source) from None
+    structure = {(index[a], index[b]): vector(terms, lineno, raw, "=")
+                 for (a, b), (terms, lineno, raw) in mul_lines.items()}
+    terms, lineno, raw = unit
+    return GradedFDAlgebra(basis, structure, vector(terms, lineno, raw, ":"), grading, degree)
 
 
 def parse_graded_file(path):

@@ -26,6 +26,9 @@ from .exactlin import Matrix, det, rank
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
 
 
+WINDOW_EXTRA = 2  # points past the tail onset in every verification window
+
+
 def _position(point):
     """-inf sits at position 0 and n at position n + 1; +inf has none."""
     return point.n + 1 if point.finite else 0
@@ -68,9 +71,9 @@ class StepFunctional:
         """First point from which the functional equals its tail forever."""
         return _point(len(self.prefix))
 
-    def window(self, extra=2):
-        """-inf and the naturals through tail onset + extra."""
-        return [_point(i) for i in range(len(self.prefix) + extra + 1)]
+    def window(self):
+        """-inf and the naturals through tail onset + WINDOW_EXTRA."""
+        return [_point(i) for i in range(len(self.prefix) + WINDOW_EXTRA + 1)]
 
     def is_zero(self):
         return not self.prefix and self.tail == 0
@@ -265,8 +268,8 @@ def grouplike_decompose(f):
     return coeffs
 
 
-def verify_decomposition(f, coeffs, extra=2):
+def verify_decomposition(f, coeffs):
     """Pointwise check of sum c_i f_i = f on the verification window."""
     terms = [(v, threshold_functional(c)) for c, v in coeffs.items()]
     return all(sum((v * g.eval(p) for v, g in terms), Fraction(0)) == f.eval(p)
-               for p in f.window(extra))
+               for p in f.window())

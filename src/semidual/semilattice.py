@@ -29,7 +29,7 @@ eliminated only when its triangle check fails.
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, word_column
 from .exactlin import Matrix, rank
 
 
@@ -404,7 +404,8 @@ def parse_semilattice(text, source="<input>"):
     Format: an `elements:` line, an `identity:` line, then product lines
     `a * b = c`. `#` starts a comment; blank lines are ignored. One
     orientation per unordered pair suffices; consistent duplicates are
-    allowed, inconsistent ones rejected.
+    allowed, inconsistent ones rejected. Errors carry the line and column
+    of the offending word.
     """
     elements = None
     identity = None
@@ -415,37 +416,39 @@ def parse_semilattice(text, source="<input>"):
             continue
         if line.startswith("elements:"):
             if elements is not None:
-                raise ParseError("elements given twice", lineno, 1, source)
+                raise ParseError("elements given twice", lineno, word_column(raw, 0), source)
             elements = tuple(line[len("elements:"):].split())
             known = set(elements)
             if not elements:
-                raise ParseError("empty elements line", lineno, 1, source)
+                raise ParseError("empty elements line", lineno, word_column(raw, 0), source)
             continue
         if line.startswith("identity:"):
             if identity is not None:
-                raise ParseError("identity given twice", lineno, 1, source)
+                raise ParseError("identity given twice", lineno, word_column(raw, 0), source)
             parts = line[len("identity:"):].split()
             if len(parts) != 1:
-                raise ParseError("identity line needs exactly one label", lineno, 1, source)
+                col = word_column(raw, 1, raw.index(":") + 1) if parts else word_column(raw, 0)
+                raise ParseError("identity line needs exactly one label", lineno, col, source)
             identity = parts[0]
             continue
         parts = line.split()
         if len(parts) != 5 or parts[1] != "*" or parts[3] != "=":
             raise ParseError(f"expected `a * b = c`, got {line!r}",
-                             lineno, raw.index(line[0]) + 1, source)
+                             lineno, word_column(raw, 0), source)
         if elements is None:
-            raise ParseError("product line before elements line", lineno, 1, source)
+            raise ParseError("product line before elements line",
+                             lineno, word_column(raw, 0), source)
         a, _, b, _, c = parts
         for lbl in (a, b, c):
             if lbl not in known:
                 raise ParseError(f"unknown element {lbl!r}",
-                                 lineno, raw.find(lbl) + 1, source)
+                                 lineno, word_column(raw, 2 * (a, b, c).index(lbl)), source)
         key, alt = (a, b), (b, a)
         for k in (key, alt):
             if k in op_table and op_table[k] != c:
                 raise ConflictingEntryError(
-                    f"{source}:{lineno}: conflicting products for pair ({a}, {b}):"
-                    f" {op_table[k]} vs {c}")
+                    f"{source}:{lineno}:{word_column(raw, 4)}: conflicting products"
+                    f" for pair ({a}, {b}): {op_table[k]} vs {c}")
         op_table[key] = c
     if elements is None:
         raise ParseError("missing elements line", 1, 1, source)

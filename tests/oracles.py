@@ -2,7 +2,8 @@
 
 Each of these reimplements a result by a different method than the
 package: cofactor expansion instead of elimination, largest nonzero
-minor instead of echelon rank, sort-time sign tracking and explicit
+minor instead of echelon rank, Gaussian elimination on Fractions
+instead of the fraction-free elimination for solve, sort-time sign tracking and explicit
 inversion counting for the Koszul sign, pairwise multiplicativity
 instead of the down-set test for characters, every basis pair and
 triple instead of the stored products of a graded algebra, every
@@ -73,6 +74,28 @@ def gauss_rank(rows):
                     a[i][j] -= factor * a[r][j]
         r += 1
     return r
+
+
+def gauss_solve(rows, b):
+    """Solve rows x = b by Fraction Gaussian elimination; None when singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, b)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return None
+        a[c], a[pivot] = a[pivot], a[c]
+        for i in range(c + 1, n):
+            if a[i][c] == 0:
+                continue
+            factor = a[i][c] / a[c][c]
+            for j in range(c, n + 1):
+                a[i][j] -= factor * a[c][j]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = a[i][n] - sum((a[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        x[i] = acc / a[i][i]
+    return tuple(x)
 
 
 def koszul_sign(word, ctx):

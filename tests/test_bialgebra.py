@@ -216,6 +216,20 @@ def test_quotient_grouplikes_rejects_non_congruence():
         quotient_semilattice(bad)
 
 
+def test_congruence_rejects_a_non_partition():
+    s = chain(3)
+    for classes in ([(0,), (1,)], [(0, 1), (1, 2)], [(0,), (1,), (2,), (3,)]):
+        with pytest.raises(NotACongruenceError, match="classes do not partition the elements"):
+            Congruence(s, classes)
+
+
+def test_quotient_grouplikes_rejects_a_foreign_congruence():
+    c = Congruence(chain(2), [(0, 1)])
+    with pytest.raises(NotACongruenceError,
+                       match="congruence belongs to a different semilattice"):
+        quotient_grouplikes(chain(3), c)
+
+
 @given(s=union_closed_families(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_congruences_match_all_pairs_oracles(s, data):

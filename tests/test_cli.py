@@ -355,6 +355,31 @@ def test_exit_1_when_projection_merges_classes(monkeypatch):
     assert out.endswith("quotient: FAIL\n")
 
 
+def test_exit_1_when_det_disagrees_with_closed_form(monkeypatch):
+    det = nbar_dual.det
+    monkeypatch.setattr(nbar_dual, "det", lambda m: det(m) + 1)
+    message = "determinant 4 disagrees with closed form 3"
+    assert invoke("nbar", "det", "--row=1,2,3") == (1, f"check: FAIL [{message}]\n", "")
+
+
+@pytest.mark.parametrize("attr, fault, raised", [
+    # s -> s (x) e: comultiplication is not diagonal on the basis
+    ("comultiply", lambda a: bialgebra.TensorElement(
+        a.parent, {(i, a.parent.identity): v for i, v in a.coeffs.items()}),
+     "comultiplication is not diagonal on the basis"),
+    # a doubled counit: the basis elements stop being group-like
+    ("counit", lambda a: 2 * sum(a.coeffs.values()), "basis element n1 fails the group-like test"),
+])
+def test_completeness_fails_when_basis_is_not_grouplike(monkeypatch, attr, fault, raised):
+    monkeypatch.setattr(bialgebra, attr, fault)
+    with pytest.raises(AssertionError, match=raised):
+        bialgebra.grouplike_basis_classification(corpus.chain(2))
+    code, out, err = invoke("balg", "quotient", slat("chain3"), "--glue=n2=n3")
+    assert (code, err) == (1, "")
+    assert "check completeness: FAIL\n" in out
+    assert out.endswith("quotient: FAIL\n")
+
+
 def test_tsv_mirror_report():
     code, out, err = invoke("graded", "module-algebra", galg("ut2"),
                             "--format", "tsv")

@@ -12,7 +12,7 @@ from semidual.exactlin import (DimensionMismatchError, Matrix, NonSquareError,
 from semidual.graded import AlgebraElement, ut_graded
 from semidual.letterplace import LPPoly, ParityContext, normalize, variable
 
-from oracles import cofactor_det, gauss_rank, minor_rank
+from oracles import cofactor_det, gauss_rank, gauss_solve, minor_rank
 
 
 def mat(rows):
@@ -155,6 +155,38 @@ def test_solve_postconditions():
             assert det(m) == 0
         else:
             assert [sum(a * xj for a, xj in zip(m.row(i), x)) for i in range(n)] == b
+
+
+def test_solve_against_gauss_oracle():
+    # square systems of size 0-8 with rational entries; every third one is
+    # made singular by a dependent or zero row, and then both must return None
+    rng = random.Random(108)
+    singular = 0
+    for trial in range(120):
+        n = trial % 9
+        rows = [[Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7])) for _ in range(n)]
+                for _ in range(n)]
+        if trial % 3 == 1:
+            k = rng.randrange(n)
+            other = rng.randrange(n)
+            c = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+            rows[k] = [c * x for x in rows[other]] if other != k else [Fraction(0)] * n
+        b = [Fraction(rng.randint(-5, 5), rng.choice([1, 4])) for _ in range(n)]
+        x = solve(mat(rows), b)
+        assert x == gauss_solve(rows, b)
+        singular += x is None
+    assert singular >= 40
+
+
+def test_det_with_zero_column():
+    rows = [[1, 0, 2], [3, 0, 4], [5, 0, 6]]
+    assert det(mat(rows)) == cofactor_det(rows) == 0
+    assert det(mat([[0, 1], [0, Fraction(1, 2)]])) == 0
+
+
+def test_rank_of_wide_matrix_with_zero_columns():
+    rows = [[0, 1, 0, 2, 0, 0, 3], [0, 2, 0, 4, 0, 1, 6], [0, 0, 0, 0, 0, Fraction(1, 3), 0]]
+    assert rank(mat(rows)) == gauss_rank(rows) == minor_rank(rows) == 2
 
 
 POOL = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(2)]

@@ -365,22 +365,24 @@ def test_parse_graded_errors():
     with pytest.raises(ParseError):
         parse_graded("basis: u\nunit: u:1\nsemilattice: x\ndegree u e\nmul u u = u:1\nmul u u = u:2\n",
                      slat_loader=loader)
+    with pytest.raises(ParseError, match="<input>:3:2: no semilattice loader available"):
+        parse_graded("basis: u\nunit: u:1\n semilattice: x\n")
 
 
-@pytest.mark.parametrize("old, new, line, message", [
-    ("degree E22 n1", "degree E99 n1", 6, "unknown basis element 'E99'"),
-    ("mul E11 E12 = E12:1", "mul E11 E12 = E13:1", 8, "unknown basis element 'E13'"),
-    ("unit: E11:1 E22:1", "unit: E11:1 E33:1", 2, "unknown basis element 'E33'"),
-    ("degree E11 n2", "degree E11 n9", 4, "unknown degree element 'n9'"),
+@pytest.mark.parametrize("old, new, line, message, col", [
+    ("degree E22 n1", "degree E99 n1", 6, "unknown basis element 'E99'", 8),
+    ("mul E11 E12 = E12:1", "mul E11 E12 = E13:1", 8, "unknown basis element 'E13'", 15),
+    ("unit: E11:1 E22:1", "unit: E11:1 E33:1", 2, "unknown basis element 'E33'", 13),
+    ("degree E11 n2", "degree E11 n9", 4, "unknown degree element 'n9'", 12),
 ])
-def test_parse_graded_unknown_labels_are_positioned(old, new, line, message):
+def test_parse_graded_unknown_labels_are_positioned(old, new, line, message, col):
     text = print_graded(ut2(), "chain2.slat")
     assert old in text.splitlines()
     with pytest.raises(ParseError) as info:
         parse_graded(text.replace(old, new), source="bad.galg",
                      slat_loader=lambda ref: ut2().grading)
     assert (info.value.line, info.value.message) == (line, message)
-    assert str(info.value) == f"bad.galg:{line}:1: {message}"
+    assert str(info.value) == f"bad.galg:{line}:{col}: {message}"
 
 
 def test_parse_graded_file_resolves_sibling(tmp_path):
@@ -390,3 +392,73 @@ def test_parse_graded_file_resolves_sibling(tmp_path):
     (tmp_path / "ut2.galg").write_text(print_graded(a, "chain2.slat"))
     parsed = parse_graded_file(str(tmp_path / "ut2.galg"))
     assert parsed == a
+
+
+POINT = validate(["e"], {}, "e")
+POINT_GALG = ["basis: u v", "unit: u:1", "semilattice: point.slat",
+              "degree u e", "degree v e", "mul u u = u:1"]
+
+
+def parse_point(lines, loader=lambda ref: POINT):
+    return parse_graded("\n".join(lines) + "\n", source="p.galg", slat_loader=loader)
+
+
+@pytest.mark.parametrize("header", ["basis: u", "unit: u:1", "semilattice: point.slat"])
+def test_parse_graded_rejects_repeated_header(header):
+    # a repeated header is an error, never read over the first one (basis u v
+    # then basis u would leave ('u',), which this file's degree lines fit)
+    lines = ["basis: u v", "unit: u:1", "semilattice: point.slat", "degree u e", "mul u u = u:1"]
+    calls = []
+
+    def loader(ref):
+        calls.append(ref)
+        return POINT
+
+    with pytest.raises(ParseError) as info:
+        parse_point(lines[:3] + [f"  {header}"] + lines[3:], loader)
+    name = header.partition(":")[0]
+    assert str(info.value) == f"p.galg:4:3: {name} given twice"
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("index, new, line, col, message", [
+    (3, "   degree u n9", 4, 13, "unknown degree element 'n9'"),
+    (3, "  degree u", 4, 3, "degree line needs basis label and element"),
+    (3, "degree u e extra", 4, 12, "degree line needs basis label and element"),
+    (5, " mul u = u:1", 6, 2, "mul line needs two factors"),
+    (5, "mul u v w = u:1", 6, 9, "mul line needs two factors"),
+    (5, "mul u v u:1", 6, 1, "mul line needs `= products`"),
+    (5, "  bogus line", 6, 3, "unrecognized line 'bogus line'"),
+    (5, "mul u v = u:1 + v:1/0", 6, 19, "bad rational '1/0'"),
+    (1, "unit: u:1 v:x", 2, 13, "bad rational 'x'"),
+    (5, "mul u v = u:1 +v", 6, 16, "expected label:rational, got 'v'"),
+    (5, "mul u w = u:1", 6, 7, "unknown basis element 'w'"),
+    (5, "mul u v = u:1+w:2", 6, 15, "unknown basis element 'w'"),
+    (4, "degree u e", 1, 10, "no degree for basis element 'v'"),
+    (5, "mul u u = u:1\n  mul u u = v:1", 7, 7, "duplicate mul line for ('u', 'u')"),
+    (1, "", 1, 1, "missing unit line"),
+    (2, "", 1, 1, "missing semilattice line"),
+])
+def test_parse_graded_errors_are_positioned(index, new, line, col, message):
+    lines = list(POINT_GALG)
+    lines[index] = new
+    with pytest.raises(ParseError) as info:
+        parse_point(lines)
+    assert str(info.value) == f"p.galg:{line}:{col}: {message}"
+
+
+def test_parse_graded_reads_glued_terms_before_a_comment():
+    lines = POINT_GALG[:5] + ["mul u u=u:1+v:-1/2 # mul u u = u:2"]
+    assert parse_point(lines).structure == {(0, 0): {0: 1, 1: Fraction(-1, 2)}}
+
+
+@pytest.mark.parametrize("command", ["module-algebra", "action-table"])
+def test_verifiers_refuse_an_ungraded_algebra(tmp_path, command):
+    # (u u) u = v u = u but u (u u) = u v = 0
+    (tmp_path / "point.slat").write_text(print_semilattice(POINT))
+    path = tmp_path / "bad.galg"
+    path.write_text("\n".join(POINT_GALG[:5] + ["mul u u = v:1", "mul v u = u:1"]))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["graded", command, str(path)], out, err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: algebra does not pass verify_grading\n"

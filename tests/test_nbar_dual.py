@@ -208,6 +208,15 @@ def test_char_mult_full_grid():
             assert char_mult(s, t) == min(s, t)
 
 
+def test_char_mult_disagreement_is_caught(monkeypatch):
+    # a recognizer that reads every product as f_{+inf}
+    monkeypatch.setattr(nbar_dual, "is_character", lambda f: POS_INF)
+    with pytest.raises(ArithmeticError) as info:
+        char_mult(fin(3), fin(5))
+    assert str(info.value) == "pointwise product of f_3 and f_5 is f_+inf, not f_3"
+    assert char_mult(POS_INF, POS_INF) == POS_INF
+
+
 def test_special_det_examples():
     r = special_det([1, 2])
     assert r.det == -2 and r.closed_form == -2 and r.preconditions_met and r.nonzero

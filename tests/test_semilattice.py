@@ -457,9 +457,10 @@ b * a = b
 
 
 def test_parse_conflicting_entry():
-    text = "elements: a b\nidentity: a\na * b = b\nb * a = a\n"
-    with pytest.raises(ConflictingEntryError):
-        parse_semilattice(text)
+    text = "elements: a b\nidentity: a\na * b = b\n  b * a = a\n"
+    with pytest.raises(ConflictingEntryError) as exc:
+        parse_semilattice(text, source="s.slat")
+    assert str(exc.value) == "s.slat:4:11: conflicting products for pair (b, a): b vs a"
 
 
 def test_parse_error_positions():
@@ -469,6 +470,24 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_semilattice("elements: a b\nidentity: a\na * z = a\n")
     assert exc.value.line == 3 and exc.value.col == 5
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # the unknown label is the second word, not the first substring match
+    ("elements: ab\nidentity: ab\nab * a = ab\n", 3, 6, "unknown element 'a'"),
+    ("elements: a b\nidentity: a\n  b * a = zz # zz\n", 3, 11, "unknown element 'zz'"),
+    ("elements: a b\n  elements: a\n", 2, 3, "elements given twice"),
+    ("  elements:\n", 1, 3, "empty elements line"),
+    ("elements: a\nidentity: a\n identity: a\n", 3, 2, "identity given twice"),
+    ("elements: a b\nidentity: a b\n", 2, 13, "identity line needs exactly one label"),
+    ("elements: a b\n  identity:\n", 2, 3, "identity line needs exactly one label"),
+    ("identity: a\n   a * a = a\n", 2, 4, "product line before elements line"),
+    ("elements: a b\nidentity: a\n\t a * b\n", 3, 3, "expected `a * b = c`, got 'a * b'"),
+])
+def test_parse_error_columns(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_semilattice(text, source="s.slat")
+    assert str(exc.value) == f"s.slat:{line}:{col}: {message}"
 
 
 def test_parse_missing_sections():
