@@ -204,11 +204,8 @@ def _cmd_graded(args, out):
     # action-table
     action = graded.dual_monoid_action(algebra)
     for name in action.labels:
-        matrix = action.matrices[name]
-        images = []
-        for j, b in enumerate(algebra.basis):
-            column = algebra.element({i: matrix.at(i, j) for i in range(algebra.dim)})
-            images.append(f"{b} -> {graded.format_algebra_element(column)}")
+        images = [f"{b} -> {graded.format_algebra_element(image)}"
+                  for b, image in zip(algebra.basis, action.images[name])]
         out.emit(f"gamma {name}: {', '.join(images)}",
                  ("gamma", name, "; ".join(images)))
     return out.emit_verdict("action", action.report)

@@ -24,5 +24,15 @@ def word_column(raw, k, start=0, word=r"\S+"):
     return next(islice(re.compile(word).finditer(raw, start), k, None)).start() + 1
 
 
+def reject_repeats(labels, what, raw, lineno, source):
+    """Raise a ParseError at the first of labels, read after the `:` of raw, seen before."""
+    seen = set()
+    for k, label in enumerate(labels):
+        if label in seen:
+            raise ParseError(f"duplicate {what} {label!r}",
+                             lineno, word_column(raw, k, raw.index(":") + 1), source)
+        seen.add(label)
+
+
 class SizeLimitError(ValueError):
     """An input is larger than an enumeration routine is willing to handle."""

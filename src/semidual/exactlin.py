@@ -126,7 +126,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(Fraction(e) for e in entries)
+        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError(f"need {rows}x{cols} = {rows * cols} entries, got {len(entries)}")
         self.rows = rows

@@ -18,7 +18,7 @@ on a degree of the unit; that deviation is reported as INFO, never FAIL
 import os
 from fractions import Fraction
 
-from .errors import ParseError, word_column
+from .errors import ParseError, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
 from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
@@ -201,45 +201,67 @@ def homogeneous_components(a):
     return {d: AlgebraElement(a.parent, coords) for d, coords in sorted(parts.items())}
 
 
+def _project(keep, a):
+    """The coordinates of a on the basis vectors that keep marks, the rest dropped."""
+    return AlgebraElement(a.parent, {i: v for i, v in a.coeffs.items() if keep[i]})
+
+
 def act_character(f, a):
     """The dual action: keep components where f is 1, kill the rest."""
     algebra = a.parent
     if not f.is_character_of(algebra.grading):
         raise CharacterMismatchError("not a character of the grading semilattice")
-    return AlgebraElement(algebra, {i: v for i, v in a.coeffs.items()
-                                    if f(algebra.degree[i]) == 1})
+    return _project([f(d) == 1 for d in algebra.degree], a)
+
+
+def _multiplicative_witness(label, products, zero, keep, image):
+    """First basis pair (i, j), as labels, where gamma(b_i b_j) != gamma(b_i) gamma(b_j).
+
+    products maps the pairs with a stored product to it, in lexicographic
+    order. When every image is 0 or its own basis vector and gamma(0) = 0,
+    any other pair gives 0 = 0, so only the stored pairs are searched.
+    Otherwise every pair is.
+    """
+    if _project(keep, zero) == zero and all(
+            not b.coeffs or b.coeffs == {j: 1} for j, b in enumerate(image)):
+        pairs = products
+    else:
+        pairs = [(i, j) for i in range(len(label)) for j in range(len(label))]
+    return next(((label[i], label[j]) for i, j in pairs
+                 if _project(keep, products.get((i, j), zero)) != image[i] * image[j]), None)
 
 
 def _character_laws(algebra, kind, unit_name, unit_note):
     """Per character a multiplicative line, then unit-law lines or one INFO line.
 
     The policy is the one check_module_algebra documents; kind, unit_name
-    and unit_note only set the wording of the lines. Returns the report,
-    the characters, and images[c][j], character c acting on basis vector j.
+    and unit_note only set the wording of the lines. Each character f
+    acts through its keep mask [f(degree[i]) = 1]; the characters come
+    from characters(grading), so they are not re-checked. Returns the
+    report, the characters, the masks, and images[c][j], character c
+    acting on basis vector j.
     """
     if not verify_grading(algebra).passed:
         raise ValueError("algebra does not pass verify_grading")
     chars = characters(algebra.grading)
-    n = algebra.dim
-    basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in range(n)]
-    images = [[act_character(f, b) for b in basis] for f in chars]
-    products = [[algebra.element(algebra.mul_basis(i, j)) for j in range(n)] for i in range(n)]
+    masks = [[f(d) == 1 for d in algebra.degree] for f in chars]
+    basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in range(algebra.dim)]
+    images = [[_project(keep, b) for b in basis] for keep in masks]
+    products = {key: algebra.element(vec) for key, vec in algebra.structure.items()}
+    zero = algebra.element({})
     report = Report()
-    for ci, (f, image) in enumerate(zip(chars, images)):
-        witness = next(((algebra.basis[i], algebra.basis[j])
-                        for i in range(n) for j in range(n)
-                        if act_character(f, products[i][j]) != image[i] * image[j]),
-                       None)
+    for ci, (keep, image) in enumerate(zip(masks, images)):
+        witness = _multiplicative_witness(algebra.basis, products, zero, keep, image)
         report.add(kind, f"{character_label(ci)} multiplicative",
                    FAIL if witness else PASS, f"[witness {witness}]" if witness else "")
     if not _split_unit_degrees(algebra):
         one = algebra.one()
-        for ci, f in enumerate(chars):
+        for ci, keep in enumerate(masks):
             report.add(kind, f"{character_label(ci)} {unit_name}",
-                       PASS if act_character(f, one) == one else FAIL)
+                       PASS if _project(keep, one) == one else FAIL)
     else:
         report.add("check", unit_name, INFO, f"[{unit_note}]")
-    return report, chars, images
+    return report, chars, masks, images
 
 
 def check_module_algebra(algebra):
@@ -250,7 +272,7 @@ def check_module_algebra(algebra):
     only when the unit is concentrated in identity-acting degrees;
     otherwise one INFO line per algebra records the deviation.
     """
-    report, _, _ = _character_laws(
+    report, _, _, _ = _character_laws(
         algebra, "character", "unit-law",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) is the projection of 1 onto the degrees where f = 1")
@@ -258,15 +280,33 @@ def check_module_algebra(algebra):
 
 
 class DualAction:
-    """Matrices of the character action plus the monoid-action verification."""
+    """The character action, as matrices and as basis images, plus its verification.
 
-    __slots__ = ("algebra", "labels", "matrices", "report")
+    `images[name][j]` is the image of basis vector j under the named
+    character, and `matrices[name]` holds the same images as columns.
+    """
 
-    def __init__(self, algebra, labels, matrices, report):
+    __slots__ = ("algebra", "labels", "images", "matrices", "report")
+
+    def __init__(self, algebra, labels, images, matrices, report):
         self.algebra = algebra
         self.labels = labels
+        self.images = images
         self.matrices = matrices
         self.report = report
+
+
+_ZERO = Fraction(0)
+
+
+def _columns_matrix(images):
+    """The dense matrix whose column j holds the coordinates of images[j]."""
+    n = len(images)
+    entries = [_ZERO] * (n * n)
+    for j, image in enumerate(images):
+        for i, v in image.coeffs.items():
+            entries[i * n + j] = v
+    return Matrix(n, n, entries)
 
 
 def dual_monoid_action(algebra):
@@ -278,26 +318,23 @@ def dual_monoid_action(algebra):
     INFO policy as check_module_algebra when the unit is split. Both
     action laws are checked on the image of every basis vector.
     """
-    report, chars, images = _character_laws(
+    report, chars, masks, images = _character_laws(
         algebra, "endomorphism", "unital",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) != 1 for characters vanishing on a unit degree")
     labels = [character_label(i) for i in range(len(chars))]
-    n = algebra.dim
-    matrices = {name: Matrix.from_rows([[image[j].coeffs.get(i, Fraction(0))
-                                         for j in range(n)] for i in range(n)])
-                for name, image in zip(labels, images)}
+    matrices = {name: _columns_matrix(image) for name, image in zip(labels, images)}
     lookup = {ch.values: i for i, ch in enumerate(chars)}
     witness = next(((labels[i], labels[k])
                     for i, f in enumerate(chars) for k, g in enumerate(chars)
-                    if [act_character(f, image) for image in images[k]]
+                    if [_project(masks[i], image) for image in images[k]]
                     != images[lookup[f.pointwise_mul(g).values]]), None)
     report.add("action", "composition", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
     top = lookup[tuple(1 for _ in range(len(algebra.grading)))]
     identity = all(image.coeffs == {j: 1} for j, image in enumerate(images[top]))
     report.add("action", "identity-character", PASS if identity else FAIL)
-    return DualAction(algebra, labels, matrices, report)
+    return DualAction(algebra, labels, dict(zip(labels, images)), matrices, report)
 
 
 def ut_graded(m, labels):
@@ -345,6 +382,9 @@ def _parse_terms(text, raw, sep, lineno, source):
         if not colon:
             raise ParseError(f"expected label:rational, got {part!r}",
                              lineno, _term_column(raw, sep, k), source)
+        if label in out:
+            raise ParseError(f"{label!r} named twice in one term list",
+                             lineno, _term_column(raw, sep, k), source)
         try:
             out[label] = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -358,15 +398,18 @@ def parse_graded(text, source="<input>", slat_loader=None):
 
     Lines: `basis:`, `unit:`, `semilattice: <path>`, each exactly once,
     `degree <basis> <element>`, and `mul a b = c:q [+ d:q ...]`; pairs
-    without a mul line multiply to zero. The semilattice path is
-    resolved by slat_loader (for files, relative to the file's
-    directory). Errors carry the line and column of the offending word.
+    without a mul line multiply to zero. A basis label, a degree line,
+    a mul pair and a label within one term list may each appear only
+    once. The semilattice path is resolved by slat_loader (for files,
+    relative to the file's directory). Errors carry the line and column
+    of the offending word, for a repeat that of the second occurrence.
     """
     basis = None
     unit = None        # (terms, line number, raw line)
     grading = None
     headers = {}       # header -> (line number, raw line)
     degree_lines = {}  # basis label -> (semilattice label, line number, raw line)
+    repeated = None    # (basis label, line number, raw line) of the first repeated degree line
     mul_lines = {}     # (factor, factor) -> (terms, line number, raw line)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -379,6 +422,7 @@ def parse_graded(text, source="<input>", slat_loader=None):
             headers[header] = (lineno, raw)
             if header == "basis":
                 basis = tuple(rest.split())
+                reject_repeats(basis, "basis element", raw, lineno, source)
             elif header == "unit":
                 unit = (_parse_terms(rest, raw, ":", lineno, source), lineno, raw)
             elif slat_loader is None:
@@ -392,7 +436,10 @@ def parse_graded(text, source="<input>", slat_loader=None):
             if len(parts) != 3:
                 raise ParseError("degree line needs basis label and element",
                                  lineno, word_column(raw, 3 if parts[3:] else 0), source)
-            degree_lines[parts[1]] = (parts[2], lineno, raw)
+            if parts[1] not in degree_lines:
+                degree_lines[parts[1]] = (parts[2], lineno, raw)
+            elif repeated is None:
+                repeated = (parts[1], lineno, raw)
             continue
         if line.startswith("mul "):
             factors, eq, terms = line[len("mul "):].partition("=")
@@ -441,6 +488,9 @@ def parse_graded(text, source="<input>", slat_loader=None):
         lineno, raw = headers["basis"]
         col = word_column(raw, basis.index(missing[0]), raw.index(":") + 1)
         raise ParseError(f"no degree for basis element {missing[0]!r}", lineno, col, source)
+    if repeated:
+        label, lineno, raw = repeated
+        raise ParseError(f"degree of {label!r} given twice", lineno, word_column(raw, 1), source)
     degree = []
     for b in basis:
         element, lineno, raw = degree_lines[b]

@@ -29,7 +29,7 @@ eliminated only when its triangle check fails.
 
 from dataclasses import dataclass
 
-from .errors import ParseError, word_column
+from .errors import ParseError, reject_repeats, word_column
 from .exactlin import Matrix, rank
 
 
@@ -402,10 +402,11 @@ def parse_semilattice(text, source="<input>"):
     """Parse the semilattice text format and validate the result.
 
     Format: an `elements:` line, an `identity:` line, then product lines
-    `a * b = c`. `#` starts a comment; blank lines are ignored. One
-    orientation per unordered pair suffices; consistent duplicates are
-    allowed, inconsistent ones rejected. Errors carry the line and column
-    of the offending word.
+    `a * b = c`. `#` starts a comment; blank lines are ignored. A label
+    may appear only once on the elements line. One orientation per
+    unordered pair suffices; consistent duplicates are allowed,
+    inconsistent ones rejected. Errors carry the line and column of the
+    offending word.
     """
     elements = None
     identity = None
@@ -418,9 +419,10 @@ def parse_semilattice(text, source="<input>"):
             if elements is not None:
                 raise ParseError("elements given twice", lineno, word_column(raw, 0), source)
             elements = tuple(line[len("elements:"):].split())
-            known = set(elements)
             if not elements:
                 raise ParseError("empty elements line", lineno, word_column(raw, 0), source)
+            reject_repeats(elements, "element", raw, lineno, source)
+            known = set(elements)
             continue
         if line.startswith("identity:"):
             if identity is not None:

@@ -12,15 +12,19 @@ evaluation at chain points instead of prefix positions for step
 functionals, one hand-written double loop per algebra instead of
 the shared bilinear product, every triple instead of the up-set bitmask
 certificate for associativity, and pointwise products of character
-tuples instead of ANDs of down-set bitmasks for the dual. Tests compare
-package output against these.
+tuples instead of ANDs of down-set bitmasks for the dual, and every
+basis pair through the public character action instead of the stored
+products through a keep mask for the module-algebra and action laws.
+Tests compare package output against these.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from semidual.extnat import NEG_INF, fin
+from semidual.graded import AlgebraElement, act_character, verify_grading
 from semidual.nbar_dual import StepFunctional
+from semidual.reporting import FAIL, INFO, PASS, Report
 from semidual.semilattice import FiniteSemilattice, character_label, characters, validate
 
 
@@ -335,3 +339,66 @@ def loop_letterplace_product(p, q):
             sign, mono = normalized
             out[mono] = out.get(mono, Fraction(0)) + c1 * c2 * sign
     return _nonzero(out)
+
+
+def all_pairs_character_laws(algebra, kind, unit_name, unit_note, act=act_character):
+    """The character laws of graded.check_module_algebra, on every basis pair.
+
+    act(f, a) is the character action; every image goes through it, so a
+    faulty act shows in the witnesses. Returns the report, the characters
+    and images[c][j], character c acting on basis vector j.
+    """
+    if not verify_grading(algebra).passed:
+        raise ValueError("algebra does not pass verify_grading")
+    chars = characters(algebra.grading)
+    n = algebra.dim
+    basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in range(n)]
+    images = [[act(f, b) for b in basis] for f in chars]
+    products = [[algebra.element(algebra.mul_basis(i, j)) for j in range(n)] for i in range(n)]
+    report = Report()
+    for ci, (f, image) in enumerate(zip(chars, images)):
+        witness = next(((algebra.basis[i], algebra.basis[j])
+                        for i in range(n) for j in range(n)
+                        if act(f, products[i][j]) != image[i] * image[j]),
+                       None)
+        report.add(kind, f"{character_label(ci)} multiplicative",
+                   FAIL if witness else PASS, f"[witness {witness}]" if witness else "")
+    g, degree = algebra.grading, algebra.degree
+    split = any(g.op(degree[i], s) != s for i in algebra.unit for s in set(degree))
+    if not split:
+        one = algebra.one()
+        for ci, f in enumerate(chars):
+            report.add(kind, f"{character_label(ci)} {unit_name}",
+                       PASS if act(f, one) == one else FAIL)
+    else:
+        report.add("check", unit_name, INFO, f"[{unit_note}]")
+    return report, chars, images
+
+
+def all_pairs_module_algebra(algebra, act=act_character):
+    """The check_module_algebra report, by all_pairs_character_laws."""
+    report, _, _ = all_pairs_character_laws(
+        algebra, "character", "unit-law",
+        "unit not concentrated in identity-acting degrees;"
+        " gamma(f,1) is the projection of 1 onto the degrees where f = 1", act)
+    return report
+
+
+def all_pairs_dual_action(algebra, act=act_character):
+    """The dual_monoid_action report: every composition through act, basis vector by vector."""
+    report, chars, images = all_pairs_character_laws(
+        algebra, "endomorphism", "unital",
+        "unit not concentrated in identity-acting degrees;"
+        " gamma(f,1) != 1 for characters vanishing on a unit degree", act)
+    labels = [character_label(i) for i in range(len(chars))]
+    lookup = {ch.values: i for i, ch in enumerate(chars)}
+    witness = next(((labels[i], labels[k])
+                    for i, f in enumerate(chars) for k, g in enumerate(chars)
+                    if [act(f, image) for image in images[k]]
+                    != images[lookup[f.pointwise_mul(g).values]]), None)
+    report.add("action", "composition", FAIL if witness else PASS,
+               f"[witness {witness}]" if witness else "")
+    top = lookup[tuple(1 for _ in range(len(algebra.grading)))]
+    identity = all(image.coeffs == {j: 1} for j, image in enumerate(images[top]))
+    report.add("action", "identity-character", PASS if identity else FAIL)
+    return report

@@ -264,6 +264,20 @@ def test_exit_2_on_parse_error_with_position(tmp_path):
     assert ":3:" in err
 
 
+@pytest.mark.parametrize("name, text, argv, where", [
+    ("dup.slat", "elements: a b a\nidentity: a\n", ["slat", "check"],
+     ":1:15: duplicate element 'a'"),
+    ("dup.galg", "basis: u u\nunit: u:1\nsemilattice: chain1.slat\ndegree u n1\n",
+     ["graded", "verify"], ":1:10: duplicate basis element 'u'"),
+])
+def test_exit_2_on_duplicate_label_with_position(tmp_path, name, text, argv, where):
+    (tmp_path / "chain1.slat").write_text(corpus.render_corpus_files()["chain1.slat"])
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = invoke(*argv, str(path))
+    assert (code, out, err) == (2, "", f"{path}{where}\n")
+
+
 def test_exit_2_on_unknown_flag():
     code, _, err = invoke("slat", "characters", slat("chain2"), "--bogus")
     assert code == 2 and err

@@ -10,6 +10,11 @@ exit 2; all in human and tsv format; and `graded ut --size 1..24`.
 Each is recorded as its exit code and the sha256 of its stdout, because
 the raw text is about 1 MB.
 
+`golden_graded.json` pins the same for `graded verify|module-algebra|action-table`
+on two inputs that are not bundled files, written to a temporary directory:
+k[S] graded by S on bool2, bool3 and div12, where the unit sits in the
+identity degree so the strict unit law is checked, and ut6-ut8.
+
 Regenerate the stored digests (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -20,12 +25,17 @@ import io
 import json
 import pathlib
 import random
+import tempfile
 from fractions import Fraction
 
 from semidual import corpus
 from semidual.cli import run
+from semidual.graded import print_graded, ut_graded
 
 DIGESTS = pathlib.Path(__file__).with_name("golden_cli.json")
+GRADED_DIGESTS = pathlib.Path(__file__).with_name("golden_graded.json")
+MONOID_GRADINGS = ("bool2", "bool3", "div12")
+UT_SIZES = (6, 7, 8)
 SLATS = [f"chain{m}" for m in range(1, 9)] + ["bool1", "bool2", "bool3",
                                                "div12", "div30", "div36"]
 GALGS = [f"ut{m}" for m in range(1, 6)]
@@ -123,9 +133,44 @@ def commands():
     return [(" ".join(key), argv) for key, argv in out]
 
 
-def digests():
+def monoid_algebra_text(name):
+    """k[S] graded by S for the bundled S: basis u<s> in degree s, u<s> u<t> = u<s*t>."""
+    s = corpus.load_semilattice(name)
+    basis = [f"u{lbl}" for lbl in s.elements]
+    lines = [f"basis: {' '.join(basis)}", f"unit: {basis[s.identity]}:1",
+             f"semilattice: {corpus.data_path(name + '.slat')}"]
+    lines += [f"degree {b} {lbl}" for b, lbl in zip(basis, s.elements)]
+    lines += [f"mul {basis[i]} {basis[j]} = {basis[s.op(i, j)]}:1"
+              for i in range(len(s)) for j in range(len(s))]
+    return "\n".join(lines) + "\n"
+
+
+def graded_inputs():
+    """File name -> `.galg` text for the inputs of golden_graded.json."""
+    files = {f"kS-{name}.galg": monoid_algebra_text(name) for name in MONOID_GRADINGS}
+    for m in UT_SIZES:
+        algebra = ut_graded(m, list(range(1, m + 1)))
+        files[f"ut{m}.galg"] = print_graded(algebra, corpus.data_path(f"chain{m}.slat"))
+    return files
+
+
+def graded_commands(directory):
+    """(key, argv) pairs over graded_inputs(), written to directory."""
+    out = []
+    for name, text in graded_inputs().items():
+        path = pathlib.Path(directory) / name
+        path.write_text(text, encoding="utf-8")
+        for fmt in ("human", "tsv"):
+            for cmd in GRADED_CMDS:
+                tail = ["--format", fmt]
+                out.append((" ".join(["graded", cmd, name] + tail),
+                            ["graded", cmd, str(path)] + tail))
+    return out
+
+
+def digests(pairs=None):
     table = {}
-    for key, argv in commands():
+    for key, argv in commands() if pairs is None else pairs:
         stream = io.StringIO()
         code = run(argv, stream, io.StringIO())
         table[key] = f"{code} {hashlib.sha256(stream.getvalue().encode()).hexdigest()}"
@@ -141,5 +186,21 @@ def test_cli_outputs_match_stored_digests():
     assert not changed, changed[:10]
 
 
+def graded_digests():
+    with tempfile.TemporaryDirectory() as directory:
+        return digests(graded_commands(directory))
+
+
+def test_graded_outputs_match_stored_digests():
+    stored = json.loads(GRADED_DIGESTS.read_text(encoding="utf-8"))
+    current = graded_digests()
+    assert len(current) == 36
+    assert sorted(current) == sorted(stored)
+    changed = [key for key in current if current[key] != stored[key]]
+    assert not changed, changed[:10]
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(digests(), indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    GRADED_DIGESTS.write_text(json.dumps(graded_digests(), indent=0, sort_keys=True) + "\n",
+                              encoding="utf-8")

@@ -1,11 +1,16 @@
+import contextlib
 import io
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import (dense_first_nonassociative_triple, dense_ut_structure,
+from oracles import (all_pairs_dual_action, all_pairs_module_algebra,
+                     dense_first_nonassociative_triple, dense_ut_structure,
                      loop_graded_product, validated_copy)
 from semidual import corpus, graded
 from semidual.cli import run
@@ -19,6 +24,7 @@ from semidual.graded import (AlgebraElement, BadLabelsError,
                              print_graded, ut_graded, verify_grading)
 from semidual.reporting import INFO
 from semidual.semilattice import characters, print_semilattice, validate
+from test_semilattice import union_closed_families
 
 
 def ut2():
@@ -169,19 +175,24 @@ def test_dual_action_ut2_matrices():
 
 
 def _faulty_act(monkeypatch, corrupt):
-    """Replace graded.act_character by the true action followed by corrupt."""
-    true_act = graded.act_character
+    """Replace the projection behind the action by the true one followed by corrupt.
 
-    def act(f, a):
-        return corrupt(f, true_act(f, a))
+    corrupt(keep, image) also gets the keep mask [f(degree[i]) = 1] of the
+    acting character f.
+    """
+    true_project = graded._project
+    monkeypatch.setattr(graded, "_project",
+                        lambda keep, a: corrupt(keep, true_project(keep, a)))
 
-    monkeypatch.setattr(graded, "act_character", act)
+
+def _keep(f, algebra):
+    return [f(d) == 1 for d in algebra.degree]
 
 
 def test_scaled_character_image_is_caught(monkeypatch):
     algebra = ut_graded(3, [1, 2, 3])
-    f1 = characters(algebra.grading)[0]
-    _faulty_act(monkeypatch, lambda f, image: image.scale(2) if f == f1 else image)
+    f1 = _keep(characters(algebra.grading)[0], algebra)
+    _faulty_act(monkeypatch, lambda keep, image: image.scale(2) if keep == f1 else image)
     mult_fail = "f1 multiplicative: FAIL [witness ('E33', 'E33')]"
     lines = dual_monoid_action(algebra).report.render().splitlines()
     assert f"endomorphism {mult_fail}" in lines
@@ -192,10 +203,98 @@ def test_scaled_character_image_is_caught(monkeypatch):
 
 def test_dropped_coordinate_is_caught(monkeypatch):
     algebra = ut_graded(3, [1, 2, 3])
-    _faulty_act(monkeypatch, lambda f, image: AlgebraElement(
+    _faulty_act(monkeypatch, lambda keep, image: AlgebraElement(
         image.parent, {i: v for i, v in image.coords.items() if i != 0}))
     lines = dual_monoid_action(algebra).report.render().splitlines()
     assert "action identity-character: FAIL" in lines
+
+
+def _leak(source, target):
+    """A fault that adds the source coordinate of every image onto the target one."""
+    def corrupt(keep, image):
+        coords = dict(image.coords)
+        if source in coords:
+            coords[target] = coords.get(target, 0) + coords[source]
+        return AlgebraElement(image.parent, coords)
+    return corrupt
+
+
+def test_leaked_coordinate_is_caught_off_the_stored_products(monkeypatch):
+    # gamma_f3(E11) = E11 + E12, so E11 E22 = 0 maps to 0 but E12 E22 = E12:
+    # the witness is a pair without a stored product, found by the all-pairs search
+    algebra = ut_graded(3, [1, 2, 3])
+    assert (0, 3) not in algebra.structure
+    _faulty_act(monkeypatch, _leak(0, 1))
+    mult_fail = "f3 multiplicative: FAIL [witness ('E11', 'E22')]"
+    assert dual_monoid_action(algebra).report.render().splitlines() == [
+        "endomorphism f1 multiplicative: PASS",
+        "endomorphism f2 multiplicative: PASS",
+        f"endomorphism {mult_fail}",
+        "check unital: INFO [unit not concentrated in identity-acting degrees;"
+        " gamma(f,1) != 1 for characters vanishing on a unit degree]",
+        "action composition: FAIL [witness ('f3', 'f3')]",
+        "action identity-character: FAIL",
+    ]
+    assert f"character {mult_fail}" in check_module_algebra(algebra).render().splitlines()
+
+
+def _monoid_algebra(s):
+    """k[S] graded by S: basis u_s in degree s, u_s u_t = u_{st}, unit u_e."""
+    n = len(s)
+    structure = {(i, j): {s.op(i, j): 1} for i in range(n) for j in range(n)}
+    return GradedFDAlgebra([f"u{i}" for i in range(n)], structure, {s.identity: 1},
+                           s, range(n))
+
+
+@st.composite
+def projection_faults(draw, algebra):
+    """corrupt(keep, image) for a drawn fault on this algebra, or None for none."""
+    n, kind = algebra.dim, draw(st.sampled_from(
+        ["none", "scale", "drop", "leak", "constant", "zero"]))
+    if kind == "none":
+        return None
+    i = draw(st.integers(0, n - 1))
+    if kind == "scale":
+        ch = draw(st.sampled_from(characters(algebra.grading)))
+        target = _keep(ch, algebra)
+        return lambda keep, image: image.scale(-1) if keep == target else image
+    if kind == "drop":
+        return lambda keep, image: AlgebraElement(
+            image.parent, {k: v for k, v in image.coords.items() if k != i})
+    if kind == "leak":
+        return _leak(i, draw(st.integers(0, n - 1).filter(lambda j: j != i or n == 1)))
+    bump = AlgebraElement(algebra, {i: 1})
+    if kind == "constant":
+        return lambda keep, image: image + bump
+    return lambda keep, image: image if image.coords else bump  # only gamma(0) is wrong
+
+
+@st.composite
+def graded_algebras_with_faults(draw):
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        algebra = ut_graded(m, list(range(1, m + 1)))
+    else:
+        algebra = _monoid_algebra(draw(union_closed_families(max_members=8)))
+    return algebra, draw(projection_faults(algebra))
+
+
+@given(graded_algebras_with_faults())
+@settings(max_examples=60, deadline=None)
+def test_action_reports_match_all_pairs_oracle(case):
+    algebra, corrupt = case
+    act = act_character
+    if corrupt is None:
+        context = contextlib.nullcontext()
+    else:
+        true_project = graded._project
+        context = mock.patch.object(graded, "_project",
+                                    lambda keep, a: corrupt(keep, true_project(keep, a)))
+        act = lambda f, a: corrupt(_keep(f, algebra), act_character(f, a))  # noqa: E731
+    with context:
+        got = (dual_monoid_action(algebra).report, check_module_algebra(algebra))
+    want = (all_pairs_dual_action(algebra, act), all_pairs_module_algebra(algebra, act))
+    assert [r.render() for r in got] == [r.render() for r in want]
 
 
 def test_dual_action_chain_gradings():
@@ -440,6 +539,24 @@ def test_parse_graded_rejects_repeated_header(header):
     (2, "", 1, 1, "missing semilattice line"),
 ])
 def test_parse_graded_errors_are_positioned(index, new, line, col, message):
+    lines = list(POINT_GALG)
+    lines[index] = new
+    with pytest.raises(ParseError) as info:
+        parse_point(lines)
+    assert str(info.value) == f"p.galg:{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("index, new, line, col, message", [
+    # a second degree line for a label is refused, not read over the first
+    (4, "degree v e\n  degree  v e", 6, 11, "degree of 'v' given twice"),
+    # a label named twice in one term list is refused, not kept as its last value
+    (5, "mul u u = u:1 + u:2", 6, 17, "'u' named twice in one term list"),
+    (5, "mul u u = u:1+v:1+u:1", 6, 19, "'u' named twice in one term list"),
+    (1, "unit: u:1  u:1", 2, 12, "'u' named twice in one term list"),
+    # a repeated basis label is a parse error at its second occurrence
+    (0, "basis: u v  u", 1, 13, "duplicate basis element 'u'"),
+])
+def test_parse_graded_rejects_repeated_entries(index, new, line, col, message):
     lines = list(POINT_GALG)
     lines[index] = new
     with pytest.raises(ParseError) as info:

@@ -477,6 +477,8 @@ def test_parse_error_positions():
     ("elements: ab\nidentity: ab\nab * a = ab\n", 3, 6, "unknown element 'a'"),
     ("elements: a b\nidentity: a\n  b * a = zz # zz\n", 3, 11, "unknown element 'zz'"),
     ("elements: a b\n  elements: a\n", 2, 3, "elements given twice"),
+    # a repeated label is a parse error at its second occurrence
+    ("elements: ab b  ab\nidentity: ab\n", 1, 17, "duplicate element 'ab'"),
     ("  elements:\n", 1, 3, "empty elements line"),
     ("elements: a\nidentity: a\n identity: a\n", 3, 2, "identity given twice"),
     ("elements: a b\nidentity: a b\n", 2, 13, "identity line needs exactly one label"),
