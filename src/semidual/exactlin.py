@@ -142,10 +142,6 @@ class Matrix:
             raise ValueError("ragged rows")
         return cls(rows, cols, [x for r in row_seqs for x in r])
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 

@@ -14,19 +14,20 @@ characters, one per run; the decomposition telescopes the run values.
 The evaluation matrix [p <= c] of those characters on the run end
 points is unitriangular, so the coefficients are unique and need no
 linear solve; the decomposition is certified by pointwise
-reconstruction instead. All verification windows end two points past
-the tail onset: every functional involved is constant from the tail
-onset on, so equality there propagates to the whole chain.
+reconstruction on a window ending two points past the tail onset,
+beyond which every functional involved is constant. The translate-span
+basis is certified by the closed form of its special_det matrix.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .exactlin import Matrix, det, rank
+from .exactlin import Matrix, det
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
 
 
-WINDOW_EXTRA = 2  # points past the tail onset in every verification window
+WINDOW_EXTRA = 2  # points past the tail onset in the decomposition window
 
 
 def _position(point):
@@ -129,9 +130,9 @@ class TranslateSpanBasis:
 
     Iterating yields the breakpoints (last point of each finite run).
     When the tail is nonzero its onset joins the verified spanning set;
-    dimension is the exact rank of the basis translates, which is the
-    rank of the full translate matrix because every other translate is
-    one of them or zero.
+    dimension counts the basis translates, independent because their
+    special_det evaluation matrix has a nonzero closed form, and every
+    other translate is one of them or zero.
     """
 
     breakpoints: tuple
@@ -148,29 +149,28 @@ class TranslateSpanBasis:
 def translate_span_basis(f):
     """Breakpoints whose translates span all translates of f, verified directly.
 
-    One breakpoint per finite constant run; translating anywhere inside
-    a run gives the same functional, and translating into the tail gives
-    the constant tail (zero when the tail is zero, hence no extra basis
-    vector in that case). So every translate on the window must equal a
-    basis translate or be zero, which is stronger than lying in their
-    span; the rank of the basis translates certifies the dimension.
+    One breakpoint per finite constant run, plus the tail onset when the
+    tail is nonzero (a zero tail translates to zero). One pass checks
+    that f keeps each run value up to the run end, so every translate
+    is a basis translate or zero. At their k points, with values v_i,
+    the basis translates take the values v_max(i, j) of the special_det
+    matrix, whose closed form v_k * prod(v_i - v_{i+1}) must be nonzero.
     """
     runs = finite_runs(f)
-    breakpoints = tuple(end for end, _ in runs)
     tail_point = f.tail_onset() if f.tail != 0 else None
-    points = list(breakpoints) + ([tail_point] if tail_point is not None else [])
-
-    window = f.window()
-    basis = [translate(f, p) for p in points]
-    rows = [[g._at(j) for j in range(len(window))] for g in basis]
-    dim = rank(Matrix.from_rows(rows)) if basis else 0
-    if dim != len(basis):
+    spanning = runs + ([(tail_point, f.tail)] if tail_point is not None else [])
+    points, values = [p for p, _ in spanning], [v for _, v in spanning]
+    expected = []
+    for end, value in runs:
+        expected += [value] * (_position(end) + 1 - len(expected))
+    for i, value in enumerate(expected + [f.tail] * (len(f.prefix) - len(expected))):
+        if f._at(i) != value:
+            raise ArithmeticError(f"translate at {_point(i)} escapes the breakpoint span")
+    rows = [[g.eval(q) for q in points] for g in (translate(f, p) for p in points)]
+    special, closed = _special_matrix(values)
+    if rows != special or not closed:
         raise ArithmeticError("breakpoint translates are not linearly independent")
-    for n in window:
-        g = translate(f, n)
-        if not g.is_zero() and g not in basis:
-            raise ArithmeticError(f"translate at {n} escapes the breakpoint span")
-    return TranslateSpanBasis(breakpoints, tail_point, dim)
+    return TranslateSpanBasis(tuple(points[:len(runs)]), tail_point, len(points))
 
 
 def in_finite_dual(f):
@@ -216,6 +216,12 @@ def char_mult(s, t):
     return expected
 
 
+def _special_matrix(row):
+    """The rows of [row[max(i, j)]] and the closed form of their determinant."""
+    closed = row[-1] * prod(a - b for a, b in zip(row, row[1:])) if row else Fraction(1)
+    return [[v] * i + row[i:] for i, v in enumerate(row)], closed
+
+
 @dataclass(frozen=True)
 class SpecialDetResult:
     det: Fraction
@@ -234,15 +240,11 @@ def special_det(row):
     differ, the determinant is nonzero.
     """
     row = [Fraction(x) for x in row]
-    n = len(row)
-    m = Matrix(n, n, [row[max(i, j)] for i in range(n) for j in range(n)])
-    direct = det(m)
-    closed = Fraction(1) if n == 0 else row[-1]
-    for i in range(n - 1):
-        closed *= row[i] - row[i + 1]
+    rows, closed = _special_matrix(row)
+    direct = det(Matrix.from_rows(rows))
     if direct != closed:
         raise ArithmeticError(f"determinant {direct} disagrees with closed form {closed}")
-    met = n >= 1 and row[-1] != 0 and all(row[i] != row[i + 1] for i in range(n - 1))
+    met = bool(row) and row[-1] != 0 and all(a != b for a, b in zip(row, row[1:]))
     return SpecialDetResult(direct, closed, met, direct != 0)
 
 

@@ -167,7 +167,7 @@ def test_dual_action_ut2_matrices():
     assert action.report.passed
     g1 = action.matrices["f1"]
     g2 = action.matrices["f2"]
-    assert g2 == Matrix.identity(3)
+    assert g2 == Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert g1.matmul(g1) == g1           # f1 f1 = f1
     assert g1.matmul(g2) == g1           # f1 f2 = f1
     # gamma_f1 projects onto the bottom-right corner

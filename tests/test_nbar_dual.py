@@ -31,6 +31,20 @@ def random_functionals(seed, count):
     return out
 
 
+def long_functional(seed, length, runs, tail):
+    """A prefix of length entries in runs seeded constant runs, then tail."""
+    rng = random.Random(seed)
+    cuts = [0] + sorted(rng.sample(range(1, length), runs - 1)) + [length]
+    values = [Fraction(rng.randint(-9, 9), rng.choice([1, 3]))]
+    while len(values) < runs:
+        value = Fraction(rng.randint(-9, 9), rng.choice([1, 3]))
+        if value != values[-1] and (len(values) < runs - 1 or value != tail):
+            values.append(value)
+    f = F([v for v, a, b in zip(values, cuts, cuts[1:]) for _ in range(b - a)], tail)
+    assert len(f.prefix) == length and len(finite_runs(f)) == runs
+    return f
+
+
 def test_eval_examples():
     f = F([1], 0)
     assert f.eval(NEG_INF) == 1
@@ -136,10 +150,23 @@ def test_translate_span_two_steps_into_tail():
 
 def test_translate_span_rank_oracle():
     # independent check: rank of the full translate matrix on a window
-    for f in random_functionals(71, 60):
+    longer = [long_functional(seed, 60, runs, tail)
+              for seed, runs, tail in [(1, 1, 0), (2, 7, 0), (3, 60, 0),
+                                       (4, 1, 2), (5, 7, Fraction(-1, 3)), (6, 60, 5)]]
+    for f in random_functionals(71, 60) + longer:
         window = f.window()
-        rows = [[translate(f, p).eval(q) for q in window] for p in window]
+        rows = [[g.eval(q) for q in window] for g in (point_translate(f, p) for p in window)]
         assert rank(Matrix.from_rows(rows)) == translate_span_basis(f).dimension, f
+
+
+def test_translate_runs_once_per_basis_point(monkeypatch):
+    f = long_functional(7, 1000, 100, 4)
+    calls = []
+    original = nbar_dual.translate
+    monkeypatch.setattr(nbar_dual, "translate", lambda g, n: calls.append(n) or original(g, n))
+    basis = translate_span_basis(f)
+    assert basis.dimension == 100 + 1
+    assert calls == list(basis) + [basis.tail_point]
 
 
 def test_collapsed_translate_is_caught(monkeypatch):
@@ -148,16 +175,15 @@ def test_collapsed_translate_is_caught(monkeypatch):
         translate_span_basis(F([3, 2], 1))
 
 
-def test_scaled_in_run_translate_is_caught(monkeypatch):
-    # -inf lies inside the run that ends at 0; 2f is still in the span
-    original = nbar_dual.translate
-
-    def scaled(f, n):
-        g = original(f, n)
-        return F([2 * v for v in g.prefix], 2 * g.tail) if n == NEG_INF else g
-
-    monkeypatch.setattr(nbar_dual, "translate", scaled)
-    with pytest.raises(ArithmeticError, match="escapes the breakpoint span"):
+def test_corrupted_runs_are_caught(monkeypatch):
+    # F([3, 3, 2], 5) has runs ending at 0 (value 3) and 1 (value 2)
+    original = nbar_dual.finite_runs
+    monkeypatch.setattr(nbar_dual, "finite_runs", lambda f: original(f)[1:])
+    with pytest.raises(ArithmeticError, match="translate at -inf escapes the breakpoint span"):
+        translate_span_basis(F([3, 3, 2], 5))
+    # splitting the first run at -inf repeats a value: the closed form is 0
+    monkeypatch.setattr(nbar_dual, "finite_runs", lambda f: [(NEG_INF, 3)] + original(f))
+    with pytest.raises(ArithmeticError, match="not linearly independent"):
         translate_span_basis(F([3, 3, 2], 5))
 
 
