@@ -135,37 +135,48 @@ def _split_unit_degrees(algebra):
 def verify_grading(algebra):
     """Exhaustively check associativity, the unit law, and the grading law.
 
-    Associativity is searched, in lexicographic order, only on triples
-    (i, j, k) where (i, j) or (j, k) has a stored product: any other
-    triple gives 0 = 0. The fourth invariant (unit concentrated in
-    identity-acting degrees) is reported as INFO when it fails:
-    gradings that split the unit across degrees are legitimate, they
-    just lose the strict module-algebra unit law.
+    Associativity is certified one left factor i at a time. A dict keyed
+    by (j, k, l) collects the l-coordinate of (b_i b_j) b_k - b_i (b_j b_k),
+    walking stored products only: the left side through stored (i, j),
+    then stored (m, k) for each m in that product; the right side through
+    stored (j, k), then stored (i, m) for each m in that product. Any
+    triple the walk does not visit gives 0 = 0, so the first i with a
+    nonzero entry, with the smallest (j, k) in it, is the
+    lexicographically first non-associative triple. Integral constants
+    are held as ints and nothing divides, so every sum is exact. The
+    fourth invariant (unit concentrated in identity-acting degrees) is
+    reported as INFO when it fails: gradings that split the unit across
+    degrees are legitimate, they just lose the strict module-algebra unit
+    law.
     """
     report = Report()
     structure = algebra.structure
     label = algebra.basis
-    mul = algebra.mul_basis
     every = range(algebra.dim)
-    stored_after = [[] for _ in every]  # stored_after[j]: the k with (j, k) stored
-    for j, k in structure:
-        stored_after[j].append(k)
-
-    def associates(i, j, k):
-        left = {}
-        for m, c in mul(i, j).items():
-            for l, d in mul(m, k).items():
-                left[l] = left.get(l, Fraction(0)) + c * d
-        right = {}
-        for m, c in mul(j, k).items():
-            for l, d in mul(i, m).items():
-                right[l] = right.get(l, Fraction(0)) + c * d
-        return clean(left) == clean(right)
-
-    witness = next(((label[i], label[j], label[k])
-                    for i in every for j in every
-                    for k in (every if (i, j) in structure else stored_after[j])
-                    if not associates(i, j, k)), None)
+    rows = [{} for _ in every]  # rows[i][j]: the stored product b_i b_j
+    into = [[] for _ in every]  # into[m]: (j, k, c), c the b_m-coordinate of stored b_j b_k
+    for (j, k), vec in structure.items():
+        vec = {l: c.numerator if c.denominator == 1 else c for l, c in vec.items()}
+        rows[j][k] = vec
+        for m, c in vec.items():
+            into[m].append((j, k, c))
+    witness = None
+    for i in every:
+        diff = {}
+        for j, vec in rows[i].items():
+            for m, c in vec.items():
+                for k, out in rows[m].items():
+                    for l, d in out.items():
+                        diff[j, k, l] = diff.get((j, k, l), 0) + c * d
+        for m, out in rows[i].items():
+            for j, k, c in into[m]:
+                for l, d in out.items():
+                    diff[j, k, l] = diff.get((j, k, l), 0) - c * d
+        nonzero = [key for key, v in diff.items() if v]
+        if nonzero:
+            j, k, _ = min(nonzero)
+            witness = (label[i], label[j], label[k])
+            break
     report.add("invariant", "associativity", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
 

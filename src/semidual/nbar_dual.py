@@ -52,8 +52,8 @@ class StepFunctional:
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix, tail):
-        tail = Fraction(tail)
-        values = [Fraction(x) for x in prefix]
+        tail = tail if isinstance(tail, Fraction) else Fraction(tail)
+        values = [x if isinstance(x, Fraction) else Fraction(x) for x in prefix]
         while values and values[-1] == tail:
             values.pop()
         self.prefix = tuple(values)

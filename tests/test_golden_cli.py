@@ -11,9 +11,11 @@ Each is recorded as its exit code and the sha256 of its stdout, because
 the raw text is about 1 MB.
 
 `golden_graded.json` pins the same for `graded verify|module-algebra|action-table`
-on two inputs that are not bundled files, written to a temporary directory:
+on inputs that are not bundled files, written to a temporary directory:
 k[S] graded by S on bool2, bool3 and div12, where the unit sits in the
-identity degree so the strict unit law is checked, and ut6-ut8.
+identity degree so the strict unit law is checked, and ut6-ut8. It also
+pins `graded verify` on two faulty copies of ut3, one not associative and
+one breaking the grading law, which exit 1 with a witness line.
 
 Regenerate the stored digests (only when an output change is intended):
 
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from semidual import corpus
 from semidual.cli import run
-from semidual.graded import print_graded, ut_graded
+from semidual.graded import GradedFDAlgebra, print_graded, ut_graded
 
 DIGESTS = pathlib.Path(__file__).with_name("golden_cli.json")
 GRADED_DIGESTS = pathlib.Path(__file__).with_name("golden_graded.json")
@@ -154,17 +156,34 @@ def graded_inputs():
     return files
 
 
+def failing_inputs():
+    """File name -> `.galg` text of ut3 with one fault each, which `graded verify` reports.
+
+    E22 E23 = 2 E23 breaks associativity (and the unit law); E13 moved to
+    the bottom degree breaks the grading law.
+    """
+    ut3 = ut_graded(3, [1, 2, 3])
+    e = ut3.index
+    structure = {**ut3.structure, (e("E22"), e("E23")): {e("E23"): 2}}
+    degree = [0 if i == e("E13") else d for i, d in enumerate(ut3.degree)]
+    slat = corpus.data_path("chain3.slat")
+    return {name: print_graded(GradedFDAlgebra(ut3.basis, products, ut3.unit, ut3.grading, d), slat)
+            for name, products, d in (("nonassoc-ut3.galg", structure, ut3.degree),
+                                       ("misgraded-ut3.galg", ut3.structure, degree))}
+
+
 def graded_commands(directory):
-    """(key, argv) pairs over graded_inputs(), written to directory."""
+    """(key, argv) pairs over graded_inputs() and failing_inputs(), written to directory."""
     out = []
-    for name, text in graded_inputs().items():
-        path = pathlib.Path(directory) / name
-        path.write_text(text, encoding="utf-8")
-        for fmt in ("human", "tsv"):
-            for cmd in GRADED_CMDS:
-                tail = ["--format", fmt]
-                out.append((" ".join(["graded", cmd, name] + tail),
-                            ["graded", cmd, str(path)] + tail))
+    for inputs, cmds in ((graded_inputs(), GRADED_CMDS), (failing_inputs(), ("verify",))):
+        for name, text in inputs.items():
+            path = pathlib.Path(directory) / name
+            path.write_text(text, encoding="utf-8")
+            for fmt in ("human", "tsv"):
+                for cmd in cmds:
+                    tail = ["--format", fmt]
+                    out.append((" ".join(["graded", cmd, name] + tail),
+                                ["graded", cmd, str(path)] + tail))
     return out
 
 
@@ -194,7 +213,7 @@ def graded_digests():
 def test_graded_outputs_match_stored_digests():
     stored = json.loads(GRADED_DIGESTS.read_text(encoding="utf-8"))
     current = graded_digests()
-    assert len(current) == 36
+    assert len(current) == 40
     assert sorted(current) == sorted(stored)
     changed = [key for key in current if current[key] != stored[key]]
     assert not changed, changed[:10]

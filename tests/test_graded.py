@@ -1,7 +1,9 @@
 import contextlib
+import inspect
 import io
 import random
 import re
+import textwrap
 from fractions import Fraction
 from unittest import mock
 
@@ -386,6 +388,89 @@ def test_associativity_witness_matches_dense_search():
             ("FAIL", f"[witness {want}]") if want else ("PASS", ""))
         failing += want is not None
     assert 160 < failing < 270  # most fail, and at least 50 are associative
+
+
+_SCALES = (1, 2, -1, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _rescaled_monoid_algebra(s, scale):
+    """k[S] in the basis scale[i] u_i: associative, with int and Fraction constants."""
+    n = len(s)
+    structure = {(i, j): {s.op(i, j): Fraction(scale[i] * scale[j]) / scale[s.op(i, j)]}
+                 for i in range(n) for j in range(n)}
+    return GradedFDAlgebra([f"b{i}" for i in range(n)], structure,
+                           {s.identity: 1 / Fraction(scale[s.identity])}, s, range(n))
+
+
+def _one_fault(algebra, rng):
+    """The algebra with one stored product rescaled or deleted, or one coefficient set."""
+    structure = dict(algebra.structure)
+    kind = rng.choice(["scale", "delete", "set"])
+    if kind == "set":
+        key = (rng.randrange(algebra.dim), rng.randrange(algebra.dim))
+        structure[key] = {**structure.get(key, {}), rng.randrange(algebra.dim): rng.choice(_SCALES)}
+    else:
+        key = rng.choice(sorted(structure))
+        if kind == "delete":
+            del structure[key]
+        else:
+            structure[key] = {k: v * rng.choice(_SCALES[1:]) for k, v in structure[key].items()}
+    return GradedFDAlgebra(algebra.basis, structure, algebra.unit, algebra.grading,
+                           algebra.degree)
+
+
+def _wide_oracle_cases():
+    """ut_graded(m), m <= 8, and rescaled k[S] on chain8 and bool3, each with and without a fault."""
+    rng = random.Random(47)
+    out = []
+    for m in range(1, 9):
+        ut = ut_graded(m, list(range(1, m + 1)))
+        out += [ut] + [_one_fault(ut, rng) for _ in range(3)]
+    for s in (corpus.chain(8), corpus.boolean_lattice(3)):
+        for _ in range(3):
+            ks = _rescaled_monoid_algebra(s, [rng.choice(_SCALES) for _ in range(len(s))])
+            out += [ks] + [_one_fault(ks, rng) for _ in range(2)]
+    return out
+
+
+def _witness_mismatches(verify, algebras):
+    """The algebras where verify's associativity line disagrees with the dense search."""
+    out = []
+    for algebra in algebras:
+        want = dense_first_nonassociative_triple(algebra)
+        line = verify(algebra).lines[0]
+        if (line.status, line.witness) != (("FAIL", f"[witness {want}]") if want else ("PASS", "")):
+            out.append(algebra)
+    return out
+
+
+def test_associativity_witness_matches_dense_search_up_to_ut8():
+    cases = _wide_oracle_cases()
+    failing = sum(dense_first_nonassociative_triple(a) is not None for a in cases)
+    assert 20 < failing < len(cases) - 14  # both outcomes are well represented
+    mixed = [a for a in cases if {v.denominator == 1 for vec in a.structure.values()
+                                  for v in vec.values()} == {True, False}]
+    assert len(mixed) > 10  # int and Fraction constants in one algebra
+    assert _witness_mismatches(verify_grading, cases) == []
+
+
+def _mutated_verify_grading(old, new):
+    """verify_grading with its source line old replaced by new, run in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(graded.verify_grading))
+    assert source.count(old) == 1
+    namespace = dict(vars(graded))
+    exec(source.replace(old, new), namespace)
+    return namespace["verify_grading"]
+
+
+@pytest.mark.parametrize("old, new", [
+    # drop the right-hand side b_i (b_j b_k)
+    ("for m, out in rows[i].items():", "for m, out in ():"),
+    # walk the right side only where (i, j) is stored, skipping right-only triples
+    ("for j, k, c in into[m]:", "for j, k, c in (t for t in into[m] if t[0] in rows[i]):"),
+])
+def test_wide_associativity_oracle_catches_a_broken_certificate(old, new):
+    assert _witness_mismatches(_mutated_verify_grading(old, new), _wide_oracle_cases())
 
 
 def test_product_matches_loop_oracle():

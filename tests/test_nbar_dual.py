@@ -64,6 +64,17 @@ def test_canonical_trimming():
     assert F([2, 2], 2).prefix == ()
 
 
+def test_fraction_entries_are_kept_and_others_converted():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    f = F([third, 2, True], half)
+    assert f.prefix[0] is third and f.tail is half
+    assert all(type(v) is Fraction for v in (*f.prefix, f.tail))
+    g = F(["1/3", Fraction(2), 1], "1/2")
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert repr(f) == "StepFunctional(prefix=(1/3,2,1), tail=1/2)"
+    assert F([False, 0.5], True).prefix == (0, half)
+
+
 def test_translate_by_bottom_is_identity():
     f = F([3, 2], 1)
     assert translate(f, NEG_INF) == f
