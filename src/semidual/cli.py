@@ -12,10 +12,9 @@ internal cross-check that finds its two computations disagreeing
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import bialgebra, graded, letterplace, nbar_dual, semilattice
-from .errors import ParseError
+from .errors import ParseError, read_rational
 from .extnat import parse_point
 from .reporting import FAIL, PASS
 
@@ -69,7 +68,7 @@ def _load_slat(path):
 
 def _rational(text):
     try:
-        return Fraction(text)
+        return read_rational(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"bad rational {text!r}") from None
 
@@ -90,6 +89,8 @@ def _parse_element(algebra, text):
         label, sep, value = part.partition(":")
         if not sep:
             raise _UsageError(f"element coordinate {part!r} needs label:rational")
+        if label in coords:
+            raise _UsageError(f"{label!r} named twice in --element")
         coords[label] = _rational(value)
     return algebra.element_from_labels(coords)
 

@@ -1,27 +1,15 @@
-"""Bundled example structures and brute-force oracles.
+"""Bundled example structures.
 
 Chains, small Boolean lattices, divisor lattices and the graded
 upper-triangular algebras, both as constructors and as shipped text
-files (data/*.slat, data/*.galg). The oracles re-derive characters and
-quotient group-likes by methods independent of the main enumerators:
-characters by testing every bit-vector, group-likes by a coefficient
-grid search backed by the symbolic characteristic-zero forcing.
+files (data/*.slat, data/*.galg).
 """
 
-from fractions import Fraction
 from importlib import resources
-from itertools import product
 from math import gcd
 
-from .bialgebra import (MonoidAlgebraElement, grouplike_basis_classification,
-                        is_grouplike, quotient_semilattice)
-from .errors import SizeLimitError
 from .graded import parse_graded, print_graded, ut_graded
-from .semilattice import Character, parse_semilattice, print_semilattice, validate
-
-BRUTE_CHARACTER_LIMIT = 16
-BRUTE_GROUPLIKE_LIMIT = 6
-GRID = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+from .semilattice import parse_semilattice, print_semilattice, validate
 
 
 def chain(m):
@@ -66,51 +54,6 @@ def semilattices():
 def ut_algebras():
     """The bundled graded upper-triangular algebras UT_1 .. UT_5."""
     return {f"ut{m}": ut_graded(m, list(range(1, m + 1))) for m in range(1, 6)}
-
-
-def brute_characters(s):
-    """Every bit-vector tested against the character equations directly.
-
-    Returned in the canonical order of semilattice.characters: support
-    size, then bits.
-    """
-    n = len(s)
-    if n > BRUTE_CHARACTER_LIMIT:
-        raise SizeLimitError(f"{n} elements exceeds the brute-force limit {BRUTE_CHARACTER_LIMIT}")
-    found = []
-    for mask in range(1 << n):
-        bits = tuple(mask >> i & 1 for i in range(n))
-        if bits[s.identity] != 1:
-            continue
-        if all(bits[s.op(i, j)] == bits[i] * bits[j]
-               for i in range(n) for j in range(i, n)):
-            found.append(Character(bits))
-    return sorted(found, key=lambda ch: (ch.support_size, ch.values))
-
-
-def brute_grouplikes_smallfield(s, congruence):
-    """Grid search for group-likes in the quotient monoid algebra.
-
-    Coefficient vectors over {-1, 0, 1/2, 1, 2} are tested one by one;
-    the grid contains the basis cosets, so they are all found, and the
-    search is a partial refutation that nothing else qualifies (a grid
-    cannot rule out all of the rationals; the complete argument is the
-    symbolic alpha^2 = alpha forcing, re-run here as a cross-check).
-    """
-    quotient, _ = quotient_semilattice(congruence)
-    dim = len(quotient)
-    if dim > BRUTE_GROUPLIKE_LIMIT:
-        raise SizeLimitError(f"quotient dimension {dim} exceeds {BRUTE_GROUPLIKE_LIMIT}")
-    found = []
-    for vector in product(GRID, repeat=dim):
-        element = MonoidAlgebraElement(quotient, dict(enumerate(vector)))
-        if is_grouplike(element):
-            found.append(element)
-    symbolic = grouplike_basis_classification(quotient)
-    if sorted(tuple(sorted(x.coeffs.items())) for x in found) != \
-            sorted(tuple(sorted(x.coeffs.items())) for x in symbolic):
-        raise ArithmeticError("grid search disagrees with the symbolic classification")
-    return found
 
 
 def _data_root():

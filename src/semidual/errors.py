@@ -1,6 +1,7 @@
-"""Errors shared by more than one module."""
+"""Errors and parsing helpers shared by more than one module."""
 
 import re
+from fractions import Fraction
 from itertools import islice
 
 
@@ -34,5 +35,18 @@ def reject_repeats(labels, what, raw, lineno, source):
         seen.add(label)
 
 
-class SizeLimitError(ValueError):
-    """An input is larger than an enumeration routine is willing to handle."""
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_rational(text):
+    """The Fraction written as -?digits(/digits)?, and no other form.
+
+    Raises ValueError on any other form and ZeroDivisionError on a zero
+    denominator. Fraction() alone also takes decimals and exponents, and
+    would spend seconds building the integer of 1e10000000.
+    """
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))

@@ -18,7 +18,7 @@ on a degree of the unit; that deviation is reported as INFO, never FAIL
 import os
 from fractions import Fraction
 
-from .errors import ParseError, reject_repeats, word_column
+from .errors import ParseError, read_rational, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
 from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
@@ -397,7 +397,7 @@ def _parse_terms(text, raw, sep, lineno, source):
             raise ParseError(f"{label!r} named twice in one term list",
                              lineno, _term_column(raw, sep, k), source)
         try:
-            out[label] = Fraction(value)
+            out[label] = read_rational(value)
         except (ValueError, ZeroDivisionError):
             col = _term_column(raw, sep, k) + len(label) + 1
             raise ParseError(f"bad rational {value!r}", lineno, col, source) from None

@@ -133,63 +133,60 @@ class FiniteSemilattice:
 
 
 def validate(elements, op_table, identity):
-    """Check the four monoid/semilattice laws and build the structure.
+    """Index a label-keyed table, check the semilattice laws and build the structure.
 
     elements: sequence of distinct labels; identity: a label;
     op_table: mapping (label, label) -> label. One orientation per
     unordered pair of distinct elements is enough; diagonal entries
     default to idempotency but are checked when supplied.
-
-    Associativity is certified in O(n^2) steps on n-bit ints (see
-    _is_associative). Only a table that fails the certificate is searched,
-    in O(n^3) steps, for the first non-associative triple in index order,
-    which NotAssociativeError names.
     """
     elements = tuple(elements)
-    seen = set()
+    index = {}
     for label in elements:
-        if label in seen:
+        if label in index:
             raise DuplicateLabelError(f"duplicate element {label!r}")
-        seen.add(label)
-    if identity not in seen:
+        index[label] = len(index)
+    if identity not in index:
         raise NoIdentityError(f"identity {identity!r} not among the elements")
-    index = {label: i for i, label in enumerate(elements)}
-    n = len(elements)
-
     for (s, t), v in op_table.items():
         for label in (s, t, v):
             if label not in index:
                 raise UnknownLabelError(f"op table mentions unknown element {label!r}")
-
-    table = [[None] * n for _ in range(n)]
+    table = [[None] * len(elements) for _ in elements]
     for (s, t), v in op_table.items():
         i, j, k = index[s], index[t], index[v]
-        for a, b in ((i, j), (j, i)):
-            if table[a][b] is not None and table[a][b] != k:
-                raise ConflictingEntryError(
-                    f"conflicting products for pair ({s}, {t}):"
-                    f" {elements[table[a][b]]} vs {v}")
-            table[a][b] = k
-    for i in range(n):
-        if table[i][i] is None:
-            table[i][i] = i
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] is None:
-                raise MissingPairError(
-                    f"no product given for pair ({elements[i]}, {elements[j]})")
+        if table[i][j] is not None and table[i][j] != k:
+            raise ConflictingEntryError(
+                f"conflicting products for pair ({s}, {t}):"
+                f" {elements[table[i][j]]} vs {v}")
+        table[i][j] = table[j][i] = k
+    return _certify(elements, index[identity], table)
 
-    for i in range(n):
-        if table[i][i] != i:
+
+def _certify(elements, e, table):
+    """Check the laws on a symmetric index table (None where no product was given).
+
+    An absent diagonal entry defaults to idempotency. Associativity is
+    certified in O(n^2) steps (see _is_associative); only a table that
+    fails it is searched, in O(n^3) steps, for the first non-associative
+    triple in index order, which NotAssociativeError names.
+    """
+    for i, row in enumerate(table):
+        if row[i] is None:
+            row[i] = i
+    for i, row in enumerate(table):
+        if None in row:
+            raise MissingPairError(
+                f"no product given for pair ({elements[i]}, {elements[row.index(None)]})")
+    for i, row in enumerate(table):
+        if row[i] != i:
             raise NotIdempotentError(elements[i])
-    e = index[identity]
-    for i in range(n):
-        if table[e][i] != i:
+    for i, k in enumerate(table[e]):
+        if k != i:
             raise NoIdentityError(
-                f"op({identity}, {elements[i]}) = {elements[table[e][i]]}, not {elements[i]}")
+                f"op({elements[e]}, {elements[i]}) = {elements[k]}, not {elements[i]}")
     if not _is_associative(table):
         raise NotAssociativeError(*(elements[x] for x in _first_nonassociative_triple(table)))
-
     return FiniteSemilattice(elements, e, table)
 
 
@@ -399,18 +396,18 @@ def ev_matrix_rank(s):
 
 
 def parse_semilattice(text, source="<input>"):
-    """Parse the semilattice text format and validate the result.
+    """Parse the semilattice text format into a certified structure, in one pass.
 
     Format: an `elements:` line, an `identity:` line, then product lines
     `a * b = c`. `#` starts a comment; blank lines are ignored. A label
     may appear only once on the elements line. One orientation per
     unordered pair suffices; consistent duplicates are allowed,
     inconsistent ones rejected. Errors carry the line and column of the
-    offending word.
+    offending word. Each product line fills both orientations of the
+    index table, and the laws are certified as in validate.
     """
     elements = None
     identity = None
-    op_table = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -422,7 +419,8 @@ def parse_semilattice(text, source="<input>"):
             if not elements:
                 raise ParseError("empty elements line", lineno, word_column(raw, 0), source)
             reject_repeats(elements, "element", raw, lineno, source)
-            known = set(elements)
+            index = {label: i for i, label in enumerate(elements)}
+            table = [[None] * len(elements) for _ in elements]
             continue
         if line.startswith("identity:"):
             if identity is not None:
@@ -442,21 +440,22 @@ def parse_semilattice(text, source="<input>"):
                              lineno, word_column(raw, 0), source)
         a, _, b, _, c = parts
         for lbl in (a, b, c):
-            if lbl not in known:
+            if lbl not in index:
                 raise ParseError(f"unknown element {lbl!r}",
                                  lineno, word_column(raw, 2 * (a, b, c).index(lbl)), source)
-        key, alt = (a, b), (b, a)
-        for k in (key, alt):
-            if k in op_table and op_table[k] != c:
-                raise ConflictingEntryError(
-                    f"{source}:{lineno}:{word_column(raw, 4)}: conflicting products"
-                    f" for pair ({a}, {b}): {op_table[k]} vs {c}")
-        op_table[key] = c
+        i, j, k = index[a], index[b], index[c]
+        if table[i][j] is not None and table[i][j] != k:
+            raise ConflictingEntryError(
+                f"{source}:{lineno}:{word_column(raw, 4)}: conflicting products"
+                f" for pair ({a}, {b}): {elements[table[i][j]]} vs {c}")
+        table[i][j] = table[j][i] = k
     if elements is None:
         raise ParseError("missing elements line", 1, 1, source)
     if identity is None:
         raise ParseError("missing identity line", 1, 1, source)
-    return validate(elements, op_table, identity)
+    if identity not in index:
+        raise NoIdentityError(f"identity {identity!r} not among the elements")
+    return _certify(elements, index[identity], table)
 
 
 def print_semilattice(s):

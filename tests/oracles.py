@@ -14,18 +14,36 @@ the shared bilinear product, every triple instead of the up-set bitmask
 certificate for associativity, and pointwise products of character
 tuples instead of ANDs of down-set bitmasks for the dual, and every
 basis pair through the public character action instead of the stored
-products through a keep mask for the module-algebra and action laws.
+products through a keep mask for the module-algebra and action laws,
+every bit-vector instead of the down-set indicators for characters, a
+coefficient grid instead of the symbolic forcing for quotient
+group-likes, and a label-keyed table read in two passes instead of the
+one-pass index table for the semilattice text format.
 Tests compare package output against these.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+from semidual.bialgebra import (MonoidAlgebraElement, grouplike_basis_classification,
+                                is_grouplike, quotient_semilattice)
+from semidual.errors import ParseError, reject_repeats, word_column
 from semidual.extnat import NEG_INF, fin
 from semidual.graded import AlgebraElement, act_character, verify_grading
 from semidual.nbar_dual import StepFunctional
 from semidual.reporting import FAIL, INFO, PASS, Report
-from semidual.semilattice import FiniteSemilattice, character_label, characters, validate
+from semidual.semilattice import (Character, ConflictingEntryError, DuplicateLabelError,
+                                  FiniteSemilattice, MissingPairError, NoIdentityError,
+                                  NotAssociativeError, NotIdempotentError, UnknownLabelError,
+                                  character_label, characters, validate)
+
+BRUTE_CHARACTER_LIMIT = 16
+BRUTE_GROUPLIKE_LIMIT = 6
+GRID = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+class SizeLimitError(ValueError):
+    """An input is larger than a brute-force oracle is willing to handle."""
 
 
 def cofactor_det(rows):
@@ -402,3 +420,149 @@ def all_pairs_dual_action(algebra, act=act_character):
     identity = all(image.coeffs == {j: 1} for j, image in enumerate(images[top]))
     report.add("action", "identity-character", PASS if identity else FAIL)
     return report
+
+
+def brute_characters(s):
+    """Every bit-vector tested against the character equations directly.
+
+    Returned in the canonical order of semilattice.characters: support
+    size, then bits.
+    """
+    n = len(s)
+    if n > BRUTE_CHARACTER_LIMIT:
+        raise SizeLimitError(f"{n} elements exceeds the brute-force limit {BRUTE_CHARACTER_LIMIT}")
+    found = []
+    for mask in range(1 << n):
+        bits = tuple(mask >> i & 1 for i in range(n))
+        if bits[s.identity] != 1:
+            continue
+        if all(bits[s.op(i, j)] == bits[i] * bits[j]
+               for i in range(n) for j in range(i, n)):
+            found.append(Character(bits))
+    return sorted(found, key=lambda ch: (ch.support_size, ch.values))
+
+
+def brute_grouplikes_smallfield(s, congruence):
+    """Grid search for group-likes in the quotient monoid algebra.
+
+    Coefficient vectors over {-1, 0, 1/2, 1, 2} are tested one by one;
+    the grid contains the basis cosets, so they are all found, and the
+    search is a partial refutation that nothing else qualifies (a grid
+    cannot rule out all of the rationals; the complete argument is the
+    symbolic alpha^2 = alpha forcing, re-run here as a cross-check).
+    """
+    quotient, _ = quotient_semilattice(congruence)
+    dim = len(quotient)
+    if dim > BRUTE_GROUPLIKE_LIMIT:
+        raise SizeLimitError(f"quotient dimension {dim} exceeds {BRUTE_GROUPLIKE_LIMIT}")
+    found = []
+    for vector in product(GRID, repeat=dim):
+        element = MonoidAlgebraElement(quotient, dict(enumerate(vector)))
+        if is_grouplike(element):
+            found.append(element)
+    symbolic = grouplike_basis_classification(quotient)
+    if sorted(tuple(sorted(x.coeffs.items())) for x in found) != \
+            sorted(tuple(sorted(x.coeffs.items())) for x in symbolic):
+        raise ArithmeticError("grid search disagrees with the symbolic classification")
+    return found
+
+
+def label_keyed_validate(elements, op_table, identity):
+    """The laws of validate, checked in its order on a label-keyed table.
+
+    Both orientations of every entry are looked up by label, and
+    associativity is tested on every triple; labels become indices only
+    once the structure is built.
+    """
+    elements = tuple(elements)
+    seen = set()
+    for label in elements:
+        if label in seen:
+            raise DuplicateLabelError(f"duplicate element {label!r}")
+        seen.add(label)
+    if identity not in seen:
+        raise NoIdentityError(f"identity {identity!r} not among the elements")
+    for (s, t), v in op_table.items():
+        for label in (s, t, v):
+            if label not in seen:
+                raise UnknownLabelError(f"op table mentions unknown element {label!r}")
+    full = {}
+    for (s, t), v in op_table.items():
+        for key in ((s, t), (t, s)):
+            if full.get(key, v) != v:
+                raise ConflictingEntryError(
+                    f"conflicting products for pair ({s}, {t}): {full[key]} vs {v}")
+            full[key] = v
+    for s in elements:
+        full.setdefault((s, s), s)
+    for s in elements:
+        for t in elements:
+            if (s, t) not in full:
+                raise MissingPairError(f"no product given for pair ({s}, {t})")
+    for s in elements:
+        if full[s, s] != s:
+            raise NotIdempotentError(s)
+    for s in elements:
+        if full[identity, s] != s:
+            raise NoIdentityError(f"op({identity}, {s}) = {full[identity, s]}, not {s}")
+    triple = first_nonassociative_triple(elements, full)
+    if triple is not None:
+        raise NotAssociativeError(*triple)
+    index = {label: i for i, label in enumerate(elements)}
+    return FiniteSemilattice(elements, index[identity],
+                             [[index[full[s, t]] for t in elements] for s in elements])
+
+
+def label_keyed_parse(text, source="<input>"):
+    """The semilattice text format read into a label-pair dict, then label_keyed_validate.
+
+    Each product line looks up both orientations of its pair for a
+    conflict; the laws are checked in a second pass.
+    """
+    elements = None
+    identity = None
+    op_table = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("elements:"):
+            if elements is not None:
+                raise ParseError("elements given twice", lineno, word_column(raw, 0), source)
+            elements = tuple(line[len("elements:"):].split())
+            if not elements:
+                raise ParseError("empty elements line", lineno, word_column(raw, 0), source)
+            reject_repeats(elements, "element", raw, lineno, source)
+            continue
+        if line.startswith("identity:"):
+            if identity is not None:
+                raise ParseError("identity given twice", lineno, word_column(raw, 0), source)
+            parts = line[len("identity:"):].split()
+            if len(parts) != 1:
+                col = word_column(raw, 1, raw.index(":") + 1) if parts else word_column(raw, 0)
+                raise ParseError("identity line needs exactly one label", lineno, col, source)
+            identity = parts[0]
+            continue
+        parts = line.split()
+        if len(parts) != 5 or parts[1] != "*" or parts[3] != "=":
+            raise ParseError(f"expected `a * b = c`, got {line!r}",
+                             lineno, word_column(raw, 0), source)
+        if elements is None:
+            raise ParseError("product line before elements line",
+                             lineno, word_column(raw, 0), source)
+        a, _, b, _, c = parts
+        for lbl in (a, b, c):
+            if lbl not in elements:
+                raise ParseError(f"unknown element {lbl!r}",
+                                 lineno, word_column(raw, 2 * (a, b, c).index(lbl)), source)
+        for key in ((a, b), (b, a)):
+            if key in op_table and op_table[key] != c:
+                raise ConflictingEntryError(
+                    f"{source}:{lineno}:{word_column(raw, 4)}: conflicting products"
+                    f" for pair ({a}, {b}): {op_table[key]} vs {c}")
+        op_table[a, b] = c
+    if elements is None:
+        raise ParseError("missing elements line", 1, 1, source)
+    if identity is None:
+        raise ParseError("missing identity line", 1, 1, source)
+    return label_keyed_validate(elements, op_table, identity)

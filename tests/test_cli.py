@@ -314,6 +314,28 @@ def test_exit_2_on_zero_denominator(argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1e10000000", "1.5", "1e3", "+3", " 3", "٣"])
+def test_exit_2_on_rational_outside_p_over_q(value):
+    # Fraction() alone would spend seconds building 10**10000000
+    code, out, err = invoke("nbar", "det", "--row", f"1,{value}")
+    assert (code, out, err) == (2, "", f"error: bad rational {value!r}\n")
+
+
+def test_galg_rational_outside_p_over_q_is_refused_at_its_column(tmp_path):
+    (tmp_path / "chain1.slat").write_text(corpus.render_corpus_files()["chain1.slat"])
+    path = tmp_path / "big.galg"
+    path.write_text("basis: u\nunit: u:1\nsemilattice: chain1.slat\ndegree u n1\n"
+                    "mul u u = u:1e10000000\n")
+    code, out, err = invoke("graded", "verify", str(path))
+    assert (code, out, err) == (2, "", f"{path}:5:13: bad rational '1e10000000'\n")
+
+
+def test_exit_2_on_element_label_named_twice():
+    code, out, err = invoke("graded", "act", galg("ut2"), "--char", "f2",
+                            "--element", "E11:1,E11:2")
+    assert (code, out, err) == (2, "", "error: 'E11' named twice in --element\n")
+
+
 def test_python_m_cli_runs_main():
     src = os.path.dirname(os.path.dirname(os.path.abspath(semidual.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -2,7 +2,7 @@ import io
 from itertools import product
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from semidual import corpus, semilattice
@@ -17,8 +17,9 @@ from semidual.semilattice import (Character, ConflictingEntryError,
                                   ev_matrix_rank, induced_order,
                                   parse_semilattice, print_semilattice, validate)
 
-from oracles import (first_nonassociative_triple, pairwise_is_character,
-                     pointwise_product_dual, validated_copy)
+from oracles import (brute_characters, first_nonassociative_triple, label_keyed_parse,
+                     label_keyed_validate, pairwise_is_character, pointwise_product_dual,
+                     validated_copy)
 
 
 def chain2():
@@ -122,7 +123,7 @@ def test_characters_boolean_square():
     s = corpus.boolean_lattice(2)
     chars = characters(s)
     assert len(chars) == 4
-    assert chars == corpus.brute_characters(s)
+    assert chars == brute_characters(s)
     # exactly the indicators of the principal down-sets
     downs = {tuple(int(s.leq(i, m)) for i in range(len(s))) for m in range(len(s))}
     assert {c.values for c in chars} == downs
@@ -211,7 +212,7 @@ def test_associativity_strategy_draws_both_verdicts():
 @given(union_closed_families())
 @settings(max_examples=60, deadline=None)
 def test_characters_match_brute_force(s):
-    assert characters(s) == corpus.brute_characters(s)
+    assert characters(s) == brute_characters(s)
 
 
 @given(union_closed_families(max_members=10))
@@ -310,7 +311,7 @@ def test_double_dual_non_distributive_lattice():
     s = validate(["o", "a", "b", "c", "i"], table, "o")
     chars = characters(s)
     assert len(chars) == 5
-    assert corpus.brute_characters(s) == chars
+    assert brute_characters(s) == chars
     iso = double_dual_iso(s)
     assert sorted(iso.assignment) == list(range(5))
 
@@ -435,7 +436,7 @@ def test_no_characters_outside_enumeration():
     # exhaustive bit-vector search agrees for every corpus member
     for name, s in corpus.semilattices().items():
         if len(s) <= 12:
-            assert corpus.brute_characters(s) == characters(s), name
+            assert brute_characters(s) == characters(s), name
 
 
 def test_parse_print_round_trip():
@@ -490,6 +491,136 @@ def test_parse_error_columns(text, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse_semilattice(text, source="s.slat")
     assert str(exc.value) == f"s.slat:{line}:{col}: {message}"
+
+
+def outcome(build, *args):
+    """What build(*args) returns, or the class and message of the error it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Each fault is injected alone, so it decides the error that both readers raise.
+TEXT_FAULTS = {
+    None: FiniteSemilattice,
+    "disagreeing-orientation": ConflictingEntryError,
+    "dropped-line": MissingPairError,
+    "non-idempotent-diagonal": NotIdempotentError,
+    "identity-not-bottom": NoIdentityError,
+    "associativity-broken": NotAssociativeError,
+    "unknown-label": ParseError,
+}
+
+
+@st.composite
+def slat_texts(draw):
+    """(fault, text) of a union-closed family in a drawn order, with at most one fault.
+
+    Each unordered pair gets one product line in a drawn orientation
+    (diagonal lines optional), some lines are repeated in the other
+    orientation, the lines and the identity line are shuffled, and then
+    the drawn fault is injected.
+    """
+    family = draw(st.permutations(draw(union_closed_masks(max_members=10))))
+    n = len(family)
+    labels = [f"s{x}" for x in family]
+    bottom = family.index(0)
+    join = {(i, j): family.index(family[i] | family[j]) for i in range(n) for j in range(n)}
+    lines = [[i, j] if draw(st.booleans()) else [j, i]
+             for i in range(n) for j in range(i, n) if i != j or draw(st.booleans())]
+    if lines:
+        lines += [line[::-1] for line in draw(st.lists(st.sampled_from(lines), max_size=4))]
+    lines = [[i, j, join[i, j]] for i, j in lines]
+    identity = bottom
+    fault = draw(st.sampled_from(list(TEXT_FAULTS)))
+    if fault == "disagreeing-orientation":
+        assume(n >= 2)
+        i, j, k = draw(st.sampled_from(lines))
+        lines.append([j, i, draw(st.sampled_from([x for x in range(n) if x != k]))])
+    elif fault == "dropped-line":
+        assume(n >= 2)
+        pair = draw(st.sampled_from([{i, j} for i, j, _ in lines if i != j]))
+        lines = [line for line in lines if {line[0], line[1]} != pair]
+    elif fault == "non-idempotent-diagonal":
+        assume(n >= 2)
+        i = draw(st.integers(0, n - 1))
+        lines = [line for line in lines if line[:2] != [i, i]]
+        lines.append([i, i, draw(st.sampled_from([x for x in range(n) if x != i]))])
+    elif fault == "identity-not-bottom":
+        assume(n >= 2)
+        identity = draw(st.sampled_from([x for x in range(n) if x != bottom]))
+    elif fault == "associativity-broken":
+        # op(i, j) = bottom with i, j, bottom distinct: (ij)j = j but i(jj) = bottom
+        pairs = [{i, j} for i, j, _ in lines if i != j and bottom not in (i, j)]
+        assume(pairs)
+        pair = draw(st.sampled_from(pairs))
+        lines = [line[:2] + [bottom] if {line[0], line[1]} == pair else line for line in lines]
+    lines = draw(st.permutations(lines))
+    words = [[labels[x] for x in line] for line in lines]
+    if fault == "unknown-label":
+        assume(words)
+        line = draw(st.sampled_from(words))
+        line[draw(st.integers(0, 2))] = "zz"
+    body = [f"{a} * {b} = {c}" for a, b, c in words]
+    body.insert(draw(st.integers(0, len(body))), f"identity: {labels[identity]}")
+    return fault, "\n".join([f"elements: {' '.join(labels)}"] + body) + "\n"
+
+
+@given(slat_texts())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_parse_matches_label_keyed_reference(case):
+    fault, text = case
+    got = outcome(parse_semilattice, text, "s.slat")
+    assert got == outcome(label_keyed_parse, text, "s.slat")
+    assert (type(got) if isinstance(got, FiniteSemilattice) else got[0]) is TEXT_FAULTS[fault]
+
+
+@st.composite
+def random_slat_texts(draw):
+    """Lines drawn freely over a few labels: any mix of faults, in any order."""
+    pool = ["a", "b", "c", "zz"]
+    elements = draw(st.lists(st.sampled_from(pool[:3]), min_size=1, max_size=4))
+    lines = [f"elements: {' '.join(elements)}"]
+    lines += [f"{a} * {b} = {c}" for a, b, c in
+              draw(st.lists(st.tuples(*[st.sampled_from(pool)] * 3), max_size=12))]
+    lines.insert(draw(st.integers(1, len(lines))), f"identity: {draw(st.sampled_from(pool))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(random_slat_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_label_keyed_reference_on_free_texts(text):
+    assert outcome(parse_semilattice, text, "s.slat") == outcome(label_keyed_parse, text, "s.slat")
+
+
+@given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), st.sampled_from("abcz"),
+       st.dictionaries(st.tuples(*[st.sampled_from("abcz")] * 2), st.sampled_from("abcz"),
+                       max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_label_keyed_reference(elements, identity, op_table):
+    assert (outcome(validate, elements, op_table, identity)
+            == outcome(label_keyed_validate, elements, op_table, identity))
+
+
+# Two faults each: the first error in validate's order is the one raised.
+RPS = {("e", "a"): "a", ("e", "b"): "b", ("e", "c"): "c",
+       ("a", "b"): "c", ("a", "c"): "b", ("b", "c"): "a"}
+
+
+@pytest.mark.parametrize("elements, op_table, identity, error, message", [
+    (["a", "b", "a"], {}, "z", DuplicateLabelError, "duplicate element 'a'"),
+    (["a", "b"], {("a", "b"): "a", ("b", "a"): "b", ("a", "z"): "a"}, "a",
+     UnknownLabelError, "op table mentions unknown element 'z'"),
+    (["a", "b", "c"], {("a", "a"): "b", ("a", "b"): "b", ("a", "c"): "c"}, "a",
+     MissingPairError, "no product given for pair (b, c)"),
+    (["e", "a", "b", "c"], RPS, "a", NoIdentityError, "op(a, e) = a, not e"),
+])
+def test_validate_error_precedence(elements, op_table, identity, error, message):
+    with pytest.raises(error) as exc:
+        validate(elements, op_table, identity)
+    assert type(exc.value) is error and str(exc.value) == message
+    assert outcome(label_keyed_validate, elements, op_table, identity) == (error, message)
 
 
 def test_parse_missing_sections():
