@@ -11,6 +11,7 @@ Quotients by coideals that do not come from a congruence are out of
 scope, as is any Hopf/antipode structure.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import (Matrix, ParentMismatchError,  # noqa: F401 (re-exported)
@@ -280,16 +281,14 @@ def grouplike_basis_classification(q):
     return solutions
 
 
+@dataclass(frozen=True, eq=False)
 class QuotientGrouplikes:
     """Result of quotient_grouplikes: the cosets plus a verification report."""
 
-    __slots__ = ("quotient", "projection", "cosets", "report")
-
-    def __init__(self, quotient, projection, cosets, report):
-        self.quotient = quotient
-        self.projection = projection
-        self.cosets = cosets
-        self.report = report
+    quotient: FiniteSemilattice
+    projection: tuple
+    cosets: list
+    report: Report
 
 
 def quotient_grouplikes(s, c):

@@ -14,7 +14,7 @@ import functools
 import sys
 
 from . import bialgebra, graded, letterplace, nbar_dual, semilattice
-from .errors import ParseError, read_rational
+from .errors import ParseError, read_natural, read_rational
 from .extnat import parse_point
 from .reporting import FAIL, PASS
 
@@ -57,15 +57,6 @@ class Output:
         return 0 if report.passed else 1
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_slat(path):
-    return semilattice.parse_semilattice(_read(path), source=path)
-
-
 def _rational(text):
     try:
         return read_rational(text)
@@ -73,12 +64,15 @@ def _rational(text):
         raise _UsageError(f"bad rational {text!r}") from None
 
 
-def _parse_rationals(text):
-    return [_rational(part) for part in text.split(",") if part != ""]
+def _natural(text):
+    try:
+        return read_natural(text)
+    except ValueError:
+        raise _UsageError(f"bad natural number {text!r}") from None
 
 
-def _parse_int_list(text):
-    return [int(part) for part in text.split(",") if part != ""]
+def _parse_list(text, read):
+    return [read(part) for part in text.split(",") if part != ""]
 
 
 def _parse_element(algebra, text):
@@ -106,7 +100,7 @@ def _char_by_name(s, name):
 def _cmd_slat(args, out):
     if args.slat_cmd == "check":
         try:
-            s = _load_slat(args.file)
+            s = semilattice.parse_semilattice_file(args.file)
         except semilattice.SemilatticeError as exc:
             out.emit("valid: no", ("valid", "no"))
             out.emit(f"error: {exc}", ("error", str(exc)))
@@ -116,7 +110,7 @@ def _cmd_slat(args, out):
         out.emit("valid: yes", ("valid", "yes"))
         return 0
 
-    s = _load_slat(args.file)
+    s = semilattice.parse_semilattice_file(args.file)
     if args.slat_cmd == "order":
         for i, j in semilattice.induced_order(s):
             if i != j:
@@ -153,7 +147,7 @@ def _cmd_slat(args, out):
 
 
 def _cmd_balg(args, out):
-    s = _load_slat(args.file)
+    s = semilattice.parse_semilattice_file(args.file)
     if args.balg_cmd == "axioms":
         return out.emit_verdict("axioms", bialgebra.check_bialgebra_axioms(s))
     # quotient
@@ -179,10 +173,11 @@ def _cmd_balg(args, out):
 
 def _cmd_graded(args, out):
     if args.graded_cmd == "ut":
-        labels = _parse_int_list(args.labels)
-        algebra = graded.ut_graded(args.size, labels)
-        if labels == list(range(1, args.size + 1)):
-            ref = f"chain{args.size}.slat"  # matches the bundled corpus file
+        size = _natural(args.size)
+        labels = _parse_list(args.labels, _natural)
+        algebra = graded.ut_graded(size, labels)
+        if labels == list(range(1, size + 1)):
+            ref = f"chain{size}.slat"  # matches the bundled corpus file
         else:
             ref = "chain-" + "-".join(str(v) for v in labels) + ".slat"
         text = graded.print_graded(algebra, ref)
@@ -213,13 +208,13 @@ def _cmd_graded(args, out):
 
 
 def _nbar_functional(args):
-    prefix = _parse_rationals(args.prefix) if args.prefix else []
+    prefix = _parse_list(args.prefix, _rational)
     return nbar_dual.StepFunctional(prefix, _rational(args.tail))
 
 
 def _cmd_nbar(args, out):
     if args.nbar_cmd == "det":
-        result = nbar_dual.special_det(_parse_rationals(args.row))
+        result = nbar_dual.special_det(_parse_list(args.row, _rational))
         out.emit(f"det: {result.det}", ("det", result.det))
         out.emit(f"closed-form: {result.closed_form}", ("closed-form", result.closed_form))
         out.emit("agree: yes", ("agree", "yes"))
@@ -257,8 +252,8 @@ def _cmd_nbar(args, out):
 
 
 def _lp_context(args):
-    odd_letters = _parse_int_list(args.odd_letters) if args.odd_letters else []
-    odd_places = _parse_int_list(args.odd_places) if args.odd_places else []
+    odd_letters = _parse_list(args.odd_letters, _natural)
+    odd_places = _parse_list(args.odd_places, _natural)
     return letterplace.ParityContext.make(odd_letters, odd_places)
 
 
@@ -288,12 +283,7 @@ def _cmd_lp(args, out):
         out.emit(text, ("result", text))
         return 0
     # embed
-    try:
-        letters = [int(x) for x in args.expr]
-    except ValueError:
-        raise _UsageError("embed takes letter indices") from None
-    if any(x < 1 for x in letters):
-        raise _UsageError("letter indices start at 1")
+    letters = [_natural(x) for x in args.expr]
     text = letterplace.format_poly(letterplace.embed_word(letters, ctx))
     out.emit(text, ("result", text))
     return 0
@@ -334,7 +324,7 @@ def build_parser():
             sub.add_argument("--element", required=True)
         sub.set_defaults(func=_cmd_graded)
     ut = gr_sub.add_parser("ut", parents=[common])
-    ut.add_argument("--size", type=int, required=True)
+    ut.add_argument("--size", required=True)
     ut.add_argument("--labels", required=True)
     ut.set_defaults(func=_cmd_graded)
 

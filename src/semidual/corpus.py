@@ -8,8 +8,8 @@ files (data/*.slat, data/*.galg).
 from importlib import resources
 from math import gcd
 
-from .graded import parse_graded, print_graded, ut_graded
-from .semilattice import parse_semilattice, print_semilattice, validate
+from .graded import parse_graded_file, print_graded, ut_graded
+from .semilattice import parse_semilattice_file, print_semilattice, validate
 
 
 def chain(m):
@@ -56,29 +56,17 @@ def ut_algebras():
     return {f"ut{m}": ut_graded(m, list(range(1, m + 1))) for m in range(1, 6)}
 
 
-def _data_root():
-    return resources.files("semidual") / "data"
-
-
 def data_path(name):
     """Filesystem path of a bundled corpus file (for the CLI and tests)."""
-    return str(_data_root() / name)
+    return str(resources.files("semidual") / "data" / name)
 
 
 def load_semilattice(name):
-    path = _data_root() / f"{name}.slat"
-    return parse_semilattice(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_semilattice_file(data_path(f"{name}.slat"))
 
 
 def load_graded(name):
-    path = _data_root() / f"{name}.galg"
-
-    def loader(ref):
-        slat = _data_root() / ref
-        return parse_semilattice(slat.read_text(encoding="utf-8"), source=str(slat))
-
-    return parse_graded(path.read_text(encoding="utf-8"), source=str(path),
-                        slat_loader=loader)
+    return parse_graded_file(data_path(f"{name}.galg"))
 
 
 def render_corpus_files():

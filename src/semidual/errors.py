@@ -35,17 +35,29 @@ def reject_repeats(labels, what, raw, lineno, source):
         seen.add(label)
 
 
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+NATURAL = re.compile(r"[0-9]+")
+RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_natural(text):
+    """The int written as ASCII digits [0-9]+, and no other form.
+
+    Raises ValueError on any other form; int() alone also takes signs,
+    surrounding spaces, underscores and non-ASCII digits.
+    """
+    if NATURAL.fullmatch(text) is None:
+        raise ValueError(f"not a natural number: {text!r}")
+    return int(text)
 
 
 def read_rational(text):
-    """The Fraction written as -?digits(/digits)?, and no other form.
+    """The Fraction written as -?digits(/digits)? in ASCII digits, and no other form.
 
     Raises ValueError on any other form and ZeroDivisionError on a zero
     denominator. Fraction() alone also takes decimals and exponents, and
     would spend seconds building the integer of 1e10000000.
     """
-    match = _RATIONAL.fullmatch(text)
+    match = RATIONAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational: {text!r}")
     num, den = match.groups()

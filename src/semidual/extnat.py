@@ -8,6 +8,8 @@ Both are represented by the same tagged point type.
 from dataclasses import dataclass
 from functools import total_ordering
 
+from .errors import read_natural
+
 _NEG, _FIN, _POS = -1, 0, 1
 
 
@@ -64,12 +66,12 @@ def fin(n):
 
 
 def parse_point(text):
-    """Parse '-inf', '+inf' or a natural number."""
-    text = text.strip()
+    """Parse exactly '-inf', '+inf' or a natural number in ASCII digits."""
     if text == "-inf":
         return NEG_INF
-    if text in ("+inf", "inf"):
+    if text == "+inf":
         return POS_INF
-    if text.isdigit():
-        return fin(int(text))
-    raise ValueError(f"not a point of the extended chain: {text!r}")
+    try:
+        return fin(read_natural(text))
+    except ValueError:
+        raise ValueError(f"not a point of the extended chain: {text!r}") from None

@@ -16,13 +16,14 @@ on a degree of the unit; that deviation is reported as INFO, never FAIL
 """
 
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, read_rational, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
 from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
-                          character_label, parse_semilattice)
+                          character_label, parse_semilattice_file)
 
 
 class BadLabelsError(ValueError):
@@ -290,6 +291,7 @@ def check_module_algebra(algebra):
     return report
 
 
+@dataclass(frozen=True, eq=False)
 class DualAction:
     """The character action, as matrices and as basis images, plus its verification.
 
@@ -297,14 +299,11 @@ class DualAction:
     character, and `matrices[name]` holds the same images as columns.
     """
 
-    __slots__ = ("algebra", "labels", "images", "matrices", "report")
-
-    def __init__(self, algebra, labels, images, matrices, report):
-        self.algebra = algebra
-        self.labels = labels
-        self.images = images
-        self.matrices = matrices
-        self.report = report
+    algebra: GradedFDAlgebra
+    labels: list
+    images: dict
+    matrices: dict
+    report: Report
 
 
 _ZERO = Fraction(0)
@@ -517,12 +516,11 @@ def parse_graded(text, source="<input>", slat_loader=None):
 
 
 def parse_graded_file(path):
+    """Parse the `.galg` file at path, resolving its `semilattice:` path against its directory."""
     directory = os.path.dirname(os.path.abspath(path))
 
     def loader(ref):
-        slat_path = ref if os.path.isabs(ref) else os.path.join(directory, ref)
-        with open(slat_path, encoding="utf-8") as fh:
-            return parse_semilattice(fh.read(), source=slat_path)
+        return parse_semilattice_file(os.path.join(directory, ref))
 
     with open(path, encoding="utf-8") as fh:
         return parse_graded(fh.read(), source=str(path), slat_loader=loader)

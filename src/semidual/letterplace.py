@@ -17,7 +17,7 @@ since concatenation does not preserve places.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import NATURAL, RATIONAL, ParseError, read_rational
 from .exactlin import ParentMismatchError as ContextMismatchError, SparseVector, format_sum
 from .extnat import NEG_INF, ExtNat, fin
 
@@ -194,24 +194,24 @@ class _Scanner:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def integer(self):
+    def natural(self):
+        """The natural number written at the scan position."""
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        match = NATURAL.match(self.text, self.pos)
+        if match is None:
+            self.error("expected a natural number")
+        self.pos = match.end()
+        return int(match.group())
 
     def rational(self):
-        num = self.integer()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.integer()
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+        """The rational digits(/digits)? at the scan position, which holds a digit."""
+        match = RATIONAL.match(self.text, self.pos)
+        try:
+            value = read_rational(match.group())
+        except ZeroDivisionError:
+            self.error("zero denominator")
+        self.pos = match.end()
+        return value
 
     def at_end(self):
         self.skip_ws()
@@ -231,14 +231,14 @@ def parse_poly(text, ctx, source="<expr>"):
             if sc.peek() != "x":
                 sc.error("expected a variable like x1")
             sc.pos += 1
-            letter = sc.integer()
+            letter = sc.natural()
             sc.take("|")
-            place = sc.integer()
+            place = sc.natural()
             sc.take(")")
             if letter < 1 or place < 1:
                 sc.error("letters and places start at 1")
             return LPPoly.var(ctx, letter, place)
-        if ch.isdigit():
+        if NATURAL.match(sc.text, sc.pos):
             return LPPoly.constant(ctx, sc.rational())
         sc.error("expected a variable or a rational")
 

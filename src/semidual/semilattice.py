@@ -458,6 +458,12 @@ def parse_semilattice(text, source="<input>"):
     return _certify(elements, index[identity], table)
 
 
+def parse_semilattice_file(path):
+    """Parse the `.slat` file at path; errors name the path as their source."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_semilattice(fh.read(), source=str(path))
+
+
 def print_semilattice(s):
     """Canonical text form: products for index pairs i < j, no diagonal."""
     lines = [f"elements: {' '.join(s.elements)}", f"identity: {s.label(s.identity)}"]

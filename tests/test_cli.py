@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -328,6 +329,40 @@ def test_galg_rational_outside_p_over_q_is_refused_at_its_column(tmp_path):
                     "mul u u = u:1e10000000\n")
     code, out, err = invoke("graded", "verify", str(path))
     assert (code, out, err) == (2, "", f"{path}:5:13: bad rational '1e10000000'\n")
+
+
+NUMERIC_ENTRY_POINTS = [
+    ["graded", "ut", "--size={}", "--labels=1"],
+    ["graded", "ut", "--size=1", "--labels={}"],
+    ["lp", "embed", "{}"],
+    ["lp", "mul", "(x1|1)", "1", "--odd-letters={}"],
+    ["lp", "mul", "(x1|1)", "1", "--odd-places={}"],
+    ["lp", "act", "(x1|1)", "--z={}"],
+    ["nbar", "det", "--row={}"],
+    ["nbar", "is-char", "--prefix={}", "--tail=0"],
+    ["nbar", "is-char", "--tail={}"],
+    ["graded", "act", "ut2.galg", "--char=f1", "--element=E11:{}"],
+]
+OUTSIDE_THE_GRAMMAR = ["+3", "1_0", "\u0663", "\u00b2", " 3", "x"]
+
+
+@pytest.mark.parametrize("value", OUTSIDE_THE_GRAMMAR)
+@pytest.mark.parametrize("argv", NUMERIC_ENTRY_POINTS, ids=" ".join)
+def test_exit_2_on_number_outside_the_ascii_grammar(argv, value):
+    argv = [galg("ut2") if a == "ut2.galg" else a.format(value) for a in argv]
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"{value!r}\n" in err, err
+
+
+# spaces between the tokens of an expression are allowed, so ` 3` is left out there
+@pytest.mark.parametrize("expr", [
+    form.format(value) for form in ("(x{}|1)", "(x1|{})", "(x1|1)*{}")
+    for value in OUTSIDE_THE_GRAMMAR if value != " 3"] + ["1 / 2", "(x1|1)*1 / 2"])
+def test_exit_2_on_lp_number_outside_the_ascii_grammar(expr):
+    code, out, err = invoke("lp", "mul", expr, "1")
+    assert (code, out) == (2, "")
+    assert re.match(r"<expr>:1:\d+: ", err) and "invalid literal" not in err, err
 
 
 def test_exit_2_on_element_label_named_twice():

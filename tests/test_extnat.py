@@ -20,8 +20,9 @@ def test_parse_and_format():
     assert str(NEG_INF) == "-inf"
     assert str(POS_INF) == "+inf"
     assert str(fin(12)) == "12"
-    with pytest.raises(ValueError):
-        parse_point("4.5")
+    for text in ("4.5", "inf", " 4", "+4", "\u0664"):
+        with pytest.raises(ValueError):
+            parse_point(text)
 
 
 def test_succ():

@@ -253,6 +253,10 @@ def test_parse_errors_have_positions():
         parse_poly("(x1|1", EVEN)
     with pytest.raises(ParseError):
         parse_poly("1/0", EVEN)
+    # a superscript two is a Unicode digit but not an ASCII one
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(x\u00b2|1)", EVEN)
+    assert exc.value.col == 3
 
 
 def test_format_sorts_by_weight_then_monomial():
