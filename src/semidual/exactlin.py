@@ -10,7 +10,8 @@ SparseVector is the one rational vector space behind every algebra in
 the package: the monoid algebra kS and its tensor square, the graded
 algebras, and the letterplace polynomials. It stores the nonzero
 coordinates on a basis, does the linear operations and the parent
-check, and extends a product given on basis keys bilinearly;
+check, and extends a product given on basis keys bilinearly through
+bilinear, the one loop over pairs of terms in the package;
 format_sum writes such a vector as a signed sum.
 """
 
@@ -49,7 +50,10 @@ class SparseVector:
     Vectors combine only with vectors of the same class and parent (the
     space they live in). Subclasses supply `basis_product(i, j)`, the
     product of two basis keys as a mapping from keys to rationals, which
-    `*` extends bilinearly. Treat instances as immutable.
+    `*` extends bilinearly through `bilinear`; a subclass whose keys are
+    cheaper to multiply with some data attached may instead override
+    `product` to feed `bilinear` prepared terms. Treat instances as
+    immutable.
     """
 
     __slots__ = ("parent", "coeffs")
@@ -79,18 +83,8 @@ class SparseVector:
     def product(self, other):
         """Sum of x_i y_j basis_product(i, j) over the coordinates of both factors."""
         self._check(other)
-        times = self.basis_product
-        out = {}
-        for i, x in self.coeffs.items():
-            for j, y in other.coeffs.items():
-                terms = times(i, j)
-                if not terms:
-                    continue
-                xy = x * y
-                for k, c in terms.items():
-                    v = xy if c == 1 else xy * c
-                    out[k] = out[k] + v if k in out else v
-        return type(self)(self.parent, out)
+        return type(self)(self.parent, bilinear(self.coeffs.items(), other.coeffs.items(),
+                                                self.basis_product))
 
     __mul__ = product
 
@@ -100,6 +94,28 @@ class SparseVector:
 
     def __hash__(self):
         return hash((self.parent, frozenset(self.coeffs.items())))
+
+
+def bilinear(left, right, times):
+    """Coefficients of the sum of x y times(i, j) over (i, x) in left and (j, y) in right.
+
+    left and right are iterables of (key, rational) pairs, and right is
+    read once per term of left, so it must be a collection or a view.
+    times(i, j) maps result keys to rationals and may be empty. A
+    constant of 1 or -1 adds xy or -xy without a multiplication. Zero
+    sums are kept; the caller cleans.
+    """
+    out = {}
+    for i, x in left:
+        for j, y in right:
+            terms = times(i, j)
+            if not terms:
+                continue
+            xy = x * y
+            for k, c in terms.items():
+                v = xy if c == 1 else -xy if c == -1 else xy * c
+                out[k] = out[k] + v if k in out else v
+    return out
 
 
 def format_sum(terms):

@@ -5,7 +5,10 @@ Variables are letter-place pairs (x_i|j) with i, j >= 1 and a Z_2 parity
 unless declared odd). Monomials are kept in canonical ascending order.
 Only odd variables anticommute, so sorting a word costs the sign (-1)^k,
 with k the number of out-of-order pairs of odd variables in it, and an
-odd variable squares to zero. The place maximum grades the algebra over the
+odd variable squares to zero. Both factors of a product of canonical
+monomials are sorted with distinct odd variables, so k counts only the
+cross-factor pairs: an odd a of the left factor above an odd b of the
+right one. The place maximum grades the algebra over the
 max-monoid of naturals-with-bottom, and each point z of the min-monoid
 acts by deleting all terms of weight above z.
 
@@ -14,11 +17,13 @@ Words in the letters embed one by one via x_{i_1} ... x_{i_n} mapsto
 since concatenation does not preserve places.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NATURAL, RATIONAL, ParseError, read_rational
-from .exactlin import ParentMismatchError as ContextMismatchError, SparseVector, format_sum
+from .exactlin import (ParentMismatchError as ContextMismatchError, SparseVector, bilinear,
+                       format_sum)
 from .extnat import NEG_INF, ExtNat, fin
 
 
@@ -65,6 +70,29 @@ def normalize(word, ctx):
     return (-1) ** inversions, tuple(sorted(word))
 
 
+def _merge(left, right):
+    """Product of two canonical monomials, each given as (monomial, its odd variables).
+
+    Empty when the odd parts share a variable; otherwise the sorted
+    concatenation with sign (-1)^k, k the number of pairs a > b with a
+    odd on the left and b odd on the right.
+    """
+    m1, odd1 = left
+    m2, odd2 = right
+    sign = 1
+    if odd1 and odd2 and not odd1[-1] < odd2[0]:
+        above = len(odd1)
+        inversions = 0
+        for b in odd2:
+            i = bisect_left(odd1, b)
+            if i < above and odd1[i] == b:
+                return {}
+            inversions += above - i
+        if inversions & 1:
+            sign = -1
+    return {tuple(sorted(m1 + m2)): sign}
+
+
 class LPPoly(SparseVector):
     """Sparse rational polynomial on canonical letterplace monomials.
 
@@ -106,12 +134,15 @@ class LPPoly(SparseVector):
     def constant(cls, ctx, c):
         return cls(ctx, {(): Fraction(c)})
 
-    def basis_product(self, m1, m2):
-        normalized = normalize(m1 + m2, self.parent)
-        if normalized is None:
-            return {}
-        sign, mono = normalized
-        return {mono: sign}
+    def _merge_terms(self):
+        """((monomial, odd part), coefficient) for each term, as `_merge` takes them."""
+        parity = self.parent.parity
+        return [((m, tuple(v for v in m if parity(v))), c) for m, c in self.coeffs.items()]
+
+    def product(self, other):
+        """Bilinear product; each odd part is found once per term, not once per pair."""
+        self._check(other)
+        return type(self)(self.parent, bilinear(self._merge_terms(), other._merge_terms(), _merge))
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -128,7 +159,7 @@ class LPPoly(SparseVector):
 
 
 def multiply(p, q):
-    """Bilinear product; term products concatenate and renormalize."""
+    """Bilinear product; term products merge two canonical monomials."""
     return p.product(q)
 
 
@@ -200,8 +231,12 @@ class _Scanner:
         match = NATURAL.match(self.text, self.pos)
         if match is None:
             self.error("expected a natural number")
+        try:
+            value = int(match.group())
+        except ValueError:  # beyond the interpreter's digit limit for int() of a string
+            self.error("number too long")
         self.pos = match.end()
-        return int(match.group())
+        return value
 
     def rational(self):
         """The rational digits(/digits)? at the scan position, which holds a digit."""
@@ -210,6 +245,8 @@ class _Scanner:
             value = read_rational(match.group())
         except ZeroDivisionError:
             self.error("zero denominator")
+        except ValueError:  # beyond the interpreter's digit limit for int() of a string
+            self.error("number too long")
         self.pos = match.end()
         return value
 

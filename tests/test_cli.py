@@ -365,6 +365,17 @@ def test_exit_2_on_lp_number_outside_the_ascii_grammar(expr):
     assert re.match(r"<expr>:1:\d+: ", err) and "invalid literal" not in err, err
 
 
+# int() of a string refuses more than 4300 digits unless the interpreter is told otherwise
+def test_exit_2_on_lp_letter_beyond_the_int_digit_limit():
+    code, out, err = invoke("lp", "mul", f"(x{'1' * 5000}|1)", "1")
+    assert (code, out, err) == (2, "", "<expr>:1:3: number too long\n")
+
+
+def test_exit_2_on_lp_coefficient_beyond_the_int_digit_limit():
+    code, out, err = invoke("lp", "mul", "1", f"2 + {'1' * 5000}")
+    assert (code, out, err) == (2, "", "<expr>:1:5: number too long\n")
+
+
 def test_exit_2_on_element_label_named_twice():
     code, out, err = invoke("graded", "act", galg("ut2"), "--char", "f2",
                             "--element", "E11:1,E11:2")

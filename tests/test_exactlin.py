@@ -8,11 +8,13 @@ import pytest
 from semidual import corpus
 from semidual.bialgebra import MonoidAlgebraElement, TensorElement
 from semidual.exactlin import (DimensionMismatchError, Matrix, NonSquareError,
-                               ParentMismatchError, det, rank, solve)
+                               ParentMismatchError, bilinear, det, rank, solve)
 from semidual.graded import AlgebraElement, ut_graded
 from semidual.letterplace import LPPoly, ParityContext, normalize, variable
 
-from oracles import cofactor_det, gauss_rank, gauss_solve, minor_rank
+from oracles import (cofactor_det, gauss_rank, gauss_solve, loop_graded_product,
+                     loop_letterplace_product, loop_monoid_product, loop_tensor_product,
+                     minor_rank)
 
 
 def mat(rows):
@@ -236,6 +238,52 @@ def test_vector_space_laws(space):
         assert a.scale(k) * b == (a * b).scale(k) == a * b.scale(k)
         assert not (a - a).coeffs and all((a + b).coeffs.values())
         assert hash((a + b) - b) == hash(a)
+
+
+# the hand-written double loop of each algebra's product
+LOOP_PRODUCTS = {"kS": loop_monoid_product, "kS(x)kS": loop_tensor_product,
+                 "graded": loop_graded_product, "letterplace": loop_letterplace_product}
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_product_matches_loop_oracle(space):
+    cls, parent, keys = SPACES[space]
+    rng = random.Random(67)
+    for _ in range(40):
+        a, b = (cls(parent, {k: rng.choice(POOL) for k in rng.sample(keys, rng.randint(0, 6))})
+                for _ in range(2))
+        assert (a * b).coeffs == LOOP_PRODUCTS[space](a, b)
+
+
+@pytest.mark.parametrize("c", [1, -1, Fraction(2, 3), Fraction(-5, 2)])
+def test_bilinear_scales_each_pair_by_its_basis_constant(c):
+    left = {"a": Fraction(2), "b": Fraction(-1, 3)}
+    right = {"u": Fraction(3, 4)}
+    out = bilinear(left.items(), right.items(), lambda i, j: {i + j: c})
+    assert out == {"au": Fraction(3, 2) * c, "bu": Fraction(-1, 4) * c}
+    assert all(isinstance(v, Fraction) for v in out.values())
+
+
+def test_bilinear_sums_pairs_on_one_key_and_skips_empty_products():
+    left = [(1, Fraction(1)), (2, Fraction(2))]
+    right = [(1, Fraction(1, 2)), (2, Fraction(-1, 4)), (3, Fraction(5))]
+
+    def times(i, j):
+        # keys multiply; odd products vanish and 2 * 2 carries a structure constant
+        if i * j % 2:
+            return {}
+        return {"even": Fraction(3, 2) if i == j == 2 else -1}
+
+    # pairs (1, 2), (2, 1), (2, 2), (2, 3): -(-1/4) - 1 + (3/2)(-1/2) - 10
+    assert bilinear(left, right, times) == {"even": Fraction(1, 4) - 1 - Fraction(3, 4) - 10}
+    assert bilinear(left, [], times) == bilinear([], right, times) == {}
+
+
+def test_bilinear_keeps_zero_sums_for_the_caller_to_clean():
+    left = [("x", Fraction(1)), ("y", Fraction(1))]
+    out = bilinear(left, [("z", Fraction(1))], lambda i, j: {0: 1 if i == "x" else -1})
+    assert out == {0: 0}
+    assert MonoidAlgebraElement(DIV12, out).coeffs == {}
 
 
 @pytest.mark.parametrize("space", sorted(MIXED))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from semidual import letterplace
 from semidual.errors import ParseError
 from semidual.extnat import NEG_INF, POS_INF, fin
 from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
@@ -181,6 +182,114 @@ def test_multiply_matches_loop_oracle(ctx):
     for _ in range(80):
         p, q = _random_poly(rng, ctx, max_terms=5), _random_poly(rng, ctx, max_terms=5)
         assert multiply(p, q).coeffs == loop_letterplace_product(p, q)
+
+
+# the benchmark's parities, and one where (x1|1), (x1|3), (x2|1), (x2|3) are odd
+# in both letter and place and so are even
+MERGE_CONTEXTS = {"bench": ParityContext.make(odd_letters=[1, 3], odd_places=[2]),
+                  "odd-twice": ParityContext.make([1, 2], [1, 3])}
+
+
+def _product_factor(rng, ctx):
+    """A product of two random polynomials, cut to at most 40 terms: degree up to 8."""
+    p = _random_poly(rng, ctx, max_terms=7) * _random_poly(rng, ctx, max_terms=7)
+    return LPPoly(ctx, dict(list(p.terms.items())[:40]))
+
+
+def _parity_part(p, k):
+    ctx = p.context
+    return LPPoly(ctx, {m: c for m, c in p.terms.items()
+                        if sum(ctx.parity(x) for x in m) % 2 == k})
+
+
+def _merge_cases(ctx):
+    """Pairs of factors that are products themselves, plus powers of a sum of even terms."""
+    rng = random.Random(73)
+    cases = [(_product_factor(rng, ctx), _product_factor(rng, ctx)) for _ in range(12)]
+    even = [m for m in ((v(2, 1),), (v(4, 3),), (v(2, 1), v(4, 4)))
+            if not sum(map(ctx.parity, m)) % 2]
+    base = LPPoly(ctx, {m: Fraction(k + 1, 2) for k, m in enumerate(even)})
+    power = base
+    for _ in range(7):
+        cases.append((power, base))
+        power = power * base
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
+def test_merge_product_matches_insertion_sort_oracle(name):
+    ctx = MERGE_CONTEXTS[name]
+    cases = _merge_cases(ctx)
+    # the cases reach degree 8 and 20 terms, and some term pairs share an odd variable
+    assert max(len(m) for p, _ in cases for m in p.terms) >= 8
+    assert max(len(p.terms) for p, _ in cases) >= 20
+    assert any(koszul_sign(m1 + m2, ctx) is None
+               for p, q in cases for m1 in p.terms for m2 in q.terms)
+    for p, q in cases:
+        assert (p * q).terms == loop_letterplace_product(p, q)
+
+
+def test_merge_product_shared_odd_variable_vanishes():
+    ctx = MERGE_CONTEXTS["bench"]
+    p = LPPoly.from_word(ctx, [v(1, 1), v(2, 2)])   # both odd
+    q = LPPoly.from_word(ctx, [v(1, 1), v(4, 4)])   # (x1|1) odd, (x4|4) even
+    assert (p * q).terms == loop_letterplace_product(p, q) == {}
+    assert (q * q).terms == {}
+    # odd in both letter and place, (x1|1) is even and has powers
+    x = LPPoly.var(MERGE_CONTEXTS["odd-twice"], 1, 1)
+    assert (x * x * x).terms == {(v(1, 1),) * 3: Fraction(1)}
+
+
+def test_merge_product_signs_count_cross_pairs_only():
+    ctx = MERGE_CONTEXTS["bench"]
+    # odd: (x1|1) < (x2|2) < (x3|1); even: (x2|1)
+    p = LPPoly.from_word(ctx, [v(2, 2), v(3, 1)])
+    q = LPPoly.from_word(ctx, [v(1, 1), v(2, 1)])
+    # (x1|1) passes both odd variables of p: two inversions
+    assert (p * q).terms == {(v(1, 1), v(2, 1), v(2, 2), v(3, 1)): Fraction(1)}
+    r = LPPoly.from_word(ctx, [v(1, 1), v(2, 2)])
+    s = LPPoly.from_word(ctx, [v(3, 1)])
+    assert (s * r).terms == {(v(1, 1), v(2, 2), v(3, 1)): Fraction(1)}
+    y, x = LPPoly.from_word(ctx, [v(2, 2)]), LPPoly.from_word(ctx, [v(1, 1)])
+    assert (y * x).terms == {(v(1, 1), v(2, 2)): Fraction(-1)}
+    assert (y * x).terms == loop_letterplace_product(y, x)
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
+def test_merge_product_associative_and_supercommutative(name):
+    cases = _merge_cases(MERGE_CONTEXTS[name])
+    for (p, q), (r, _) in zip(cases, cases[1:]):
+        assert (p * q) * r == p * (q * r)
+        for a in (0, 1):
+            for b in (0, 1):
+                pa, qb = _parity_part(p, a), _parity_part(q, b)
+                assert pa * qb == (qb * pa).scale(-1 if a and b else 1)
+
+
+def _miscount_one_inversion(merge):
+    """merge with the count off by one whenever some cross pair is inverted."""
+    def faulty(left, right):
+        out = merge(left, right)
+        if left[1] and right[1] and left[1][-1] > right[1][0]:
+            return {m: -c for m, c in out.items()}
+        return out
+    return faulty
+
+
+def _keep_shared_odd(merge):
+    """merge without the shared-odd-variable check: such a term survives with sign 1."""
+    def faulty(left, right):
+        return merge(left, right) or {tuple(sorted(left[0] + right[0])): 1}
+    return faulty
+
+
+@pytest.mark.parametrize("fault", [_miscount_one_inversion, _keep_shared_odd],
+                         ids=["miscount-one-inversion", "keep-shared-odd"])
+@pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
+def test_merge_product_oracle_catches_a_faulty_merge(monkeypatch, name, fault):
+    cases = _merge_cases(MERGE_CONTEXTS[name])
+    monkeypatch.setattr(letterplace, "_merge", fault(letterplace._merge))
+    assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
 
 
 def test_supercommutativity_random():
