@@ -23,7 +23,7 @@ from .errors import ParseError, read_rational, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
 from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
-                          character_label, parse_semilattice_file)
+                          character_label, dual_semilattice, parse_semilattice_file)
 
 
 class BadLabelsError(ValueError):
@@ -143,12 +143,15 @@ def verify_grading(algebra):
     stored (j, k), then stored (i, m) for each m in that product. Any
     triple the walk does not visit gives 0 = 0, so the first i with a
     nonzero entry, with the smallest (j, k) in it, is the
-    lexicographically first non-associative triple. Integral constants
-    are held as ints and nothing divides, so every sum is exact. The
-    fourth invariant (unit concentrated in identity-acting degrees) is
-    reported as INFO when it fails: gradings that split the unit across
-    degrees are legitimate, they just lose the strict module-algebra unit
-    law.
+    lexicographically first non-associative triple. The unit law sums
+    1 b_i and b_i 1 for every i in one pass over the same table, adding
+    each stored product whose left or right factor is a unit term, and
+    names the first basis vector that fails either side. Integral
+    constants, the unit's included, are held as ints and nothing
+    divides, so every sum is exact. The fourth invariant (unit
+    concentrated in identity-acting degrees) is reported as INFO when it
+    fails: gradings that split the unit across degrees are legitimate,
+    they just lose the strict module-algebra unit law.
     """
     report = Report()
     structure = algebra.structure
@@ -181,10 +184,18 @@ def verify_grading(algebra):
     report.add("invariant", "associativity", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
 
-    one = algebra.one()
-    basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in every]
-    witness = next((label[i] for i, b in enumerate(basis)
-                    if one * b != b or b * one != b), None)
+    unit = {u: c.numerator if c.denominator == 1 else c for u, c in algebra.unit.items()}
+    one_b = [{} for _ in every]  # one_b[k]: the coordinates of 1 b_k
+    b_one = [{} for _ in every]  # b_one[j]: the coordinates of b_j 1
+    for j, row in enumerate(rows):
+        for k, vec in row.items():
+            for side, c in ((one_b[k], unit.get(j)), (b_one[j], unit.get(k))):
+                if c:
+                    for l, d in vec.items():
+                        side[l] = side.get(l, 0) + c * d
+    witness = next((label[i] for i in every
+                    if any({l: v for l, v in side[i].items() if v} != {i: 1}
+                           for side in (one_b, b_one))), None)
     report.add("invariant", "unit-law", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
 
@@ -226,21 +237,34 @@ def act_character(f, a):
     return _project([f(d) == 1 for d in algebra.degree], a)
 
 
-def _multiplicative_witness(label, products, zero, keep, image):
+def _word(image):
+    """The bitmask of the basis vectors b_j with image[j] = b_j."""
+    return sum(1 << j for j, b in enumerate(image) if b.coeffs == {j: 1})
+
+
+def _multiplicative_witness(algebra, supports, keep, image, word):
     """First basis pair (i, j), as labels, where gamma(b_i b_j) != gamma(b_i) gamma(b_j).
 
-    products maps the pairs with a stored product to it, in lexicographic
-    order. When every image is 0 or its own basis vector and gamma(0) = 0,
-    any other pair gives 0 = 0, so only the stored pairs are searched.
-    Otherwise every pair is.
+    supports lists (i, j, B, P) for each stored product b_i b_j, in
+    lexicographic order, with B the bits of i and j and P the support of
+    the product as bitmasks; word is None unless the guard holds: every
+    image is 0 or its own basis vector and gamma(0) = 0. Then, assuming
+    gamma is linear, it keeps exactly the basis vectors in word, so a
+    pair without a stored product gives 0 = 0 and a stored pair passes
+    iff P & word is P when B lies in word and 0 otherwise: one integer
+    AND per stored pair. The products themselves are not projected, so a
+    gamma that is right on 0 and on every basis vector but not linear is
+    not caught here. Without the guard every basis pair is searched, and
+    only then is each product built as an element and projected by
+    _project.
     """
-    if _project(keep, zero) == zero and all(
-            not b.coeffs or b.coeffs == {j: 1} for j, b in enumerate(image)):
-        pairs = products
-    else:
-        pairs = [(i, j) for i in range(len(label)) for j in range(len(label))]
-    return next(((label[i], label[j]) for i, j in pairs
-                 if _project(keep, products.get((i, j), zero)) != image[i] * image[j]), None)
+    label, n = algebra.basis, algebra.dim
+    if word is not None:
+        return next(((label[i], label[j]) for i, j, both, p in supports
+                     if p & word != (p if word & both == both else 0)), None)
+    return next(((label[i], label[j]) for i in range(n) for j in range(n)
+                 if _project(keep, algebra.element(algebra.mul_basis(i, j)))
+                 != image[i] * image[j]), None)
 
 
 def _character_laws(algebra, kind, unit_name, unit_note):
@@ -249,9 +273,14 @@ def _character_laws(algebra, kind, unit_name, unit_note):
     The policy is the one check_module_algebra documents; kind, unit_name
     and unit_note only set the wording of the lines. Each character f
     acts through its keep mask [f(degree[i]) = 1]; the characters come
-    from characters(grading), so they are not re-checked. Returns the
-    report, the characters, the masks, and images[c][j], character c
-    acting on basis vector j.
+    from characters(grading), so they are not re-checked. A character
+    whose images pass the guard of _multiplicative_witness gets a word,
+    the bitmask of the basis vectors it keeps, read from the images that
+    _project produced, and is checked for multiplicativity by one AND per
+    stored product; any other character gets None and is checked through
+    _project. The strict unit law projects 1 once per character. Returns
+    the report, the characters, the masks, images[c][j] (character c
+    acting on basis vector j), and the words.
     """
     if not verify_grading(algebra).passed:
         raise ValueError("algebra does not pass verify_grading")
@@ -259,11 +288,18 @@ def _character_laws(algebra, kind, unit_name, unit_note):
     masks = [[f(d) == 1 for d in algebra.degree] for f in chars]
     basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in range(algebra.dim)]
     images = [[_project(keep, b) for b in basis] for keep in masks]
-    products = {key: algebra.element(vec) for key, vec in algebra.structure.items()}
     zero = algebra.element({})
+    words = []
+    for keep, image in zip(masks, images):
+        word = _word(image)
+        guarded = _project(keep, zero) == zero and all(
+            not b.coeffs for j, b in enumerate(image) if not word >> j & 1)
+        words.append(word if guarded else None)
+    supports = [(i, j, 1 << i | 1 << j, sum(1 << k for k in vec))
+                for (i, j), vec in algebra.structure.items()]
     report = Report()
-    for ci, (keep, image) in enumerate(zip(masks, images)):
-        witness = _multiplicative_witness(algebra.basis, products, zero, keep, image)
+    for ci, (keep, image, word) in enumerate(zip(masks, images, words)):
+        witness = _multiplicative_witness(algebra, supports, keep, image, word)
         report.add(kind, f"{character_label(ci)} multiplicative",
                    FAIL if witness else PASS, f"[witness {witness}]" if witness else "")
     if not _split_unit_degrees(algebra):
@@ -273,7 +309,7 @@ def _character_laws(algebra, kind, unit_name, unit_note):
                        PASS if _project(keep, one) == one else FAIL)
     else:
         report.add("check", unit_name, INFO, f"[{unit_note}]")
-    return report, chars, masks, images
+    return report, chars, masks, images, words
 
 
 def check_module_algebra(algebra):
@@ -284,7 +320,7 @@ def check_module_algebra(algebra):
     only when the unit is concentrated in identity-acting degrees;
     otherwise one INFO line per algebra records the deviation.
     """
-    report, _, _, _ = _character_laws(
+    report, *_ = _character_laws(
         algebra, "character", "unit-law",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) is the projection of 1 onto the degrees where f = 1")
@@ -326,23 +362,32 @@ def dual_monoid_action(algebra):
     matches the pointwise product of characters, and that the constant-1
     character acts as the identity. The unital check follows the same
     INFO policy as check_module_algebra when the unit is split. Both
-    action laws are checked on the image of every basis vector.
+    action laws are checked on the image of every basis vector. When
+    every character passes the guard of _multiplicative_witness, each
+    image is 0 or its own basis vector, so gamma(f, gamma(g, b_j)) is b_j
+    or 0 as j lies in word_f & word_g or not, and composition holds iff
+    word_f & word_g == word_fg; otherwise it is checked through _project.
+    The identity character holds iff the word of its images has every
+    bit set.
     """
-    report, chars, masks, images = _character_laws(
+    report, chars, masks, images, words = _character_laws(
         algebra, "endomorphism", "unital",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) != 1 for characters vanishing on a unit degree")
     labels = [character_label(i) for i in range(len(chars))]
     matrices = {name: _columns_matrix(image) for name, image in zip(labels, images)}
-    lookup = {ch.values: i for i, ch in enumerate(chars)}
-    witness = next(((labels[i], labels[k])
-                    for i, f in enumerate(chars) for k, g in enumerate(chars)
-                    if [_project(masks[i], image) for image in images[k]]
-                    != images[lookup[f.pointwise_mul(g).values]]), None)
+    dual = dual_semilattice(algebra.grading)
+    pairs = ((i, k, dual.op(i, k)) for i in range(len(chars)) for k in range(len(chars)))
+    if None not in words:
+        witness = next(((labels[i], labels[k]) for i, k, ik in pairs
+                        if words[i] & words[k] != words[ik]), None)
+    else:
+        witness = next(((labels[i], labels[k]) for i, k, ik in pairs
+                        if [_project(masks[i], image) for image in images[k]] != images[ik]),
+                       None)
     report.add("action", "composition", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
-    top = lookup[tuple(1 for _ in range(len(algebra.grading)))]
-    identity = all(image.coeffs == {j: 1} for j, image in enumerate(images[top]))
+    identity = _word(images[dual.identity]) == (1 << algebra.dim) - 1
     report.add("action", "identity-character", PASS if identity else FAIL)
     return DualAction(algebra, labels, dict(zip(labels, images)), matrices, report)
 

@@ -14,7 +14,9 @@ the shared bilinear product, every triple instead of the up-set bitmask
 certificate for associativity, and pointwise products of character
 tuples instead of ANDs of down-set bitmasks for the dual, and every
 basis pair through the public character action instead of the stored
-products through a keep mask for the module-algebra and action laws,
+products through a keep mask and its bitmask word for the module-algebra
+and action laws, a hand-written loop over every product with the unit
+instead of the table of stored products for the unit law,
 every bit-vector instead of the down-set indicators for characters, a
 coefficient grid instead of the symbolic forcing for quotient
 group-likes, and a label-keyed table read in two passes instead of the
@@ -344,6 +346,16 @@ def loop_graded_product(a, b):
             for k, ck in a.parent.mul_basis(i, j).items():
                 out[k] = out.get(k, Fraction(0)) + x * y * ck
     return _nonzero(out)
+
+
+def loop_unit_law_witness(algebra):
+    """First basis label b with 1 b != b or b 1 != b, both products by loop_graded_product."""
+    one = algebra.one()
+    for i, label in enumerate(algebra.basis):
+        b = algebra.element({i: 1})
+        if loop_graded_product(one, b) != b.coeffs or loop_graded_product(b, one) != b.coeffs:
+            return label
+    return None
 
 
 def loop_letterplace_product(p, q):

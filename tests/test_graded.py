@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (all_pairs_dual_action, all_pairs_module_algebra,
                      dense_first_nonassociative_triple, dense_ut_structure,
-                     loop_graded_product, validated_copy)
+                     loop_graded_product, loop_unit_law_witness, validated_copy)
 from semidual import corpus, graded
 from semidual.cli import run
 from semidual.errors import ParseError
@@ -281,10 +281,12 @@ def graded_algebras_with_faults(draw):
     return algebra, draw(projection_faults(algebra))
 
 
-@given(graded_algebras_with_faults())
-@settings(max_examples=60, deadline=None)
-def test_action_reports_match_all_pairs_oracle(case):
-    algebra, corrupt = case
+def _reports_and_oracle(algebra, corrupt=None):
+    """The rendered dual_monoid_action and check_module_algebra reports, and the oracle's.
+
+    corrupt(keep, image) follows the true projection behind the action;
+    the all-pairs oracle acts through the same corrupted projection.
+    """
     act = act_character
     if corrupt is None:
         context = contextlib.nullcontext()
@@ -296,7 +298,165 @@ def test_action_reports_match_all_pairs_oracle(case):
     with context:
         got = (dual_monoid_action(algebra).report, check_module_algebra(algebra))
     want = (all_pairs_dual_action(algebra, act), all_pairs_module_algebra(algebra, act))
-    assert [r.render() for r in got] == [r.render() for r in want]
+    return [r.render() for r in got], [r.render() for r in want]
+
+
+@given(graded_algebras_with_faults())
+@settings(max_examples=60, deadline=None)
+def test_action_reports_match_all_pairs_oracle(case):
+    got, want = _reports_and_oracle(*case)
+    assert got == want
+
+
+def _true_words(algebra):
+    return [sum(1 << j for j in range(algebra.dim) if keep[j])
+            for keep in (_keep(f, algebra) for f in characters(algebra.grading))]
+
+
+@pytest.mark.parametrize("algebra, character, bit", [
+    (ut_graded(3, [1, 2, 3]), 1, 1),                      # f2 also keeps E12
+    (_monoid_algebra(corpus.boolean_lattice(2)), 0, 1),  # f1 also keeps u1
+])
+def test_flipped_word_bit_is_caught(monkeypatch, algebra, character, bit):
+    target = _true_words(algebra)[character]
+    true_word = graded._word
+
+    def flipped(image):
+        word = true_word(image)
+        return word ^ 1 << bit if word == target else word
+
+    monkeypatch.setattr(graded, "_word", flipped)
+    got, want = _reports_and_oracle(algebra)
+    assert got != want
+
+
+def test_dropped_unit_coordinate_on_a_monoid_algebra_is_pinned(monkeypatch):
+    # dropping u0 from every image is still a coordinate projection, so every
+    # character passes the guard and is checked on its word
+    algebra = _monoid_algebra(corpus.boolean_lattice(2))
+    _faulty_act(monkeypatch, lambda keep, image: AlgebraElement(
+        image.parent, {i: v for i, v in image.coords.items() if i != 0}))
+    multiplicative = ["f1 multiplicative: PASS",
+                      "f2 multiplicative: FAIL [witness ('u0', 'u2')]",
+                      "f3 multiplicative: FAIL [witness ('u0', 'u1')]",
+                      "f4 multiplicative: FAIL [witness ('u0', 'u1')]"]
+    assert dual_monoid_action(algebra).report.render().splitlines() == [
+        *(f"endomorphism {line}" for line in multiplicative),
+        *(f"endomorphism f{c} unital: FAIL" for c in range(1, 5)),
+        "action composition: PASS",
+        "action identity-character: FAIL",
+    ]
+    assert check_module_algebra(algebra).render().splitlines() == [
+        *(f"character {line}" for line in multiplicative),
+        *(f"character f{c} unit-law: FAIL" for c in range(1, 5)),
+    ]
+
+
+def test_dropped_term_of_a_two_term_unit_is_caught(monkeypatch):
+    # k[S] x k[S]: basis u_s, w_s, the copies multiply to 0 with each other,
+    # and the unit u_e + w_e lies in the identity degree, so the strict unit
+    # law applies; dropping u_e keeps the guard and breaks it for every character
+    s = corpus.boolean_lattice(2)
+    n = len(s)
+    structure = {(c * n + i, c * n + j): {c * n + s.op(i, j): 1}
+                 for c in (0, 1) for i in range(n) for j in range(n)}
+    algebra = GradedFDAlgebra([f"{x}{i}" for x in "uw" for i in range(n)], structure,
+                              {s.identity: 1, n + s.identity: 1}, s, [*range(n), *range(n)])
+    drop = s.identity
+    got, want = _reports_and_oracle(algebra, lambda keep, image: AlgebraElement(
+        image.parent, {i: v for i, v in image.coords.items() if i != drop}))
+    assert got == want
+    assert [line for line in got[1].splitlines() if "unit-law" in line] == [
+        f"character f{c} unit-law: FAIL" for c in range(1, n + 1)]
+
+
+def test_unit_law_sums_cancel_exactly():
+    # k[chain2] on the basis v0 = u0 + u1, v1 = u1: the unit is v0 - v1, and
+    # 1 v0 = (v0 + 2 v1) - 2 v1 leaves a zero coordinate on v1 that must vanish
+    grading = validate(["a", "b"], {("a", "b"): "b"}, "a")
+    structure = {(0, 0): {0: 1, 1: 2}, (0, 1): {1: 2}, (1, 0): {1: 2}, (1, 1): {1: 1}}
+    algebra = GradedFDAlgebra(("v0", "v1"), structure, {0: 1, 1: -1}, grading, (0, 1))
+    assert loop_unit_law_witness(algebra) is None
+    lines = [line.render() for line in verify_grading(algebra).lines]
+    assert "invariant unit-law: PASS" in lines
+    assert "invariant grading-law: FAIL [witness ('v0', 'v0', 'v1')]" in lines
+
+
+@pytest.mark.parametrize("algebra", [_monoid_algebra(corpus.boolean_lattice(3)),
+                                     ut_graded(6, range(1, 7))], ids=["kS8", "ut6"])
+def test_action_projects_once_per_basis_image(monkeypatch, algebra):
+    calls = []
+    original = graded._project
+    monkeypatch.setattr(graded, "_project", lambda keep, a: calls.append(keep) or original(keep, a))
+    action = dual_monoid_action(algebra)
+    assert action.report.passed
+    chars = len(action.labels)
+    assert len(calls) <= chars * (algebra.dim + 2) + chars
+
+
+def _rescaled(algebra, scale):
+    """The same algebra on the basis scale[i] b_i: rational constants, the same laws."""
+    structure = {(i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in vec.items()}
+                 for (i, j), vec in algebra.structure.items()}
+    unit = {k: c / scale[k] for k, c in algebra.unit.items()}
+    return GradedFDAlgebra(algebra.basis, structure, unit, algebra.grading, algebra.degree)
+
+
+_NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def perturbed_units(draw):
+    """ut_graded(1..6) or a k[S], maybe rescaled, its unit left alone or with one term
+    dropped, added or scaled."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        algebra = ut_graded(m, list(range(1, m + 1)))
+    else:
+        algebra = _monoid_algebra(draw(union_closed_families(max_members=8)))
+    if draw(st.booleans()):
+        algebra = _rescaled(algebra, draw(st.lists(_NONZERO, min_size=algebra.dim,
+                                                   max_size=algebra.dim)))
+    unit = dict(algebra.unit)
+    kind = draw(st.sampled_from(["none", "drop", "add", "scale"]))
+    if kind == "drop":
+        del unit[draw(st.sampled_from(sorted(unit)))]
+    elif kind == "add":
+        i = draw(st.integers(0, algebra.dim - 1))
+        unit[i] = unit.get(i, 0) + draw(_NONZERO)
+    elif kind == "scale":
+        i = draw(st.sampled_from(sorted(unit)))
+        unit[i] *= draw(_NONZERO)
+    return GradedFDAlgebra(algebra.basis, algebra.structure, unit, algebra.grading,
+                           algebra.degree)
+
+
+@given(perturbed_units())
+@settings(max_examples=80, deadline=None)
+def test_unit_law_matches_loop_oracle(algebra):
+    witness = loop_unit_law_witness(algebra)
+    want = f"invariant unit-law: FAIL [witness {witness}]" if witness else "invariant unit-law: PASS"
+    assert [line.render() for line in verify_grading(algebra).lines
+            if line.name == "unit-law"] == [want]
+
+
+def test_word_path_assumes_a_linear_projection():
+    # the word path projects basis vectors and 0 only, so a projection that is
+    # right on those but doubles every other image slips past multiplicativity:
+    # b_0 b_0 = 2 b_0 here, and the all-pairs oracle catches it on (E11, E11)
+    algebra = _rescaled(ut_graded(2, [1, 2]), [Fraction(2), Fraction(1), Fraction(1)])
+
+    def doubled(keep, image):
+        coords = image.coords
+        unit_vector = len(coords) == 1 and set(coords.values()) == {1}
+        return image if not coords or unit_vector else image.scale(2)
+
+    got, want = _reports_and_oracle(algebra, doubled)
+    assert [line for line in got[1].splitlines() if "multiplicative" in line] == [
+        "character f1 multiplicative: PASS", "character f2 multiplicative: PASS"]
+    assert [line for line in want[1].splitlines() if "multiplicative" in line] == [
+        "character f1 multiplicative: PASS",
+        "character f2 multiplicative: FAIL [witness ('E11', 'E11')]"]
 
 
 def test_dual_action_chain_gradings():
