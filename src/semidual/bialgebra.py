@@ -12,7 +12,6 @@ scope, as is any Hopf/antipode structure.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlin import (Matrix, ParentMismatchError,  # noqa: F401 (re-exported)
                        SparseVector, clean, format_sum, rank)
@@ -31,7 +30,7 @@ class MonoidAlgebraElement(SparseVector):
 
     @classmethod
     def basis(cls, parent, i):
-        return cls(parent, {i: Fraction(1)})
+        return cls(parent, {i: 1})
 
     @classmethod
     def unit(cls, parent):
@@ -43,7 +42,7 @@ class MonoidAlgebraElement(SparseVector):
 
     @classmethod
     def from_labels(cls, parent, labelled):
-        return cls(parent, {parent.index(lbl): Fraction(v) for lbl, v in labelled.items()})
+        return cls(parent, {parent.index(lbl): v for lbl, v in labelled.items()})
 
     def basis_product(self, i, j):
         return {self.parent.op(i, j): 1}
@@ -80,8 +79,8 @@ def comultiply(a):
 
 
 def counit(a):
-    """Every basis element counts 1, so this is the coefficient sum."""
-    return sum(a.coeffs.values(), Fraction(0))
+    """Every basis element counts 1, so this is the coefficient sum, an int when integral."""
+    return sum(a.coeffs.values())
 
 
 def tensor_square(a):
@@ -274,7 +273,7 @@ def grouplike_basis_classification(q):
     """
     solutions = [MonoidAlgebraElement.basis(q, i) for i in range(len(q))]
     for i, b in enumerate(solutions):
-        if comultiply(b).coeffs != {(i, i): Fraction(1)}:
+        if comultiply(b).coeffs != {(i, i): 1}:
             raise AssertionError("comultiplication is not diagonal on the basis")
         if not is_grouplike(b):
             raise AssertionError(f"basis element {q.label(i)} fails the group-like test")
@@ -312,7 +311,7 @@ def quotient_grouplikes(s, c):
         report.add("grouplike", quotient.label(i),
                    PASS if is_grouplike(coset) else FAIL)
     coeff_matrix = Matrix.from_rows(
-        [[x.coeffs.get(i, Fraction(0)) for i in range(len(quotient))] for x in cosets])
+        [[x.coeffs.get(i, 0) for i in range(len(quotient))] for x in cosets])
     coeff_rank = rank(coeff_matrix)
     report.add("check", "linear-independence",
                PASS if coeff_rank == len(cosets) else FAIL,

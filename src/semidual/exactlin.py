@@ -12,7 +12,11 @@ algebras, and the letterplace polynomials. It stores the nonzero
 coordinates on a basis, does the linear operations and the parent
 check, and extends a product given on basis keys bilinearly through
 bilinear, the one loop over pairs of terms in the package;
-format_sum writes such a vector as a signed sum.
+format_sum writes such a vector as a signed sum. Every coordinate is a
+nonzero int or Fraction, and an integral value is always an int, so
+integral structure constants never enter Fraction arithmetic. Quotients
+are built as Fractions, never with `/`, which makes an int quotient a
+float.
 """
 
 from fractions import Fraction
@@ -34,18 +38,33 @@ class ParentMismatchError(ValueError):
 
 
 def clean(coeffs):
-    """The nonzero entries of a coordinate mapping, each as a Fraction."""
+    """The nonzero entries of a coordinate mapping, each an int or a Fraction.
+
+    An int is kept as it is, and any other value becomes a Fraction
+    (built only when it is not one already, as Fraction(Fraction) is
+    slow), which is stored as its numerator when it is integral. A
+    Fraction with another denominator is nonzero, so it is kept untested.
+    """
     out = {}
     for k, v in coeffs.items():
-        if not isinstance(v, Fraction):
-            v = Fraction(v)
+        if type(v) is not int:
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            if v.denominator != 1:
+                out[k] = v
+                continue
+            v = v.numerator
         if v:
             out[k] = v
     return out
 
 
 class SparseVector:
-    """A rational vector: `coeffs` maps basis keys to nonzero Fractions.
+    """A rational vector: `coeffs` maps basis keys to nonzero rationals.
+
+    Each coordinate is an int when it is integral and a Fraction
+    otherwise, as `clean` leaves it, so `==` and `hash` agree with the
+    same vector held in Fractions.
 
     Vectors combine only with vectors of the same class and parent (the
     space they live in). Subclasses supply `basis_product(i, j)`, the
@@ -77,7 +96,8 @@ class SparseVector:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         return type(self)(self.parent, {k: v * c for k, v in self.coeffs.items()})
 
     def product(self, other):

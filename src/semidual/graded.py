@@ -160,7 +160,6 @@ def verify_grading(algebra):
     rows = [{} for _ in every]  # rows[i][j]: the stored product b_i b_j
     into = [[] for _ in every]  # into[m]: (j, k, c), c the b_m-coordinate of stored b_j b_k
     for (j, k), vec in structure.items():
-        vec = {l: c.numerator if c.denominator == 1 else c for l, c in vec.items()}
         rows[j][k] = vec
         for m, c in vec.items():
             into[m].append((j, k, c))
@@ -184,12 +183,11 @@ def verify_grading(algebra):
     report.add("invariant", "associativity", FAIL if witness else PASS,
                f"[witness {witness}]" if witness else "")
 
-    unit = {u: c.numerator if c.denominator == 1 else c for u, c in algebra.unit.items()}
     one_b = [{} for _ in every]  # one_b[k]: the coordinates of 1 b_k
     b_one = [{} for _ in every]  # b_one[j]: the coordinates of b_j 1
     for j, row in enumerate(rows):
         for k, vec in row.items():
-            for side, c in ((one_b[k], unit.get(j)), (b_one[j], unit.get(k))):
+            for side, c in ((one_b[k], algebra.unit.get(j)), (b_one[j], algebra.unit.get(k))):
                 if c:
                     for l, d in vec.items():
                         side[l] = side.get(l, 0) + c * d
@@ -286,7 +284,7 @@ def _character_laws(algebra, kind, unit_name, unit_note):
         raise ValueError("algebra does not pass verify_grading")
     chars = characters(algebra.grading)
     masks = [[f(d) == 1 for d in algebra.degree] for f in chars]
-    basis = [AlgebraElement(algebra, {i: Fraction(1)}) for i in range(algebra.dim)]
+    basis = [AlgebraElement(algebra, {i: 1}) for i in range(algebra.dim)]
     images = [[_project(keep, b) for b in basis] for keep in masks]
     zero = algebra.element({})
     words = []
@@ -414,9 +412,9 @@ def ut_graded(m, labels):
     units = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
     basis = tuple(f"E{p}{q}" for p, q in units)
     pos = {pq: i for i, pq in enumerate(units)}
-    structure = {(pos[(p, q)], pos[(q, t)]): {pos[(p, t)]: Fraction(1)}
+    structure = {(pos[(p, q)], pos[(q, t)]): {pos[(p, t)]: 1}
                  for p, q in units for t in range(q, m + 1)}
-    unit = {pos[(p, p)]: Fraction(1) for p in range(1, m + 1)}
+    unit = {pos[(p, p)]: 1 for p in range(1, m + 1)}
     degree = tuple(m - p for p, _ in units)
     return GradedFDAlgebra(basis, structure, unit, grading, degree)
 

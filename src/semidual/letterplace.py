@@ -19,6 +19,7 @@ since concatenation does not preserve places.
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import NATURAL, RATIONAL, ParseError, read_rational
@@ -116,7 +117,7 @@ class LPPoly(SparseVector):
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, {(): Fraction(1)})
+        return cls(ctx, {(): 1})
 
     @classmethod
     def from_word(cls, ctx, word, coeff=1):
@@ -128,21 +129,34 @@ class LPPoly(SparseVector):
 
     @classmethod
     def var(cls, ctx, letter, place):
-        return cls(ctx, {(variable(letter, place),): Fraction(1)})
+        return cls(ctx, {(variable(letter, place),): 1})
 
     @classmethod
     def constant(cls, ctx, c):
-        return cls(ctx, {(): Fraction(c)})
+        return cls(ctx, {(): c})
 
     def _merge_terms(self):
-        """((monomial, odd part), coefficient) for each term, as `_merge` takes them."""
+        """(d, terms): d is the common denominator of the coefficients, and terms
+        holds ((monomial, odd part), d * coefficient), an int, for each term."""
         parity = self.parent.parity
-        return [((m, tuple(v for v in m if parity(v))), c) for m, c in self.coeffs.items()]
+        d = lcm(*(c.denominator for c in self.coeffs.values()))
+        return d, [((m, tuple(v for v in m if parity(v))), c.numerator * (d // c.denominator))
+                   for m, c in self.coeffs.items()]
 
     def product(self, other):
-        """Bilinear product; each odd part is found once per term, not once per pair."""
+        """Bilinear product on integer numerators, divided once per result term.
+
+        Each odd part is found once per term, not once per pair, and each
+        pair of terms costs one int product. Each sum is then divided by
+        the product d of the two common denominators: exactly, as an int,
+        when d divides it, and as one Fraction otherwise.
+        """
         self._check(other)
-        return type(self)(self.parent, bilinear(self._merge_terms(), other._merge_terms(), _merge))
+        d1, left = self._merge_terms()
+        d2, right = other._merge_terms()
+        d = d1 * d2
+        return type(self)(self.parent, {k: Fraction(v, d) if v % d else v // d
+                                        for k, v in bilinear(left, right, _merge).items()})
 
     def __mul__(self, other):
         return multiply(self, other)

@@ -4,9 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidual import corpus
-from semidual.bialgebra import MonoidAlgebraElement, TensorElement
+from semidual.bialgebra import MonoidAlgebraElement, TensorElement, counit
 from semidual.exactlin import (DimensionMismatchError, Matrix, NonSquareError,
                                ParentMismatchError, bilinear, det, rank, solve)
 from semidual.graded import AlgebraElement, ut_graded
@@ -15,6 +17,8 @@ from semidual.letterplace import LPPoly, ParityContext, normalize, variable
 from oracles import (cofactor_det, gauss_rank, gauss_solve, loop_graded_product,
                      loop_letterplace_product, loop_monoid_product, loop_tensor_product,
                      minor_rank)
+from test_graded import _monoid_algebra
+from test_semilattice import union_closed_families
 
 
 def mat(rows):
@@ -295,3 +299,69 @@ def test_mixed_parents_raise(space):
         with pytest.raises(ParentMismatchError):
             combine(y, x)
     assert x != y
+
+
+# ints, bools, and Fractions with and without a denominator of 1
+COEFFICIENTS = st.one_of(st.integers(-4, 4), st.booleans(), st.integers(-4, 4).map(Fraction),
+                         st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def spaces(draw):
+    """(class, parent, basis keys) of kS or kS (x) kS on a random union-closed family,
+    of ut_graded(m), of k[S] graded by S, or of the letterplace polynomials."""
+    kind = draw(st.sampled_from(["kS", "kS(x)kS", "ut", "k[S]", "letterplace"]))
+    if kind == "letterplace":
+        return LPPoly, LP_CTX, LP_MONOMIALS
+    if kind == "ut":
+        m = draw(st.integers(1, 4))
+        algebra = ut_graded(m, range(1, m + 1))
+        return AlgebraElement, algebra, list(range(algebra.dim))
+    s = draw(union_closed_families(max_members=8))
+    n = range(len(s))
+    if kind == "k[S]":
+        return AlgebraElement, _monoid_algebra(s), list(n)
+    if kind == "kS":
+        return MonoidAlgebraElement, s, list(n)
+    return TensorElement, s, [(i, j) for i in n for j in n]
+
+
+def _as_fractions(v):
+    """The vector v with every coordinate held as a Fraction, set past the constructor."""
+    out = object.__new__(type(v))
+    out.parent, out.coeffs = v.parent, {k: Fraction(c) for k, c in v.coeffs.items()}
+    return out
+
+
+def _assert_exact(v):
+    for c in v.coeffs.values():
+        assert type(c) is int or type(c) is Fraction and c.denominator != 1, repr(c)
+        assert c
+    assert v == _as_fractions(v) and _as_fractions(v) == v
+    assert hash(v) == hash(_as_fractions(v))
+
+
+@given(space=spaces(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_coefficients_are_ints_or_proper_fractions(space, data):
+    cls, parent, keys = space
+    vector = st.dictionaries(st.sampled_from(keys), COEFFICIENTS, max_size=5)
+    raw_a, raw_b = data.draw(vector), data.draw(vector)
+    k = data.draw(COEFFICIENTS)
+    a, b = cls(parent, raw_a), cls(parent, raw_b)
+    assert a.coeffs == {key: Fraction(c) for key, c in raw_a.items() if c}
+    for v in (a, b, a + b, a - b, a.scale(k), a * b, b * a, (a * b) * a):
+        _assert_exact(v)
+    # all-Fraction operands give the same, exactly typed, results
+    fa, fb = _as_fractions(a), _as_fractions(b)
+    for got, want in ((fa + fb, a + b), (fa - fb, a - b), (fa.scale(k), a.scale(k)),
+                      (fa * fb, a * b)):
+        _assert_exact(got)
+        assert got == want
+    if cls is MonoidAlgebraElement:
+        total = counit(a)
+        assert total == sum(a.coeffs.values(), Fraction(0))
+        assert type(total) is int or total.denominator != 1
+    if cls is AlgebraElement:
+        for vec in (*parent.structure.values(), parent.unit):
+            assert all(type(c) is int for c in vec.values())

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from semidual import letterplace
+from semidual import exactlin, letterplace
 from semidual.errors import ParseError
 from semidual.extnat import NEG_INF, POS_INF, fin
 from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
@@ -289,6 +290,96 @@ def _keep_shared_odd(merge):
 def test_merge_product_oracle_catches_a_faulty_merge(monkeypatch, name, fault):
     cases = _merge_cases(MERGE_CONTEXTS[name])
     monkeypatch.setattr(letterplace, "_merge", fault(letterplace._merge))
+    assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
+
+
+DENOMINATORS = (1, 2, 3, 4, 6, 7)
+
+
+def _over(rng, ctx, den):
+    """Five random words and one of degree 4, coefficients of both signs over den.
+
+    The degree-4 term, which no other word reaches, has -1/den, so den is
+    the common denominator.
+    """
+    p = LPPoly.from_word(ctx, [v(1, 1), v(2, 2), v(3, 3), v(4, 4)], Fraction(-1, den))
+    for _ in range(5):
+        word = [v(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        p = p + LPPoly.from_word(ctx, word, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), den))
+    return p
+
+
+def _numerator_cases(ctx):
+    """Factor pairs for the numerator product, with what each pair must show.
+
+    Every pair of common denominators from DENOMINATORS; pairs whose term
+    products cancel, so a key must be dropped; and pairs whose sums turn
+    integral once divided by d1 d2, so a coefficient must be an int.
+    """
+    rng = random.Random(83)
+    spread = [(_over(rng, ctx, d1), _over(rng, ctx, d2))
+              for d1 in DENOMINATORS for d2 in DENOMINATORS]
+    x, y = LPPoly.var(ctx, 2, 1), LPPoly.var(ctx, 4, 4)   # even in both contexts
+    a, b = LPPoly.var(ctx, 3, 1), LPPoly.var(ctx, 3, 3)   # odd in both contexts
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cancelling = [
+        # (x/2 + y/3)(x/2 - y/3) = x^2/4 - y^2/9: the cross terms cancel
+        (x.scale(half) + y.scale(third), x.scale(half) - y.scale(third)),
+        # (a/2 + 3b/4)(2a/3 + b) = 0: a^2 = b^2 = 0, and ab/2 cancels -ba/2
+        (a.scale(half) + b.scale(Fraction(3, 4)), a.scale(Fraction(2, 3)) + b),
+    ]
+    integral = [
+        (x.scale(Fraction(3, 2)), y.scale(Fraction(2, 3))),              # 3/2 * 2/3 = 1
+        (x.scale(half) + y.scale(half), x.scale(Fraction(5, 3)) + y.scale(Fraction(1, 3))),
+    ]
+    return spread, cancelling, integral
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
+def test_numerator_product_matches_insertion_sort_oracle(name):
+    spread, cancelling, integral = _numerator_cases(MERGE_CONTEXTS[name])
+    common = {(_common_denominator(p), _common_denominator(q)) for p, q in spread}
+    assert common == {(d1, d2) for d1 in DENOMINATORS for d2 in DENOMINATORS}
+    for p, q in spread + cancelling + integral:
+        got = (p * q).terms
+        assert got == loop_letterplace_product(p, q)
+        assert all(type(c) is int or c.denominator > 1 for c in got.values()), got
+    xy = (v(2, 1), v(4, 4))
+    (p, q), (r, t) = cancelling
+    assert set((p * q).terms) == {(v(2, 1),) * 2, (v(4, 4),) * 2}
+    assert (r * t).terms == {}
+    # 3/2 * 2/3 = 6/6, and the xy-coefficient of (x + y)/2 times (5x + y)/3 is 6/6
+    for p, q in integral:
+        assert type((p * q).terms[xy]) is int and (p * q).terms[xy] == 1
+
+
+def _common_denominator(p):
+    return lcm(*(c.denominator for c in p.terms.values()))
+
+
+def _divide_by_left_only(p, q):
+    """LPPoly.product dividing the numerator sums by d1 only."""
+    d1, left = p._merge_terms()
+    _, right = q._merge_terms()
+    sums = exactlin.bilinear(left, right, letterplace._merge)
+    return LPPoly(p.context, {k: Fraction(s, d1) for k, s in sums.items()})
+
+
+def _keep_zero_sums(clean):
+    """clean with every zero entry of its input kept."""
+    return lambda coeffs: {**{k: c for k, c in coeffs.items() if not c}, **clean(coeffs)}
+
+
+@pytest.mark.parametrize("fault", ["divide-by-d1-only", "keep-zero-sums"])
+@pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
+def test_numerator_product_oracle_catches_a_fault(monkeypatch, name, fault):
+    spread, cancelling, integral = _numerator_cases(MERGE_CONTEXTS[name])
+    if fault == "divide-by-d1-only":
+        monkeypatch.setattr(LPPoly, "product", _divide_by_left_only)
+        cases = spread
+    else:
+        monkeypatch.setattr(exactlin, "clean", _keep_zero_sums(exactlin.clean))
+        cases = cancelling
     assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
 
 

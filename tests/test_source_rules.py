@@ -1,13 +1,18 @@
-"""Rules on the package source that keep its input edge in one place.
+"""Rules on the package source that keep its input edge in one place
+and its arithmetic exact.
 
 Numbers from outside the program are read only through the ASCII
 grammar of `semidual.errors`, and files are opened only by the two
-readers `parse_semilattice_file` and `parse_graded_file`.
+readers `parse_semilattice_file` and `parse_graded_file`. Coefficients
+are ints wherever they are integral, and `int / int` is a float, so `/`
+divides only where one operand is built as a `Fraction(...)`; the one
+other `/` is the path join of `corpus.data_path`.
 """
 
 import ast
 import pathlib
 import re
+import textwrap
 
 import semidual
 
@@ -15,19 +20,49 @@ SRC = pathlib.Path(semidual.__file__).parent
 FILE_READERS = {"semilattice.py": "parse_semilattice_file", "graded.py": "parse_graded_file"}
 NUMBER_READING = re.compile(r"\.isdigit\(|\.isdecimal\(|\.isnumeric\(|type=int")
 FILE_OPENING = re.compile(r"\bopen\(|\.read_text\(|\.read_bytes\(")
+PATH_JOINS = {"corpus.py": "data_path"}
 
 
 def _lines(path):
     return enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
 
 
-def _reader_lines(path):
-    """The line numbers of the file reader that path defines, if any."""
-    name = FILE_READERS.get(path.name)
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+def _function_lines(tree, name):
+    """The line numbers of the top-level function name in tree, if any."""
+    for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return range(node.lineno, node.end_lineno + 1)
     return range(0)
+
+
+def _reader_lines(path):
+    """The line numbers of the file reader that path defines, if any."""
+    return _function_lines(ast.parse(path.read_text(encoding="utf-8")),
+                           FILE_READERS.get(path.name))
+
+
+def _is_fraction(node):
+    """Whether node is a call Fraction(...)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction")
+
+
+def _inexact_divisions(source, name):
+    """Each `/` or `/=` in the source of module name with no Fraction(...) operand,
+    outside the path-join function that PATH_JOINS names for it."""
+    tree = ast.parse(source)
+    joins = _function_lines(tree, PATH_JOINS.get(name))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if not any(map(_is_fraction, operands)) and node.lineno not in joins:
+            hits.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    return hits
 
 
 def test_numbers_are_read_only_through_the_shared_grammar():
@@ -42,3 +77,32 @@ def test_files_are_opened_only_by_the_two_readers():
             for n, line in _lines(path)
             if FILE_OPENING.search(line) and n not in _reader_lines(path)]
     assert hits == []
+
+
+def test_division_is_exact():
+    assert all(_function_lines(ast.parse((SRC / name).read_text(encoding="utf-8")), join)
+               for name, join in PATH_JOINS.items())
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in _inexact_divisions(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def test_division_rule_rejects_a_planted_int_quotient():
+    planted = textwrap.dedent("""\
+        from fractions import Fraction
+
+        def data_path(name):
+            return root / "data" / name
+
+        def ratio(a, b):
+            exact = Fraction(a) / b + a / Fraction(b)
+            a /= Fraction(b)
+            b /= 2
+            return exact + a / b
+        """)
+    assert set(_inexact_divisions(planted, "corpus.py")) == {
+        "corpus.py:9: b /= 2", "corpus.py:10: a / b"}
+    # outside corpus.py the path join is no exception
+    assert set(_inexact_divisions(planted, "graded.py")) == {
+        "graded.py:4: root / 'data' / name", "graded.py:4: root / 'data'",
+        "graded.py:9: b /= 2", "graded.py:10: a / b"}
