@@ -1,17 +1,19 @@
 """Command-line surface: batch commands with deterministic text reports.
 
 Exit codes: 0 for success / all-PASS reports, 1 when any check FAILs,
-2 for input errors (with a position diagnostic where available). An
-internal cross-check that finds its two computations disagreeing
-(an ArithmeticError from the nbar certificates, or a glued pair that
-`balg quotient` finds in two classes) is a FAIL too: it prints
-`check: FAIL [message]` and exits 1.
+2 for input errors (with a position diagnostic where available), and 3
+when an exception escapes `run`, a crash such as ZeroDivisionError, with
+the traceback on stderr. An internal cross-check that finds its two
+computations disagreeing (an ArithmeticError from the nbar certificates,
+or a glued pair that `balg quotient` finds in two classes) is a FAIL:
+it prints `check: FAIL [message]` and exits 1.
 `--format tsv` mirrors every line as tab-separated fields for scripts.
 """
 
 import argparse
 import functools
 import sys
+import traceback
 
 from . import bialgebra, graded, letterplace, nbar_dual, semilattice
 from .errors import ParseError, read_natural, read_rational
@@ -377,7 +379,11 @@ def run(argv, out_stream=None, err_stream=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        sys.exit(run(sys.argv[1:]))
+    except Exception:  # a crash, never a failed check or a bad input
+        traceback.print_exc()
+        sys.exit(3)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ algebras, and the letterplace polynomials. It stores the nonzero
 coordinates on a basis, does the linear operations and the parent
 check, and extends a product given on basis keys bilinearly through
 bilinear, the one loop over pairs of terms in the package;
-format_sum writes such a vector as a signed sum. Every coordinate is a
-nonzero int or Fraction, and an integral value is always an int, so
-integral structure constants never enter Fraction arithmetic. Quotients
-are built as Fractions, never with `/`, which makes an int quotient a
-float.
+format_sum writes such a vector as a signed sum. Every value that the
+package stores or returns goes through `exact`: an int when integral, a
+Fraction otherwise, never a float. So integral structure constants never
+enter Fraction arithmetic. Quotients are built as Fraction(a, b), never
+with `/`, which makes an int quotient a float.
 """
 
 from fractions import Fraction
@@ -37,23 +37,27 @@ class ParentMismatchError(ValueError):
     pass
 
 
-def clean(coeffs):
-    """The nonzero entries of a coordinate mapping, each an int or a Fraction.
+def exact(v):
+    """v as an int when it is integral, otherwise as a Fraction; a float is refused.
 
-    An int is kept as it is, and any other value becomes a Fraction
-    (built only when it is not one already, as Fraction(Fraction) is
-    slow), which is stored as its numerator when it is integral. A
-    Fraction with another denominator is nonzero, so it is kept untested.
+    The one place that builds a Fraction from a single value: anything but
+    an int or a Fraction (a bool, a string such as "1/3") goes through Fraction(v).
     """
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        if isinstance(v, float):
+            raise TypeError(f"inexact value {v!r}: use an int, a Fraction or a string")
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def clean(coeffs):
+    """The nonzero entries of a coordinate mapping, each made exact; an int costs no call."""
     out = {}
     for k, v in coeffs.items():
         if type(v) is not int:
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            if v.denominator != 1:
-                out[k] = v
-                continue
-            v = v.numerator
+            v = exact(v)
         if v:
             out[k] = v
     return out
@@ -63,7 +67,7 @@ class SparseVector:
     """A rational vector: `coeffs` maps basis keys to nonzero rationals.
 
     Each coordinate is an int when it is integral and a Fraction
-    otherwise, as `clean` leaves it, so `==` and `hash` agree with the
+    otherwise, as `exact` leaves it, so `==` and `hash` agree with the
     same vector held in Fractions.
 
     Vectors combine only with vectors of the same class and parent (the
@@ -96,8 +100,7 @@ class SparseVector:
         return self + other.scale(-1)
 
     def scale(self, c):
-        if type(c) is not int:
-            c = Fraction(c)
+        c = exact(c)
         return type(self)(self.parent, {k: v * c for k, v in self.coeffs.items()})
 
     def product(self, other):
@@ -157,12 +160,12 @@ def format_sum(terms):
 
 
 class Matrix:
-    """Dense row-major matrix of Fractions. Treat instances as immutable."""
+    """Dense row-major matrix of entries made exact. Treat instances as immutable."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+        entries = tuple(map(exact, entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError(f"need {rows}x{cols} = {rows * cols} entries, got {len(entries)}")
         self.rows = rows
@@ -190,8 +193,7 @@ class Matrix:
         out = []
         for i in range(self.rows):
             for j in range(other.cols):
-                out.append(sum((self.at(i, k) * other.at(k, j) for k in range(self.cols)),
-                               Fraction(0)))
+                out.append(sum(self.at(i, k) * other.at(k, j) for k in range(self.cols)))
         return Matrix(self.rows, other.cols, out)
 
     def __eq__(self, other):
@@ -256,9 +258,9 @@ def det(m):
     a, scales = _integer_rows(m.row(i) for i in range(m.rows))
     pivots, swaps = _eliminate(a, range(m.cols))
     if pivots < m.rows:
-        return Fraction(0)
+        return 0
     last = a[-1][-1] if a else 1
-    return Fraction((-1) ** swaps * last, prod(scales))
+    return exact(Fraction((-1) ** swaps * last, prod(scales)))
 
 
 def solve(m, b):
@@ -269,15 +271,15 @@ def solve(m, b):
     """
     if m.rows != m.cols:
         raise NonSquareError(f"{m.rows}x{m.cols}")
-    b = [Fraction(x) for x in b]
+    b = [exact(x) for x in b]
     if len(b) != m.rows:
         raise DimensionMismatchError(f"rhs of length {len(b)} for {m.rows}x{m.cols}")
     n = m.rows
     a, _ = _integer_rows([*m.row(i), b[i]] for i in range(n))
     if _eliminate(a, range(n))[0] < n:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i in reversed(range(n)):
         row = a[i]
-        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
+        x[i] = exact(Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i]))
     return tuple(x)

@@ -6,17 +6,15 @@ Both are represented by the same tagged point type.
 """
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .errors import read_natural
 
 _NEG, _FIN, _POS = -1, 0, 1
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ExtNat:
-    """One point of the chain. Use NEG_INF, POS_INF and fin(n) to build."""
+    """One point of the chain, ordered by (kind, n). Build with NEG_INF, POS_INF and fin(n)."""
 
     kind: int
     n: int = 0
@@ -40,11 +38,6 @@ class ExtNat:
         if self.kind == _FIN:
             return fin(self.n + 1)
         return self
-
-    def __lt__(self, other):
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        return (self.kind, self.n) < (other.kind, other.n)
 
     def __str__(self):
         if self.kind == _NEG:

@@ -17,7 +17,6 @@ on a degree of the unit; that deviation is reported as INFO, never FAIL
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError, read_rational, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
@@ -180,8 +179,7 @@ def verify_grading(algebra):
             j, k, _ = min(nonzero)
             witness = (label[i], label[j], label[k])
             break
-    report.add("invariant", "associativity", FAIL if witness else PASS,
-               f"[witness {witness}]" if witness else "")
+    report.check("invariant", "associativity", witness)
 
     one_b = [{} for _ in every]  # one_b[k]: the coordinates of 1 b_k
     b_one = [{} for _ in every]  # b_one[j]: the coordinates of b_j 1
@@ -194,15 +192,13 @@ def verify_grading(algebra):
     witness = next((label[i] for i in every
                     if any({l: v for l, v in side[i].items() if v} != {i: 1}
                            for side in (one_b, b_one))), None)
-    report.add("invariant", "unit-law", FAIL if witness else PASS,
-               f"[witness {witness}]" if witness else "")
+    report.check("invariant", "unit-law", witness)
 
     op, degree = algebra.grading.op, algebra.degree
     witness = next(((label[i], label[j], label[k])
                     for (i, j), vec in structure.items() for k in vec
                     if degree[k] != op(degree[i], degree[j])), None)
-    report.add("invariant", "grading-law", FAIL if witness else PASS,
-               f"[witness {witness}]" if witness else "")
+    report.check("invariant", "grading-law", witness)
 
     bad = _split_unit_degrees(algebra)
     if bad:
@@ -297,9 +293,8 @@ def _character_laws(algebra, kind, unit_name, unit_note):
                 for (i, j), vec in algebra.structure.items()]
     report = Report()
     for ci, (keep, image, word) in enumerate(zip(masks, images, words)):
-        witness = _multiplicative_witness(algebra, supports, keep, image, word)
-        report.add(kind, f"{character_label(ci)} multiplicative",
-                   FAIL if witness else PASS, f"[witness {witness}]" if witness else "")
+        report.check(kind, f"{character_label(ci)} multiplicative",
+                     _multiplicative_witness(algebra, supports, keep, image, word))
     if not _split_unit_degrees(algebra):
         one = algebra.one()
         for ci, keep in enumerate(masks):
@@ -340,13 +335,10 @@ class DualAction:
     report: Report
 
 
-_ZERO = Fraction(0)
-
-
 def _columns_matrix(images):
     """The dense matrix whose column j holds the coordinates of images[j]."""
     n = len(images)
-    entries = [_ZERO] * (n * n)
+    entries = [0] * (n * n)
     for j, image in enumerate(images):
         for i, v in image.coeffs.items():
             entries[i * n + j] = v
@@ -383,8 +375,7 @@ def dual_monoid_action(algebra):
         witness = next(((labels[i], labels[k]) for i, k, ik in pairs
                         if [_project(masks[i], image) for image in images[k]] != images[ik]),
                        None)
-    report.add("action", "composition", FAIL if witness else PASS,
-               f"[witness {witness}]" if witness else "")
+    report.check("action", "composition", witness)
     identity = _word(images[dual.identity]) == (1 << algebra.dim) - 1
     report.add("action", "identity-character", PASS if identity else FAIL)
     return DualAction(algebra, labels, dict(zip(labels, images)), matrices, report)

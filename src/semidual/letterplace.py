@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import NATURAL, RATIONAL, ParseError, read_rational
 from .exactlin import (ParentMismatchError as ContextMismatchError, SparseVector, bilinear,
-                       format_sum)
+                       exact, format_sum)
 from .extnat import NEG_INF, ExtNat, fin
 
 
@@ -125,7 +125,7 @@ class LPPoly(SparseVector):
         if normalized is None:
             return cls.zero(ctx)
         sign, mono = normalized
-        return cls(ctx, {mono: Fraction(coeff) * sign})
+        return cls(ctx, {mono: exact(coeff) * sign})
 
     @classmethod
     def var(cls, ctx, letter, place):

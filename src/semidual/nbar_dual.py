@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exactlin import Matrix, det
+from .exactlin import Matrix, det, exact
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
 
 
@@ -46,14 +46,15 @@ class StepFunctional:
     The chain is indexed by position: -inf is position 0 and n is
     position n + 1. prefix[i] is the value at position i and tail the
     value at every position from len(prefix) on; the stored prefix is
-    trimmed so its last entry differs from the tail.
+    trimmed so its last entry differs from the tail. Every value is made
+    exact by `exact`: an int when integral, otherwise a Fraction.
     """
 
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix, tail):
-        tail = tail if isinstance(tail, Fraction) else Fraction(tail)
-        values = [x if isinstance(x, Fraction) else Fraction(x) for x in prefix]
+        tail = exact(tail)
+        values = [exact(x) for x in prefix]
         while values and values[-1] == tail:
             values.pop()
         self.prefix = tuple(values)
@@ -218,14 +219,14 @@ def char_mult(s, t):
 
 def _special_matrix(row):
     """The rows of [row[max(i, j)]] and the closed form of their determinant."""
-    closed = row[-1] * prod(a - b for a, b in zip(row, row[1:])) if row else Fraction(1)
+    closed = exact(row[-1] * prod(a - b for a, b in zip(row, row[1:]))) if row else 1
     return [[v] * i + row[i:] for i, v in enumerate(row)], closed
 
 
 @dataclass(frozen=True)
 class SpecialDetResult:
-    det: Fraction
-    closed_form: Fraction
+    det: int | Fraction
+    closed_form: int | Fraction
     preconditions_met: bool
     nonzero: bool
 
@@ -239,7 +240,7 @@ def special_det(row):
     agree. When the last entry is nonzero and consecutive entries
     differ, the determinant is nonzero.
     """
-    row = [Fraction(x) for x in row]
+    row = [exact(x) for x in row]
     rows, closed = _special_matrix(row)
     direct = det(Matrix.from_rows(rows))
     if direct != closed:
@@ -264,7 +265,7 @@ def grouplike_decompose(f):
     values = [value for _, value in runs] + [f.tail]
     coeffs = {POS_INF: f.tail}
     for (end, value), nxt in zip(runs, values[1:]):
-        coeffs[end] = value - nxt
+        coeffs[end] = exact(value - nxt)
     if not verify_decomposition(f, coeffs):
         raise ArithmeticError("decomposition does not reconstruct the functional")
     return coeffs
@@ -273,5 +274,5 @@ def grouplike_decompose(f):
 def verify_decomposition(f, coeffs):
     """Pointwise check of sum c_i f_i = f on the verification window."""
     terms = [(v, threshold_functional(c)) for c, v in coeffs.items()]
-    return all(sum((v * g.eval(p) for v, g in terms), Fraction(0)) == f.eval(p)
+    return all(sum(v * g.eval(p) for v, g in terms) == f.eval(p)
                for p in f.window())

@@ -30,6 +30,11 @@ class Report:
     def add(self, kind, name, status, witness=""):
         self.lines.append(CheckLine(kind, name, status, witness))
 
+    def check(self, kind, name, witness):
+        """PASS when witness is None, otherwise FAIL with `[witness ...]`."""
+        failed = witness is not None
+        self.add(kind, name, FAIL if failed else PASS, f"[witness {witness}]" if failed else "")
+
     @property
     def passed(self):
         return all(line.status != FAIL for line in self.lines)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import semidual
-from semidual import bialgebra, corpus, nbar_dual
+from semidual import bialgebra, cli, corpus, nbar_dual
 from semidual.cli import run
 
 
@@ -390,6 +390,35 @@ def test_python_m_cli_runs_main():
                           timeout=60)
     assert proc.returncode == 0
     assert "valid: yes" in proc.stdout.splitlines()
+
+
+def _main_exit(monkeypatch, *argv):
+    monkeypatch.setattr(sys, "argv", ["semidual", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    return exc.value.code
+
+
+@pytest.mark.parametrize("crash", [ZeroDivisionError, OverflowError, TypeError, KeyError])
+def test_main_exits_3_with_the_traceback_when_run_crashes(monkeypatch, capsys, crash):
+    def run(argv):
+        raise crash("planted")
+
+    monkeypatch.setattr(cli, "run", run)
+    assert _main_exit(monkeypatch, "slat", "check", slat("chain2")) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"{crash.__name__}: {crash('planted')}\n")
+
+
+def test_main_passes_the_exit_codes_of_run_through(monkeypatch, capsys):
+    assert _main_exit(monkeypatch, "slat", "check", slat("chain2")) == 0
+    assert _main_exit(monkeypatch, "nbar", "det", "--row", "1/0") == 2
+    assert _main_exit(monkeypatch, "--help") == 0
+    monkeypatch.setattr(cli, "run", lambda argv: 1)
+    assert _main_exit(monkeypatch) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_exit_1_on_failing_report(tmp_path):

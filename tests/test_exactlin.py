@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from semidual import corpus
 from semidual.bialgebra import MonoidAlgebraElement, TensorElement, counit
 from semidual.exactlin import (DimensionMismatchError, Matrix, NonSquareError,
-                               ParentMismatchError, bilinear, det, rank, solve)
+                               ParentMismatchError, bilinear, det, exact, rank, solve)
+from semidual.extnat import POS_INF, fin
 from semidual.graded import AlgebraElement, ut_graded
 from semidual.letterplace import LPPoly, ParityContext, normalize, variable
+from semidual.nbar_dual import StepFunctional, grouplike_decompose, special_det, translate
 
 from oracles import (cofactor_det, gauss_rank, gauss_solve, loop_graded_product,
                      loop_letterplace_product, loop_monoid_product, loop_tensor_product,
-                     minor_rank)
+                     minor_rank, point_pointwise_mul, point_translate, step_values)
 from test_graded import _monoid_algebra
 from test_semilattice import union_closed_families
 
@@ -365,3 +367,104 @@ def test_coefficients_are_ints_or_proper_fractions(space, data):
     if cls is AlgebraElement:
         for vec in (*parent.structure.values(), parent.unit):
             assert all(type(c) is int for c in vec.values())
+
+
+def _follows_exact(v):
+    """Whether v is an int, or a Fraction that is not integral."""
+    return type(v) is int or type(v) is Fraction and v.denominator != 1
+
+
+def test_exact_keeps_ints_and_proper_fractions_and_lowers_integral_ones():
+    third = Fraction(1, 3)
+    assert exact(third) is third
+    assert exact(7) == 7 and type(exact(7)) is int
+    for value, want in ((Fraction(6, 3), 2), (True, 1), (False, 0), ("-4/2", -2), ("1/3", third)):
+        got = exact(value)
+        assert got == want and type(got) is type(want), (value, got)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, float("nan"), float("inf")])
+def test_exact_refuses_a_float(value):
+    with pytest.raises(TypeError, match="inexact"):
+        exact(value)
+
+
+# each entry point that stores or reads a value, given one float
+FLOAT_ENTRIES = {
+    "vector coefficient": lambda: MonoidAlgebraElement(DIV12, {0: 0.5}),
+    "scale": lambda: MonoidAlgebraElement.unit(DIV12).scale(0.5),
+    "Matrix": lambda: Matrix.from_rows([[1, 0.5]]),
+    "StepFunctional prefix": lambda: StepFunctional([1, 0.5], 0),
+    "StepFunctional tail": lambda: StepFunctional([1], 0.5),
+    "LPPoly.constant": lambda: LPPoly.constant(LP_CTX, 0.1),
+    "LPPoly.from_word": lambda: LPPoly.from_word(LP_CTX, [variable(2, 1)], 0.5),
+    "solve": lambda: solve(mat([[1, 0], [0, 1]]), [1, 0.5]),
+    "special_det": lambda: special_det([1, 0.5]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRIES))
+def test_a_float_is_refused_at_every_entry_point(entry):
+    with pytest.raises(TypeError, match="inexact"):
+        FLOAT_ENTRIES[entry]()
+
+
+def test_counit_of_two_halves_is_the_int_one():
+    a = MonoidAlgebraElement(DIV12, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    assert counit(a) == 1 and type(counit(a)) is int
+    assert type(counit(MonoidAlgebraElement(DIV12, {0: Fraction(1, 2)}))) is Fraction
+
+
+# the ways a caller may write a rational: ints, bools, Fractions with and
+# without a denominator of 1, and "p/q" strings
+VALUES = st.one_of(COEFFICIENTS, st.fractions(-4, 4, max_denominator=6).map(str))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_matrix_entries_and_results_follow_exact(data):
+    n = data.draw(st.integers(1, 4))
+    raw = data.draw(st.lists(st.lists(VALUES, min_size=n, max_size=n), min_size=n, max_size=n))
+    raw_b = data.draw(st.lists(VALUES, min_size=n, max_size=n))
+    rows = [[Fraction(x) for x in row] for row in raw]
+    b = [Fraction(x) for x in raw_b]
+    m = mat(raw)
+    square = m.matmul(m)
+    assert all(map(_follows_exact, m.entries + square.entries))
+    assert row_lists(m) == rows
+    got = det(m)
+    assert _follows_exact(got) and got == cofactor_det(rows)
+    x, want = solve(m, raw_b), gauss_solve(rows, b)
+    assert (x is None) == (want is None)
+    if x is not None:
+        assert all(map(_follows_exact, x)) and x == want
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_step_functional_values_and_results_follow_exact(data):
+    raw_prefix = data.draw(st.lists(VALUES, max_size=6))
+    raw_tail = data.draw(VALUES)
+    f = StepFunctional(raw_prefix, raw_tail)
+    assert all(map(_follows_exact, (*f.prefix, f.tail)))
+    window = f.window()
+    assert [f.eval(p) for p in window] == step_values(raw_prefix, raw_tail, len(window))
+    g = StepFunctional(data.draw(st.lists(VALUES, max_size=4)), data.draw(VALUES))
+    n = fin(data.draw(st.integers(0, 6)))
+    for got, want in ((translate(f, n), point_translate(f, n)),
+                      (f.pointwise_mul(g), point_pointwise_mul(f, g))):
+        assert all(map(_follows_exact, (*got.prefix, got.tail))) and got == want
+    # the unitriangular system [p <= c] at the run ends, with +inf read past the tail onset
+    coeffs = grouplike_decompose(f)
+    assert all(map(_follows_exact, coeffs.values()))
+    keys = list(coeffs)
+    points = [window[-1] if c == POS_INF else c for c in keys]
+    values = dict(zip(window, step_values(raw_prefix, raw_tail, len(window))))
+    want = gauss_solve([[Fraction(int(p <= c)) for c in keys] for p in points],
+                       [values[p] for p in points])
+    assert tuple(coeffs.values()) == want
+    row = data.draw(st.lists(VALUES, max_size=5))
+    result = special_det(row)
+    special = [[Fraction(row[max(i, j)]) for j in range(len(row))] for i in range(len(row))]
+    assert _follows_exact(result.det) and _follows_exact(result.closed_form)
+    assert result.det == result.closed_form == cofactor_det(special)

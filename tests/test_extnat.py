@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from semidual.extnat import NEG_INF, POS_INF, ExtNat, fin, parse_point
@@ -11,6 +13,18 @@ def test_total_order():
     assert max(fin(2), fin(5)) == fin(5)
     assert min(NEG_INF, fin(0)) == NEG_INF
     assert max(POS_INF, fin(9)) == POS_INF
+
+
+def test_points_compare_by_fields_and_not_with_ints():
+    points = [NEG_INF, fin(0), fin(1), fin(7), POS_INF]
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            assert (p <= q, p > q, p >= q) == (i <= j, i > j, i >= j)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(fin(1), 2)
+        with pytest.raises(TypeError):
+            compare(2, fin(1))
 
 
 def test_parse_and_format():

@@ -68,11 +68,12 @@ def test_fraction_entries_are_kept_and_others_converted():
     third, half = Fraction(1, 3), Fraction(1, 2)
     f = F([third, 2, True], half)
     assert f.prefix[0] is third and f.tail is half
-    assert all(type(v) is Fraction for v in (*f.prefix, f.tail))
+    assert [type(v) for v in (*f.prefix, f.tail)] == [Fraction, int, int, Fraction]
     g = F(["1/3", Fraction(2), 1], "1/2")
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert repr(f) == "StepFunctional(prefix=(1/3,2,1), tail=1/2)"
-    assert F([False, 0.5], True).prefix == (0, half)
+    with pytest.raises(TypeError):
+        F([0.5], 0)
 
 
 def test_translate_by_bottom_is_identity():

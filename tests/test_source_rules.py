@@ -6,7 +6,10 @@ grammar of `semidual.errors`, and files are opened only by the two
 readers `parse_semilattice_file` and `parse_graded_file`. Coefficients
 are ints wherever they are integral, and `int / int` is a float, so `/`
 divides only where one operand is built as a `Fraction(...)`; the one
-other `/` is the path join of `corpus.data_path`.
+other `/` is the path join of `corpus.data_path`. A value becomes a
+Fraction only in `exactlin.exact`, which keeps integral values as ints
+and refuses floats: everywhere else `Fraction(...)` is a quotient of two
+arguments.
 """
 
 import ast
@@ -21,6 +24,7 @@ FILE_READERS = {"semilattice.py": "parse_semilattice_file", "graded.py": "parse_
 NUMBER_READING = re.compile(r"\.isdigit\(|\.isdecimal\(|\.isnumeric\(|type=int")
 FILE_OPENING = re.compile(r"\bopen\(|\.read_text\(|\.read_bytes\(")
 PATH_JOINS = {"corpus.py": "data_path"}
+EXACT = ("exactlin.py", "exact")  # the one function that calls Fraction on one value
 
 
 def _lines(path):
@@ -65,6 +69,17 @@ def _inexact_divisions(source, name):
     return hits
 
 
+def _fractions_of_one_value(source, name):
+    """Each Fraction(...) call in the source of module name that is not Fraction(a, b),
+    outside the function that EXACT names in its module."""
+    tree = ast.parse(source)
+    inside = _function_lines(tree, EXACT[1]) if name == EXACT[0] else range(0)
+    return [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if _is_fraction(node) and node.lineno not in inside
+            and (len(node.args) != 2 or node.keywords
+                 or any(isinstance(arg, ast.Starred) for arg in node.args))]
+
+
 def test_numbers_are_read_only_through_the_shared_grammar():
     hits = [f"{path.name}:{n}: {line.strip()}" for path in sorted(SRC.glob("*.py"))
             for n, line in _lines(path) if NUMBER_READING.search(line)]
@@ -106,3 +121,28 @@ def test_division_rule_rejects_a_planted_int_quotient():
     assert set(_inexact_divisions(planted, "graded.py")) == {
         "graded.py:4: root / 'data' / name", "graded.py:4: root / 'data'",
         "graded.py:9: b /= 2", "graded.py:10: a / b"}
+
+
+def test_fractions_are_built_from_one_value_only_by_exact():
+    assert _function_lines(ast.parse((SRC / EXACT[0]).read_text(encoding="utf-8")), EXACT[1])
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in _fractions_of_one_value(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def test_fraction_rule_rejects_a_planted_conversion():
+    planted = textwrap.dedent("""\
+        from fractions import Fraction
+
+        def exact(v):
+            return Fraction(v)
+
+        def ratio(a, b, pair):
+            q = Fraction(a, b) + Fraction(a)
+            return q + Fraction(*pair) + Fraction(a, denominator=b) + Fraction()
+        """)
+    assert set(_fractions_of_one_value(planted, "exactlin.py")) == {
+        "exactlin.py:7: Fraction(a)", "exactlin.py:8: Fraction(*pair)",
+        "exactlin.py:8: Fraction(a, denominator=b)", "exactlin.py:8: Fraction()"}
+    # outside exactlin.py a function named exact is no exception
+    assert "letterplace.py:4: Fraction(v)" in _fractions_of_one_value(planted, "letterplace.py")
