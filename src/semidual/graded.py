@@ -17,6 +17,7 @@ on a degree of the unit; that deviation is reported as INFO, never FAIL
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, read_rational, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
@@ -135,9 +136,16 @@ def _split_unit_degrees(algebra):
 def verify_grading(algebra):
     """Exhaustively check associativity, the unit law, and the grading law.
 
-    Associativity is certified one left factor i at a time. A dict keyed
-    by (j, k, l) collects the l-coordinate of (b_i b_j) b_k - b_i (b_j b_k),
-    walking stored products only: the left side through stored (i, j),
+    Associativity is certified one left factor i at a time, on stored
+    products only. When every stored product is one basis vector with
+    coefficient 1, both sides of (b_i b_j) b_k = b_i (b_j b_k) are one
+    basis vector or 0, and i passes when two dicts (j, k) -> l of the
+    nonzero sides are equal: (b_i b_j) b_k through stored (i, j), then
+    stored (m, k); b_i (b_j b_k) through stored (i, m) and every stored
+    (j, k) whose product is b_m. Every other i, and every i of any other
+    structure, goes through an exact walk, the only source of witnesses.
+    A dict keyed by (j, k, l) collects the l-coordinate of
+    (b_i b_j) b_k - b_i (b_j b_k): the left side through stored (i, j),
     then stored (m, k) for each m in that product; the right side through
     stored (j, k), then stored (i, m) for each m in that product. Any
     triple the walk does not visit gives 0 = 0, so the first i with a
@@ -162,8 +170,15 @@ def verify_grading(algebra):
         rows[j][k] = vec
         for m, c in vec.items():
             into[m].append((j, k, c))
+    monomial = all(len(vec) == 1 and 1 in vec.values() for vec in structure.values())
+    if monomial:
+        prod = [{k: next(iter(vec)) for k, vec in row.items()} for row in rows]  # prod[j][k]: m
+        made = [[(j, k) for j, k, _ in col] for col in into]  # made[m]: (j, k) with prod m
     witness = None
     for i in every:
+        if monomial and ({(j, k): l for j, m in prod[i].items() for k, l in prod[m].items()}
+                         == {jk: l for m, l in prod[i].items() for jk in made[m]}):
+            continue
         diff = {}
         for j, vec in rows[i].items():
             for m, c in vec.items():
@@ -322,17 +337,22 @@ def check_module_algebra(algebra):
 
 @dataclass(frozen=True, eq=False)
 class DualAction:
-    """The character action, as matrices and as basis images, plus its verification.
+    """The character action, as basis images and as matrices, plus its verification.
 
     `images[name][j]` is the image of basis vector j under the named
-    character, and `matrices[name]` holds the same images as columns.
+    character. `matrices[name]` holds the same images as columns; the
+    dense matrices are built from `images` on the first access to
+    `matrices` and that dict is kept, so every later access returns it.
     """
 
     algebra: GradedFDAlgebra
     labels: list
     images: dict
-    matrices: dict
     report: Report
+
+    @cached_property
+    def matrices(self):
+        return {name: _columns_matrix(image) for name, image in self.images.items()}
 
 
 def _columns_matrix(images):
@@ -365,7 +385,6 @@ def dual_monoid_action(algebra):
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) != 1 for characters vanishing on a unit degree")
     labels = [character_label(i) for i in range(len(chars))]
-    matrices = {name: _columns_matrix(image) for name, image in zip(labels, images)}
     dual = dual_semilattice(algebra.grading)
     pairs = ((i, k, dual.op(i, k)) for i in range(len(chars)) for k in range(len(chars)))
     if None not in words:
@@ -378,7 +397,7 @@ def dual_monoid_action(algebra):
     report.check("action", "composition", witness)
     identity = _word(images[dual.identity]) == (1 << algebra.dim) - 1
     report.add("action", "identity-character", PASS if identity else FAIL)
-    return DualAction(algebra, labels, dict(zip(labels, images)), matrices, report)
+    return DualAction(algebra, labels, dict(zip(labels, images)), report)
 
 
 def ut_graded(m, labels):

@@ -177,26 +177,35 @@ def multiply(p, q):
     return p.product(q)
 
 
+def _top(mono):
+    """The largest place in the monomial, 0 for the empty one; it orders monomials by weight."""
+    return max((v.place for v in mono), default=0)
+
+
+def _point(top):
+    return fin(top) if top else NEG_INF
+
+
 def weight(mono):
     """The largest place in the monomial; the empty monomial sits at -inf."""
-    if not mono:
-        return NEG_INF
-    return fin(max(v.place for v in mono))
+    return _point(_top(mono))
 
 
 def weight_components(p):
     """Split a polynomial by weight; the components sum back to the input."""
-    parts = {}
+    parts = {}  # int place maximum -> terms, so one chain point is built per weight
     for m, c in p.coeffs.items():
-        parts.setdefault(weight(m), {})[m] = c
-    return {w: LPPoly(p.parent, terms) for w, terms in sorted(parts.items())}
+        parts.setdefault(_top(m), {})[m] = c
+    return {_point(top): LPPoly(p.parent, terms) for top, terms in sorted(parts.items())}
 
 
 def act_min(z, p):
     """Delete every term of weight above z; +inf acts as the identity."""
     if not isinstance(z, ExtNat):
         raise TypeError("z must be a point of the extended chain")
-    return LPPoly(p.parent, {m: c for m, c in p.coeffs.items() if weight(m) <= z})
+    tops = {m: _top(m) for m in p.coeffs}
+    kept = {top: _point(top) <= z for top in set(tops.values())}
+    return LPPoly(p.parent, {m: c for m, c in p.coeffs.items() if kept[tops[m]]})
 
 
 def embed_word(letters, ctx):
@@ -206,7 +215,7 @@ def embed_word(letters, ctx):
 
 
 def _term_sort_key(mono):
-    return (weight(mono), mono)
+    return (_top(mono), mono)
 
 
 def format_poly(p):

@@ -13,9 +13,12 @@ the raw text is about 1 MB.
 `golden_graded.json` pins the same for `graded verify|module-algebra|action-table`
 on inputs that are not bundled files, written to a temporary directory:
 k[S] graded by S on bool2, bool3 and div12, where the unit sits in the
-identity degree so the strict unit law is checked, and ut6-ut8. It also
-pins `graded verify` on two faulty copies of ut3, one not associative and
-one breaking the grading law, which exit 1 with a witness line.
+identity degree so the strict unit law is checked, ut6-ut8 and ut20
+(whose chain20.slat is written beside it). It also pins `graded verify`
+on three faulty copies of ut3, which exit 1 with a witness line: one
+with a rescaled product, one whose products are all still single basis
+vectors with coefficient 1 but not associative, and one breaking the
+grading law.
 
 Regenerate the stored digests (only when an output change is intended):
 
@@ -33,11 +36,13 @@ from fractions import Fraction
 from semidual import corpus
 from semidual.cli import run
 from semidual.graded import GradedFDAlgebra, print_graded, ut_graded
+from semidual.semilattice import print_semilattice
 
 DIGESTS = pathlib.Path(__file__).with_name("golden_cli.json")
 GRADED_DIGESTS = pathlib.Path(__file__).with_name("golden_graded.json")
 MONOID_GRADINGS = ("bool2", "bool3", "div12")
 UT_SIZES = (6, 7, 8)
+BIG_UT = 20  # its chain is not bundled, so graded_inputs() adds the .slat file
 SLATS = [f"chain{m}" for m in range(1, 9)] + ["bool1", "bool2", "bool3",
                                                "div12", "div30", "div36"]
 GALGS = [f"ut{m}" for m in range(1, 6)]
@@ -148,27 +153,34 @@ def monoid_algebra_text(name):
 
 
 def graded_inputs():
-    """File name -> `.galg` text for the inputs of golden_graded.json."""
+    """File name -> `.galg` or `.slat` text for the inputs of golden_graded.json."""
     files = {f"kS-{name}.galg": monoid_algebra_text(name) for name in MONOID_GRADINGS}
     for m in UT_SIZES:
         algebra = ut_graded(m, list(range(1, m + 1)))
         files[f"ut{m}.galg"] = print_graded(algebra, corpus.data_path(f"chain{m}.slat"))
+    big = ut_graded(BIG_UT, list(range(1, BIG_UT + 1)))
+    files[f"chain{BIG_UT}.slat"] = print_semilattice(big.grading)
+    files[f"ut{BIG_UT}.galg"] = print_graded(big, f"chain{BIG_UT}.slat")
     return files
 
 
 def failing_inputs():
     """File name -> `.galg` text of ut3 with one fault each, which `graded verify` reports.
 
-    E22 E23 = 2 E23 breaks associativity (and the unit law); E13 moved to
-    the bottom degree breaks the grading law.
+    E22 E23 = 2 E23 breaks associativity (and the unit law); E12 E23 = E11
+    keeps every product one basis vector with coefficient 1 and the
+    grading law, but breaks associativity alone; E13 moved to the bottom
+    degree breaks the grading law.
     """
     ut3 = ut_graded(3, [1, 2, 3])
     e = ut3.index
     structure = {**ut3.structure, (e("E22"), e("E23")): {e("E23"): 2}}
+    redirected = {**ut3.structure, (e("E12"), e("E23")): {e("E11"): 1}}
     degree = [0 if i == e("E13") else d for i, d in enumerate(ut3.degree)]
     slat = corpus.data_path("chain3.slat")
     return {name: print_graded(GradedFDAlgebra(ut3.basis, products, ut3.unit, ut3.grading, d), slat)
             for name, products, d in (("nonassoc-ut3.galg", structure, ut3.degree),
+                                       ("redirect-ut3.galg", redirected, ut3.degree),
                                        ("misgraded-ut3.galg", ut3.structure, degree))}
 
 
@@ -179,6 +191,8 @@ def graded_commands(directory):
         for name, text in inputs.items():
             path = pathlib.Path(directory) / name
             path.write_text(text, encoding="utf-8")
+            if not name.endswith(".galg"):
+                continue
             for fmt in ("human", "tsv"):
                 for cmd in cmds:
                     tail = ["--format", fmt]
@@ -213,7 +227,7 @@ def graded_digests():
 def test_graded_outputs_match_stored_digests():
     stored = json.loads(GRADED_DIGESTS.read_text(encoding="utf-8"))
     current = graded_digests()
-    assert len(current) == 40
+    assert len(current) == 48
     assert sorted(current) == sorted(stored)
     changed = [key for key in current if current[key] != stored[key]]
     assert not changed, changed[:10]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import random
@@ -164,6 +165,14 @@ def test_module_algebra_ut4_all_characters():
     assert len(mult_lines) == 4
 
 
+def _monoid_algebra(s):
+    """k[S] graded by S: basis u_s in degree s, u_s u_t = u_{st}, unit u_e."""
+    n = len(s)
+    structure = {(i, j): {s.op(i, j): 1} for i in range(n) for j in range(n)}
+    return GradedFDAlgebra([f"u{i}" for i in range(n)], structure, {s.identity: 1},
+                           s, range(n))
+
+
 def test_dual_action_ut2_matrices():
     action = dual_monoid_action(ut2())
     assert action.report.passed
@@ -174,6 +183,35 @@ def test_dual_action_ut2_matrices():
     assert g1.matmul(g2) == g1           # f1 f2 = f1
     # gamma_f1 projects onto the bottom-right corner
     assert g1 == Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("algebra", [ut_graded(m, list(range(1, m + 1))) for m in range(2, 7)]
+                         + [_monoid_algebra(corpus.boolean_lattice(2)),
+                            _monoid_algebra(corpus.load_semilattice("div12"))])
+def test_dual_action_builds_its_matrices_on_first_access(monkeypatch, algebra):
+    built = []
+    true_init = Matrix.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        true_init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    action = dual_monoid_action(algebra)
+    assert built == []
+    n = algebra.dim
+    columns = {name: Matrix.from_rows([[image[j].coeffs.get(i, 0) for j in range(n)]
+                                       for i in range(n)])
+               for name, image in action.images.items()}
+    built.clear()
+    matrices = action.matrices
+    assert matrices == columns
+    assert len(built) == len(columns)
+    assert action.matrices is matrices  # a planted entry stays in place
+    assert len(built) == len(columns)  # and nothing is built again
+    for name in ("matrices", "images"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(action, name, {})
 
 
 def _faulty_act(monkeypatch, corrupt):
@@ -238,14 +276,6 @@ def test_leaked_coordinate_is_caught_off_the_stored_products(monkeypatch):
         "action identity-character: FAIL",
     ]
     assert f"character {mult_fail}" in check_module_algebra(algebra).render().splitlines()
-
-
-def _monoid_algebra(s):
-    """k[S] graded by S: basis u_s in degree s, u_s u_t = u_{st}, unit u_e."""
-    n = len(s)
-    structure = {(i, j): {s.op(i, j): 1} for i in range(n) for j in range(n)}
-    return GradedFDAlgebra([f"u{i}" for i in range(n)], structure, {s.identity: 1},
-                           s, range(n))
 
 
 @st.composite
@@ -579,8 +609,28 @@ def _one_fault(algebra, rng):
                            algebra.degree)
 
 
+def _monomial_fault(algebra, rng, kind):
+    """The algebra with one stored product redirected to another basis vector, or deleted.
+
+    Every stored product stays one basis vector with coefficient 1, so
+    the copy still goes through the monomial certificate of verify_grading.
+    """
+    structure = dict(algebra.structure)
+    key = rng.choice(sorted(structure))
+    if kind == "redirect":
+        structure[key] = {rng.choice([k for k in range(algebra.dim) if k not in structure[key]]): 1}
+    else:
+        del structure[key]
+    return GradedFDAlgebra(algebra.basis, structure, algebra.unit, algebra.grading,
+                           algebra.degree)
+
+
 def _wide_oracle_cases():
-    """ut_graded(m), m <= 8, and rescaled k[S] on chain8 and bool3, each with and without a fault."""
+    """ut_graded(m), m <= 8, and k[S] on chain8 and bool3, each with and without a fault.
+
+    The k[S] are rescaled (not monomial) or plain (monomial); the faults
+    rescale, delete, set, or redirect one stored product.
+    """
     rng = random.Random(47)
     out = []
     for m in range(1, 9):
@@ -590,6 +640,11 @@ def _wide_oracle_cases():
         for _ in range(3):
             ks = _rescaled_monoid_algebra(s, [rng.choice(_SCALES) for _ in range(len(s))])
             out += [ks] + [_one_fault(ks, rng) for _ in range(2)]
+    rng = random.Random(53)
+    monomial = [ut_graded(m, list(range(1, m + 1))) for m in range(2, 9)]
+    for algebra in monomial + [_monoid_algebra(s) for s in (corpus.chain(8),
+                                                            corpus.boolean_lattice(3))]:
+        out += [_monomial_fault(algebra, rng, kind) for kind in ("redirect", "redirect", "delete")]
     return out
 
 
@@ -628,9 +683,43 @@ def _mutated_verify_grading(old, new):
     ("for m, out in rows[i].items():", "for m, out in ():"),
     # walk the right side only where (i, j) is stored, skipping right-only triples
     ("for j, k, c in into[m]:", "for j, k, c in (t for t in into[m] if t[0] in rows[i]):"),
+    # certify a monomial left factor when the two sides are nonzero at the same (j, k) only
+    ("== {jk: l for m, l in prod[i].items() for jk in made[m]}):",
+     ".keys() == {jk: l for m, l in prod[i].items() for jk in made[m]}.keys()):"),
+    # build the monomial right side without made, only where (i, j) is stored
+    ("{jk: l for m, l in prod[i].items() for jk in made[m]}",
+     "{(j, k): prod[i][m] for j in prod[i] for k, m in prod[j].items() if m in prod[i]}"),
 ])
 def test_wide_associativity_oracle_catches_a_broken_certificate(old, new):
     assert _witness_mismatches(_mutated_verify_grading(old, new), _wide_oracle_cases())
+
+
+@st.composite
+def monomial_algebras(draw):
+    """ut_graded(m) or k[S], as it is or with one stored product redirected or deleted."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 7))
+        algebra = ut_graded(m, list(range(1, m + 1)))
+    else:
+        algebra = _monoid_algebra(draw(union_closed_families(max_members=8)))
+    kinds = ["none", "delete"] + ["redirect"] * (algebra.dim > 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "none":
+        return algebra
+    return _monomial_fault(algebra, draw(st.randoms(use_true_random=False)), kind)
+
+
+@given(monomial_algebras())
+@settings(max_examples=80, deadline=None)
+def test_monomial_certificate_matches_dense_search(algebra):
+    assert _witness_mismatches(verify_grading, [algebra]) == []
+
+
+@pytest.mark.parametrize("algebra", [ut_graded(8, list(range(1, 9))),
+                                     _monoid_algebra(corpus.boolean_lattice(3))])
+def test_monomial_certificate_needs_no_walk_when_associative(algebra):
+    walkless = _mutated_verify_grading("diff = {}", "raise AssertionError('walked')")
+    assert walkless(algebra).lines[0].status == "PASS"
 
 
 def test_product_matches_loop_oracle():

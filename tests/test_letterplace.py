@@ -6,7 +6,7 @@ import pytest
 
 from semidual import exactlin, letterplace
 from semidual.errors import ParseError
-from semidual.extnat import NEG_INF, POS_INF, fin
+from semidual.extnat import NEG_INF, POS_INF, ExtNat, fin
 from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
                                   act_min, embed_word, format_poly, multiply,
                                   normalize, parse_poly, variable, weight,
@@ -122,6 +122,36 @@ def test_weight_components_random_sum_and_homogeneity():
             total = total + part
             assert {weight(m) for m in part.terms} == {w}
         assert total == p
+
+
+def test_weight_components_and_act_min_match_per_term_weights(monkeypatch):
+    rng = random.Random(73)
+    ctx = ParityContext.make(odd_letters=[2], odd_places=[3])
+    points = [NEG_INF, fin(0), fin(1), fin(2), fin(3), fin(4), POS_INF]
+    made = []
+    true_post_init = ExtNat.__post_init__
+
+    def counting_post_init(self):
+        made.append(self)
+        true_post_init(self)
+
+    for _ in range(60):
+        p = _random_poly(rng, ctx) + LPPoly.constant(ctx, rng.choice([0, 1, Fraction(-1, 2)]))
+        weights = sorted({weight(m) for m in p.coeffs})
+        want = {w: LPPoly(ctx, {m: c for m, c in p.coeffs.items() if weight(m) == w})
+                for w in weights}
+        z = rng.choice(points)
+        kept = LPPoly(ctx, {m: c for m, c in p.coeffs.items() if weight(m) <= z})
+        with monkeypatch.context() as patch:
+            patch.setattr(ExtNat, "__post_init__", counting_post_init)
+            made.clear()
+            parts = weight_components(p)
+            assert len(made) <= len(weights)  # one chain point per distinct weight
+            made.clear()
+            assert act_min(z, p) == kept
+            assert len(made) <= len(weights)
+        assert list(parts) == weights
+        assert parts == want
 
 
 def test_act_min_examples():
