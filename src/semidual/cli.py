@@ -5,8 +5,9 @@ Exit codes: 0 for success / all-PASS reports, 1 when any check FAILs,
 when an exception escapes `run`, a crash such as ZeroDivisionError, with
 the traceback on stderr. An internal cross-check that finds its two
 computations disagreeing (an ArithmeticError from the nbar certificates,
-or a glued pair that `balg quotient` finds in two classes) is a FAIL:
-it prints `check: FAIL [message]` and exits 1.
+a character evaluation matrix that `slat ev-rank` finds not
+unitriangular, or a glued pair that `balg quotient` finds in two
+classes) is a FAIL: it prints `check: FAIL [message]` and exits 1.
 `--format tsv` mirrors every line as tab-separated fields for scripts.
 """
 
@@ -50,12 +51,16 @@ class Output:
         else:
             self.stream.write(human + "\n")
 
+    def fields(self, *pairs):
+        """One `key: value` line per (key, value) pair, `key<TAB>value` in tsv."""
+        for key, value in pairs:
+            self.emit(f"{key}: {value}", (key, value))
+
     def emit_verdict(self, name, report):
         """The report's lines, then `name: PASS|FAIL`; returns the exit code."""
         for line in report.lines:
             self.emit(line.render(), (line.kind, line.name, line.status, line.witness))
-        status = PASS if report.passed else FAIL
-        self.emit(f"{name}: {status}", (name, status))
+        self.fields((name, PASS if report.passed else FAIL))
         return 0 if report.passed else 1
 
 
@@ -73,15 +78,18 @@ def _natural(text):
         raise _UsageError(f"bad natural number {text!r}") from None
 
 
+def _items(text):
+    """The comma-separated items of text: none in the empty string, and an empty item kept."""
+    return text.split(",") if text else []
+
+
 def _parse_list(text, read):
-    return [read(part) for part in text.split(",") if part != ""]
+    return [read(part) for part in _items(text)]
 
 
 def _parse_element(algebra, text):
     coords = {}
-    for part in text.split(","):
-        if not part:
-            continue
+    for part in _items(text):
         label, sep, value = part.partition(":")
         if not sep:
             raise _UsageError(f"element coordinate {part!r} needs label:rational")
@@ -104,12 +112,10 @@ def _cmd_slat(args, out):
         try:
             s = semilattice.parse_semilattice_file(args.file)
         except semilattice.SemilatticeError as exc:
-            out.emit("valid: no", ("valid", "no"))
-            out.emit(f"error: {exc}", ("error", str(exc)))
+            out.fields(("valid", "no"), ("error", exc))
             return 1
-        out.emit(f"elements: {' '.join(s.elements)}", ("elements", " ".join(s.elements)))
-        out.emit(f"identity: {s.label(s.identity)}", ("identity", s.label(s.identity)))
-        out.emit("valid: yes", ("valid", "yes"))
+        out.fields(("elements", " ".join(s.elements)), ("identity", s.label(s.identity)),
+                   ("valid", "yes"))
         return 0
 
     s = semilattice.parse_semilattice_file(args.file)
@@ -119,9 +125,8 @@ def _cmd_slat(args, out):
                 out.emit(f"{s.label(i)} <= {s.label(j)}", ("order", s.label(i), s.label(j)))
         return 0
     if args.slat_cmd == "characters":
-        for i, ch in enumerate(semilattice.characters(s)):
-            name = semilattice.character_label(i)
-            out.emit(f"{name}: {ch.bits()}", (name, ch.bits()))
+        out.fields(*((semilattice.character_label(i), ch.bits())
+                     for i, ch in enumerate(semilattice.characters(s))))
         return 0
     if args.slat_cmd == "dual":
         text = semilattice.print_semilattice(semilattice.dual_semilattice(s))
@@ -137,15 +142,11 @@ def _cmd_slat(args, out):
         for i in range(len(s)):
             target = iso.target.label(iso.apply(i))
             out.emit(f"{s.label(i)} -> {target}", ("map", s.label(i), target))
-        out.emit("isomorphism: OK", ("isomorphism", "OK"))
+        out.fields(("isomorphism", "OK"))
         return 0
-    # ev-rank
-    r = semilattice.ev_matrix_rank(s)
-    full = r == len(s)
-    out.emit(f"rank: {r}", ("rank", r))
-    out.emit(f"size: {len(s)}", ("size", len(s)))
-    out.emit(f"full-rank: {'yes' if full else 'no'}", ("full-rank", "yes" if full else "no"))
-    return 0 if full else 1
+    # ev-rank: a rank other than len(s) is an ArithmeticError, a failed check
+    out.fields(("rank", semilattice.ev_matrix_rank(s)), ("size", len(s)), ("full-rank", "yes"))
+    return 0
 
 
 def _cmd_balg(args, out):
@@ -154,9 +155,7 @@ def _cmd_balg(args, out):
         return out.emit_verdict("axioms", bialgebra.check_bialgebra_axioms(s))
     # quotient
     pairs = []
-    for piece in (args.glue or "").split(","):
-        if not piece:
-            continue
+    for piece in _items(args.glue):
         a, sep, b = piece.partition("=")
         if not sep:
             raise _UsageError(f"glue pair {piece!r} needs a=b")
@@ -217,39 +216,32 @@ def _nbar_functional(args):
 def _cmd_nbar(args, out):
     if args.nbar_cmd == "det":
         result = nbar_dual.special_det(_parse_list(args.row, _rational))
-        out.emit(f"det: {result.det}", ("det", result.det))
-        out.emit(f"closed-form: {result.closed_form}", ("closed-form", result.closed_form))
-        out.emit("agree: yes", ("agree", "yes"))
-        met = "met" if result.preconditions_met else "violated"
-        out.emit(f"preconditions: {met}", ("preconditions", met))
-        nz = "yes" if result.nonzero else "no"
-        out.emit(f"nonzero: {nz}", ("nonzero", nz))
+        out.fields(("det", result.det), ("closed-form", result.closed_form), ("agree", "yes"),
+                   ("preconditions", "met" if result.preconditions_met else "violated"),
+                   ("nonzero", "yes" if result.nonzero else "no"))
         return 0
 
     f = _nbar_functional(args)
     if args.nbar_cmd == "is-char":
         threshold = nbar_dual.is_character(f)
         if threshold is None:
-            out.emit("character: no", ("character", "no"))
+            out.fields(("character", "no"))
         else:
-            out.emit("character: yes", ("character", "yes"))
-            out.emit(f"threshold: {threshold}", ("threshold", threshold))
+            out.fields(("character", "yes"), ("threshold", threshold))
         return 0
     if args.nbar_cmd == "decompose":
         coeffs = nbar_dual.grouplike_decompose(f)
         points = sorted(coeffs, reverse=True)
         body = " ".join(f"{p}:{coeffs[p]}" for p in points)
         out.emit(body, tuple(f"{p}:{coeffs[p]}" for p in points))
-        out.emit("verified: OK", ("verified", "OK"))
+        out.fields(("verified", "OK"))
         return 0
     # translate-basis
     basis = nbar_dual.translate_span_basis(f)
     points = " ".join(str(p) for p in basis.breakpoints)
     out.emit(f"breakpoints:{(' ' + points) if points else ''}", ("breakpoints", points))
-    tail = str(basis.tail_point) if basis.tail_point is not None else "none"
-    out.emit(f"tail-point: {tail}", ("tail-point", tail))
-    out.emit(f"dimension: {basis.dimension}", ("dimension", basis.dimension))
-    out.emit("verified: OK", ("verified", "OK"))
+    tail = basis.tail_point if basis.tail_point is not None else "none"
+    out.fields(("tail-point", tail), ("dimension", basis.dimension), ("verified", "OK"))
     return 0
 
 

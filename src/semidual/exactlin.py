@@ -124,8 +124,7 @@ def bilinear(left, right, times):
 
     left and right are iterables of (key, rational) pairs, and right is
     read once per term of left, so it must be a collection or a view.
-    times(i, j) maps result keys to rationals and may be empty. A
-    constant of 1 or -1 adds xy or -xy without a multiplication. Zero
+    times(i, j) maps result keys to rationals and may be empty. Zero
     sums are kept; the caller cleans.
     """
     out = {}
@@ -136,7 +135,7 @@ def bilinear(left, right, times):
                 continue
             xy = x * y
             for k, c in terms.items():
-                v = xy if c == 1 else -xy if c == -1 else xy * c
+                v = xy * c
                 out[k] = out[k] + v if k in out else v
     return out
 

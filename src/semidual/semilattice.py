@@ -21,16 +21,14 @@ certifies associativity in O(n^2) word operations instead of walking n^3
 triples. The dual is the AND table of the down-set bitmasks, since
 down(x) & down(y) = down(x meet y). Sorted by size, the down-sets order
 the elements along a linear extension, in which the evaluation matrix is
-unitriangular, so its full rank is read off in O(n^2) steps. Only a
-table that fails the associativity certificate pays for the cubic search
-of its first non-associative triple, and the evaluation matrix is
-eliminated only when its triangle check fails.
+unitriangular, so its full rank is certified in O(n^2) steps with no
+elimination. Only a table that fails the associativity certificate pays
+for the cubic search of its first non-associative triple.
 """
 
 from dataclasses import dataclass
 
 from .errors import ParseError, reject_repeats, word_column
-from .exactlin import Matrix, rank
 
 
 class SemilatticeError(ValueError):
@@ -376,23 +374,24 @@ def double_dual_iso(s):
 
 
 def ev_matrix_rank(s):
-    """Rank of the |S| x |dual S| matrix of character values.
+    """Rank of the |S| x |dual S| matrix of character values, certified unitriangular.
 
     Equality with |S| certifies that the evaluation functionals are
     linearly independent, i.e. the finite-case representative-function
     bialgebra of the dual is the whole monoid algebra (zero biideal).
     With the rows taken along the linear extension of the canonical
-    order, the matrix is upper unitriangular: value 1 at the element of
-    each character, 0 at every later element. That is checked on the
-    actual values in O(n^2) steps and gives rank n; a matrix that fails
-    the check is ranked by fraction-free elimination.
+    order, the matrix is the zeta matrix of the order and so upper
+    unitriangular: value 1 at the element of each character, 0 at every
+    later element. That is checked on the actual values in O(n^2) steps
+    and gives rank n; values that fail the check contradict the theorem,
+    and ArithmeticError is raised rather than any rank reported.
     """
     chars = characters(s)
     order = [x for _, x in _down_sets(s)]
     if len(chars) == len(s) and all(chars[c](x) == (c == r)
                                     for r, x in enumerate(order) for c in range(r + 1)):
         return len(s)
-    return rank(Matrix.from_rows([[ch(i) for ch in chars] for i in range(len(s))]))
+    raise ArithmeticError("the character evaluation matrix is not unitriangular")
 
 
 def parse_semilattice(text, source="<input>"):

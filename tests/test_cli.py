@@ -322,6 +322,41 @@ def test_exit_2_on_rational_outside_p_over_q(value):
     assert (code, out, err) == (2, "", f"error: bad rational {value!r}\n")
 
 
+def _with_files(argv, text=""):
+    """argv with the corpus paths of ut2.galg and chain3.slat, and {} replaced by text."""
+    files = {"ut2.galg": galg("ut2"), "chain3.slat": slat("chain3")}
+    return [files.get(a, a).replace("{}", text) for a in argv]
+
+
+@pytest.mark.parametrize("argv, items, message", [
+    (["nbar", "decompose", "--prefix={}", "--tail=5"], "3,2", "bad rational ''"),
+    (["nbar", "det", "--row={}"], "3,2", "bad rational ''"),
+    (["graded", "ut", "--size=3", "--labels={}"], "1,2,3", "bad natural number ''"),
+    (["lp", "mul", "(x1|1)", "1", "--odd-letters={}"], "1,2", "bad natural number ''"),
+    (["lp", "mul", "(x1|1)", "1", "--odd-places={}"], "1,2", "bad natural number ''"),
+    (["graded", "act", "ut2.galg", "--char=f1", "--element={}"], "E11:1,E22:3",
+     "element coordinate '' needs label:rational"),
+    (["balg", "quotient", "chain3.slat", "--glue={}"], "n2=n3,n1=n2", "glue pair '' needs a=b"),
+], ids=["prefix", "row", "labels", "odd-letters", "odd-places", "element", "glue"])
+def test_exit_2_on_an_empty_item_in_a_comma_list(argv, items, message):
+    code, _, err = invoke(*_with_files(argv, items))
+    assert (code, err) == (0, "")
+    for text in (items.replace(",", ",,", 1), items + ",", "," + items, ",", ",,"):
+        assert invoke(*_with_files(argv, text)) == (2, "", f"error: {message}\n"), text
+
+
+@pytest.mark.parametrize("argv", [
+    ["nbar", "decompose", "--prefix=", "--tail=5"],
+    ["graded", "act", "ut2.galg", "--char=f1", "--element="],
+    ["balg", "quotient", "chain3.slat"],
+    ["balg", "quotient", "chain3.slat", "--glue="],
+    ["lp", "mul", "(x1|1)", "1", "--odd-letters=", "--odd-places="],
+])
+def test_an_empty_comma_list_is_the_empty_list(argv):
+    code, out, err = invoke(*_with_files(argv))
+    assert (code, err) == (0, "") and out
+
+
 def test_galg_rational_outside_p_over_q_is_refused_at_its_column(tmp_path):
     (tmp_path / "chain1.slat").write_text(corpus.render_corpus_files()["chain1.slat"])
     path = tmp_path / "big.galg"

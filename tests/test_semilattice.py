@@ -391,45 +391,44 @@ def _bareiss_ev_rank(s):
     return rank(Matrix.from_rows([[ch(i) for ch in chars] for i in range(len(s))]))
 
 
-def _counting_rank(monkeypatch):
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return rank(m)
-
-    monkeypatch.setattr(semilattice, "rank", counted)
-    return calls
-
-
 CORPUS_SLAT = sorted(name[:-len(".slat")] for name in corpus.render_corpus_files()
                      if name.endswith(".slat"))
 
 
-def test_ev_matrix_rank_is_the_triangle_certificate_on_the_corpus(monkeypatch):
-    calls = _counting_rank(monkeypatch)
+def test_ev_matrix_rank_is_the_triangle_certificate_on_the_corpus():
+    # no elimination on this side: tests/test_source_rules.py keeps rank out of the module
     for name in CORPUS_SLAT:
         s = corpus.load_semilattice(name)
         assert ev_matrix_rank(s) == _bareiss_ev_rank(s) == len(s), name
-    assert not calls
 
 
-@pytest.mark.parametrize("fault, drop", [
-    (lambda chars: chars[::-1], 0),
-    (lambda chars: chars[:-1] + chars[:1], 1),
-    (lambda chars: [Character(tuple(2 * v for v in ch.values)) for ch in chars], 0),
+@given(union_closed_families())
+@settings(max_examples=60, deadline=None)
+def test_ev_matrix_rank_matches_bareiss_on_union_closed_families(s):
+    assert ev_matrix_rank(s) == _bareiss_ev_rank(s) == len(s)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda chars: chars[::-1],
+    lambda chars: chars[:-1] + chars[:1],
+    lambda chars: [Character(tuple(2 * v for v in ch.values)) for ch in chars],
 ], ids=["reversed", "duplicated", "doubled"])
-def test_ev_matrix_rank_falls_back_when_the_triangle_breaks(monkeypatch, fault, drop):
+def test_ev_matrix_rank_refuses_a_broken_triangle(monkeypatch, fault):
     real = semilattice.characters
     monkeypatch.setattr(semilattice, "characters", lambda s: fault(real(s)))
-    calls = _counting_rank(monkeypatch)
+    message = "the character evaluation matrix is not unitriangular"
     for name in CORPUS_SLAT:
         s = corpus.load_semilattice(name)
         if len(s) < 2:
             continue
-        calls.clear()
-        assert ev_matrix_rank(s) == _bareiss_ev_rank(s) == len(s) - drop, name
-        assert len(calls) == 1, name
+        with pytest.raises(ArithmeticError, match=message):
+            ev_matrix_rank(s)
+        for fmt, line in (("human", f"check: FAIL [{message}]\n"),
+                          ("tsv", f"check\tFAIL\t{message}\n")):
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["slat", "ev-rank", corpus.data_path(f"{name}.slat"), "--format", fmt]
+            assert run(argv, out, err) == 1, name
+            assert (out.getvalue(), err.getvalue()) == (line, ""), name
 
 
 def test_no_characters_outside_enumeration():

@@ -9,7 +9,9 @@ divides only where one operand is built as a `Fraction(...)`; the one
 other `/` is the path join of `corpus.data_path`. A value becomes a
 Fraction only in `exactlin.exact`, which keeps integral values as ints
 and refuses floats: everywhere else `Fraction(...)` is a quotient of two
-arguments.
+arguments. The finite side, `semilattice` and `bialgebra`, reads its
+ranks off the structure and never eliminates: it imports none of the
+dense `Matrix`, `rank`, `det` or `solve`.
 """
 
 import ast
@@ -25,6 +27,8 @@ NUMBER_READING = re.compile(r"\.isdigit\(|\.isdecimal\(|\.isnumeric\(|type=int")
 FILE_OPENING = re.compile(r"\bopen\(|\.read_text\(|\.read_bytes\(")
 PATH_JOINS = {"corpus.py": "data_path"}
 EXACT = ("exactlin.py", "exact")  # the one function that calls Fraction on one value
+NO_ELIMINATION = ("semilattice.py", "bialgebra.py")
+ELIMINATION = {"Matrix", "rank", "det", "solve", "exactlin", "*"}
 
 
 def _lines(path):
@@ -78,6 +82,22 @@ def _fractions_of_one_value(source, name):
             if _is_fraction(node) and node.lineno not in inside
             and (len(node.args) != 2 or node.keywords
                  or any(isinstance(arg, ast.Starred) for arg in node.args))]
+
+
+def _elimination_imports(source, name):
+    """Each import in the source of module name that can reach dense elimination:
+    a name in ELIMINATION from any module, or the exactlin module itself."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names if alias.name in ELIMINATION]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names
+                     if alias.name.rpartition(".")[2] == "exactlin"]
+        else:
+            continue
+        hits += [f"{name}:{node.lineno}: {n}" for n in names]
+    return hits
 
 
 def test_numbers_are_read_only_through_the_shared_grammar():
@@ -146,3 +166,25 @@ def test_fraction_rule_rejects_a_planted_conversion():
         "exactlin.py:8: Fraction(a, denominator=b)", "exactlin.py:8: Fraction()"}
     # outside exactlin.py a function named exact is no exception
     assert "letterplace.py:4: Fraction(v)" in _fractions_of_one_value(planted, "letterplace.py")
+
+
+def test_the_finite_side_imports_no_elimination():
+    hits = [hit for name in NO_ELIMINATION
+            for hit in _elimination_imports((SRC / name).read_text(encoding="utf-8"), name)]
+    assert hits == []
+
+
+def test_elimination_rule_rejects_planted_imports():
+    planted = textwrap.dedent("""\
+        from .exactlin import SparseVector, clean
+        from .exactlin import Matrix, clean, rank as r
+        from . import exactlin
+        import semidual.exactlin
+        from semidual import det
+        from .nbar_dual import solve
+        from .exactlin import *
+        """)
+    assert _elimination_imports(planted, "bialgebra.py") == [
+        "bialgebra.py:2: Matrix", "bialgebra.py:2: rank", "bialgebra.py:3: exactlin",
+        "bialgebra.py:4: semidual.exactlin", "bialgebra.py:5: det", "bialgebra.py:6: solve",
+        "bialgebra.py:7: *"]
