@@ -535,9 +535,8 @@ def parse_graded(text, source="<input>", slat_loader=None):
             return {index[label]: value for label, value in terms.items()}
         except KeyError as exc:
             bad = exc.args[0]
-        parts = raw.split(sep, 1)[1].replace("+", " ").split()
-        k = next(k for k, part in enumerate(parts) if part.partition(":")[0] == bad)
-        raise unknown(bad, lineno, _term_column(raw, sep, k))
+        # terms is in line order without repeats, so the index of bad is its term index
+        raise unknown(bad, lineno, _term_column(raw, sep, list(terms).index(bad)))
 
     for label, (_, lineno, raw) in degree_lines.items():
         if label not in index:

@@ -13,10 +13,10 @@ Every finite-dual functional is a unique combination of threshold
 characters, one per run; the decomposition telescopes the run values.
 The evaluation matrix [p <= c] of those characters on the run end
 points is unitriangular, so the coefficients are unique and need no
-linear solve; the decomposition is certified by pointwise
-reconstruction on a window ending two points past the tail onset,
-beyond which every functional involved is constant. The translate-span
-basis is certified by the closed form of its special_det matrix.
+linear solve. A combination is certified pointwise where f or one of
+its characters changes value, which covers the whole chain. The
+translate-span basis is certified by the closed form of its special_det
+matrix.
 """
 
 from dataclasses import dataclass
@@ -25,9 +25,6 @@ from math import prod
 
 from .exactlin import Matrix, det, exact
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
-
-
-WINDOW_EXTRA = 2  # points past the tail onset in the decomposition window
 
 
 def _position(point):
@@ -72,10 +69,6 @@ class StepFunctional:
     def tail_onset(self):
         """First point from which the functional equals its tail forever."""
         return _point(len(self.prefix))
-
-    def window(self):
-        """-inf and the naturals through tail onset + WINDOW_EXTRA."""
-        return [_point(i) for i in range(len(self.prefix) + WINDOW_EXTRA + 1)]
 
     def is_zero(self):
         return not self.prefix and self.tail == 0
@@ -152,8 +145,8 @@ def translate_span_basis(f):
 
     One breakpoint per finite constant run, plus the tail onset when the
     tail is nonzero (a zero tail translates to zero). One pass checks
-    that f keeps each run value up to the run end, so every translate
-    is a basis translate or zero. At their k points, with values v_i,
+    that f keeps each run value to the run end, then the tail, so every
+    translate is a basis translate or zero. At their k points, values v_i,
     the basis translates take the values v_max(i, j) of the special_det
     matrix, whose closed form v_k * prod(v_i - v_{i+1}) must be nonzero.
     """
@@ -258,8 +251,7 @@ def grouplike_decompose(f):
     With the run end points and the tail onset in decreasing order, the
     evaluation matrix [p <= c] of the used characters is unitriangular:
     the coefficients are unique, and a linear solve would only repeat
-    the telescoping. The independent certificate is the pointwise
-    reconstruction on the verification window.
+    the telescoping. The independent certificate is verify_decomposition.
     """
     runs = finite_runs(f)
     values = [value for _, value in runs] + [f.tail]
@@ -272,7 +264,14 @@ def grouplike_decompose(f):
 
 
 def verify_decomposition(f, coeffs):
-    """Pointwise check of sum c_i f_i = f on the verification window."""
-    terms = [(v, threshold_functional(c)) for c, v in coeffs.items()]
-    return all(sum(v * g.eval(p) for v, g in terms) == f.eval(p)
-               for p in f.window())
+    """Whether sum_c coeffs[c] [p <= c] equals f(p) at every point p.
+
+    Checked at -inf, where f changes value, and at c.succ() for each
+    threshold c below +inf. Between consecutive checked points f and
+    every f_c are constant, so the check is complete for any coeffs.
+    Reads f pointwise, not through finite_runs: O(N + R |coeffs|).
+    """
+    points = {NEG_INF}
+    points.update(_point(i) for i in range(1, len(f.prefix) + 1) if f._at(i) != f._at(i - 1))
+    points.update(c.succ() for c in coeffs if c != POS_INF)
+    return all(sum(v for c, v in coeffs.items() if p <= c) == f.eval(p) for p in points)

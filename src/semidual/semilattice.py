@@ -428,7 +428,7 @@ def parse_semilattice(text, source="<input>"):
             if len(parts) != 1:
                 col = word_column(raw, 1, raw.index(":") + 1) if parts else word_column(raw, 0)
                 raise ParseError("identity line needs exactly one label", lineno, col, source)
-            identity = parts[0]
+            identity = (parts[0], lineno, raw)
             continue
         parts = line.split()
         if len(parts) != 5 or parts[1] != "*" or parts[3] != "=":
@@ -452,9 +452,11 @@ def parse_semilattice(text, source="<input>"):
         raise ParseError("missing elements line", 1, 1, source)
     if identity is None:
         raise ParseError("missing identity line", 1, 1, source)
-    if identity not in index:
-        raise NoIdentityError(f"identity {identity!r} not among the elements")
-    return _certify(elements, index[identity], table)
+    label, lineno, raw = identity
+    if label not in index:
+        raise NoIdentityError(f"{source}:{lineno}:{word_column(raw, 0, raw.index(':') + 1)}:"
+                              f" identity {label!r} not among the elements")
+    return _certify(elements, index[label], table)
 
 
 def parse_semilattice_file(path):

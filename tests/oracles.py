@@ -9,10 +9,12 @@ instead of the down-set test for characters, every basis pair and
 triple instead of the stored products of a graded algebra, every
 same-class pair instead of class representatives for congruences,
 evaluation at chain points instead of prefix positions for step
-functionals, one hand-written double loop per algebra instead of
-the shared bilinear product, every triple instead of the up-set bitmask
-certificate for associativity, and pointwise products of character
-tuples instead of ANDs of down-set bitmasks for the dual, and every
+functionals, every window point instead of the points where a function
+changes value for threshold decompositions, one hand-written double
+loop per algebra instead of the shared bilinear product, every triple
+instead of the up-set bitmask certificate for associativity, and
+pointwise products of character tuples instead of ANDs of down-set
+bitmasks for the dual, and every
 basis pair through the public character action instead of the stored
 products through a keep mask and its bitmask word for the module-algebra
 and action laws, a hand-written loop over every product with the unit
@@ -30,7 +32,7 @@ from itertools import combinations, product
 from semidual.bialgebra import (MonoidAlgebraElement, grouplike_basis_classification,
                                 is_grouplike, quotient_semilattice)
 from semidual.errors import ParseError, reject_repeats, word_column
-from semidual.extnat import NEG_INF, fin
+from semidual.extnat import NEG_INF, POS_INF, fin
 from semidual.graded import AlgebraElement, act_character, verify_grading
 from semidual.nbar_dual import StepFunctional
 from semidual.reporting import FAIL, INFO, PASS, Report
@@ -186,6 +188,27 @@ def point_finite_runs(f):
         if idx + 1 == len(points) or f.prefix[idx + 1] != value:
             runs.append((point, value))
     return runs
+
+
+def window(f, *thresholds):
+    """-inf and the naturals through two past the largest of the tail onset of f
+    and the thresholds below +inf; every f_c and f are constant from there on."""
+    last = max([f.tail_onset(), *(c for c in thresholds if c != POS_INF)])
+    return [NEG_INF] + [fin(i) for i in range(last.succ().succ().n + 1)]
+
+
+def dense_decomposition_holds(f, coeffs):
+    """Whether sum_c coeffs[c] [p <= c] equals f(p) at every point of the window.
+
+    [p <= c] compares the window indices of p and c, with +inf past
+    the end, and f(p) is read off step_values, so neither the ExtNat
+    order nor StepFunctional.eval is used.
+    """
+    points = window(f, *coeffs)
+    below = {c: len(points) if c == POS_INF else points.index(c) for c in coeffs}
+    values = step_values(f.prefix, f.tail, len(points))
+    return all(sum(v for c, v in coeffs.items() if k <= below[c]) == values[k]
+               for k in range(len(points)))
 
 
 def step_values(prefix, tail, count):
@@ -554,6 +577,7 @@ def label_keyed_parse(text, source="<input>"):
                 col = word_column(raw, 1, raw.index(":") + 1) if parts else word_column(raw, 0)
                 raise ParseError("identity line needs exactly one label", lineno, col, source)
             identity = parts[0]
+            identity_line = (lineno, raw)
             continue
         parts = line.split()
         if len(parts) != 5 or parts[1] != "*" or parts[3] != "=":
@@ -577,4 +601,9 @@ def label_keyed_parse(text, source="<input>"):
         raise ParseError("missing elements line", 1, 1, source)
     if identity is None:
         raise ParseError("missing identity line", 1, 1, source)
+    if identity not in elements:
+        lineno, raw = identity_line
+        col = raw.index(identity, raw.index(":") + 1) + 1
+        raise NoIdentityError(
+            f"{source}:{lineno}:{col}: identity {identity!r} not among the elements")
     return label_keyed_validate(elements, op_table, identity)

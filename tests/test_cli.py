@@ -279,6 +279,17 @@ def test_exit_2_on_duplicate_label_with_position(tmp_path, name, text, argv, whe
     assert (code, out, err) == (2, "", f"{path}{where}\n")
 
 
+@pytest.mark.parametrize("fmt, sep", [("human", ": "), ("tsv", "\t")])
+def test_unknown_identity_is_positioned(tmp_path, fmt, sep):
+    # the identity line may come before the elements line
+    path = tmp_path / "id.slat"
+    path.write_text("identity:  zz\nelements: a b\na * b = b\n")
+    message = f"{path}:1:12: identity 'zz' not among the elements"
+    assert invoke("slat", "check", str(path), "--format", fmt) == (
+        1, f"valid{sep}no\nerror{sep}{message}\n", "")
+    assert invoke("slat", "order", str(path), "--format", fmt) == (2, "", f"error: {message}\n")
+
+
 def test_exit_2_on_unknown_flag():
     code, _, err = invoke("slat", "characters", slat("chain2"), "--bogus")
     assert code == 2 and err

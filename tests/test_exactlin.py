@@ -18,7 +18,7 @@ from semidual.nbar_dual import StepFunctional, grouplike_decompose, special_det,
 
 from oracles import (cofactor_det, gauss_rank, gauss_solve, loop_graded_product,
                      loop_letterplace_product, loop_monoid_product, loop_tensor_product,
-                     minor_rank, point_pointwise_mul, point_translate, step_values)
+                     minor_rank, point_pointwise_mul, point_translate, step_values, window)
 from test_graded import _monoid_algebra
 from test_semilattice import union_closed_families
 
@@ -447,8 +447,8 @@ def test_step_functional_values_and_results_follow_exact(data):
     raw_tail = data.draw(VALUES)
     f = StepFunctional(raw_prefix, raw_tail)
     assert all(map(_follows_exact, (*f.prefix, f.tail)))
-    window = f.window()
-    assert [f.eval(p) for p in window] == step_values(raw_prefix, raw_tail, len(window))
+    chain = window(f)
+    assert [f.eval(p) for p in chain] == step_values(raw_prefix, raw_tail, len(chain))
     g = StepFunctional(data.draw(st.lists(VALUES, max_size=4)), data.draw(VALUES))
     n = fin(data.draw(st.integers(0, 6)))
     for got, want in ((translate(f, n), point_translate(f, n)),
@@ -458,8 +458,8 @@ def test_step_functional_values_and_results_follow_exact(data):
     coeffs = grouplike_decompose(f)
     assert all(map(_follows_exact, coeffs.values()))
     keys = list(coeffs)
-    points = [window[-1] if c == POS_INF else c for c in keys]
-    values = dict(zip(window, step_values(raw_prefix, raw_tail, len(window))))
+    points = [chain[-1] if c == POS_INF else c for c in keys]
+    values = dict(zip(chain, step_values(raw_prefix, raw_tail, len(chain))))
     want = gauss_solve([[Fraction(int(p <= c)) for c in keys] for p in points],
                        [values[p] for p in points])
     assert tuple(coeffs.values()) == want

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidual import nbar_dual
 from semidual.exactlin import Matrix, rank, solve
@@ -12,8 +14,8 @@ from semidual.nbar_dual import (StepFunctional, char_mult, finite_runs,
                                 threshold_functional, translate,
                                 translate_span_basis, verify_decomposition)
 
-from oracles import (cofactor_det, point_finite_runs, point_pointwise_mul,
-                     point_translate)
+from oracles import (cofactor_det, dense_decomposition_holds, point_finite_runs,
+                     point_pointwise_mul, point_translate, window)
 
 
 def F(prefix, tail):
@@ -109,7 +111,7 @@ def test_translate_action_law():
 
 def test_translate_matches_point_oracle():
     for f in random_functionals(83, 80):
-        for n in f.window():
+        for n in window(f):
             assert translate(f, n) == point_translate(f, n), (f, n)
 
 
@@ -166,8 +168,8 @@ def test_translate_span_rank_oracle():
               for seed, runs, tail in [(1, 1, 0), (2, 7, 0), (3, 60, 0),
                                        (4, 1, 2), (5, 7, Fraction(-1, 3)), (6, 60, 5)]]
     for f in random_functionals(71, 60) + longer:
-        window = f.window()
-        rows = [[g.eval(q) for q in window] for g in (point_translate(f, p) for p in window)]
+        points = window(f)
+        rows = [[g.eval(q) for q in points] for g in (point_translate(f, p) for p in points)]
         assert rank(Matrix.from_rows(rows)) == translate_span_basis(f).dimension, f
 
 
@@ -193,6 +195,11 @@ def test_corrupted_runs_are_caught(monkeypatch):
     monkeypatch.setattr(nbar_dual, "finite_runs", lambda f: original(f)[1:])
     with pytest.raises(ArithmeticError, match="translate at -inf escapes the breakpoint span"):
         translate_span_basis(F([3, 3, 2], 5))
+    # dropping the last run leaves position 2 (value 2) to the tail check
+    monkeypatch.setattr(nbar_dual, "finite_runs", lambda f: original(f)[:-1])
+    for tail in (5, 0):
+        with pytest.raises(ArithmeticError, match="translate at 1 escapes the breakpoint span"):
+            translate_span_basis(F([3, 3, 2], tail))
     # splitting the first run at -inf repeats a value: the closed form is 0
     monkeypatch.setattr(nbar_dual, "finite_runs", lambda f: [(NEG_INF, 3)] + original(f))
     with pytest.raises(ArithmeticError, match="not linearly independent"):
@@ -210,9 +217,9 @@ def test_is_character_matches_pairwise_multiplicativity():
     rng = random.Random(73)
     for _ in range(300):
         f = F([rng.randint(0, 1) for _ in range(rng.randint(0, 6))], rng.randint(0, 1))
-        window = f.window()
+        points = window(f)
         brute = f.eval(NEG_INF) == 1 and all(f.eval(max(a, b)) == f.eval(a) * f.eval(b)
-                                             for a in window for b in window)
+                                             for a in points for b in points)
         threshold = is_character(f)
         assert (threshold is not None) == brute, f
         if brute:
@@ -321,16 +328,66 @@ def test_decompose_matches_linear_solve():
         assert dict(zip(candidates, solved)) == coeffs, f
 
 
-@pytest.mark.parametrize("target, fault", [
-    ("finite_runs", lambda runs: [(end, value + 1) for end, value in runs]),
-    ("threshold_functional",
-     lambda g: F((1,) + g.prefix, g.tail) if g.tail == 0 else g),
-])
-def test_corrupted_decomposition_is_caught(monkeypatch, target, fault):
-    original = getattr(nbar_dual, target)
-    monkeypatch.setattr(nbar_dual, target, lambda x: fault(original(x)))
+@pytest.mark.parametrize("fault", [
+    lambda runs: [(end, value + 1) for end, value in runs],
+    lambda runs: runs[1:],
+], ids=["shifted-values", "dropped-first-run"])
+def test_corrupted_decomposition_is_caught(monkeypatch, fault):
+    original = nbar_dual.finite_runs
+    monkeypatch.setattr(nbar_dual, "finite_runs", lambda f: fault(original(f)))
     with pytest.raises(ArithmeticError, match="does not reconstruct"):
         grouplike_decompose(F([3, 3, 2], 5))
+
+
+@pytest.mark.parametrize("f, coeffs", [
+    # both thresholds lie past the tail onset: the sum is -1 at 11, where f is 0
+    (F([], 0), {fin(10): 1, fin(11): -1}),
+    # f_{-inf} - f_{+inf} is 0 at -inf and -1 from 0 on
+    (F([], 0), {NEG_INF: 1, POS_INF: -1}),
+    # the true decomposition plus 2 f_40 - 2 f_41, which is -2 at 41 alone
+    (F([3, 3, 2], 5), {POS_INF: 5, fin(1): -3, fin(0): 1, fin(40): 2, fin(41): -2}),
+])
+def test_verify_decomposition_refuses_a_wrong_combination(f, coeffs):
+    assert not verify_decomposition(f, coeffs)
+    assert not dense_decomposition_holds(f, coeffs)
+
+
+@st.composite
+def decompositions(draw):
+    """(f, coeffs): f with 1 to 60 finite runs of 1 to 4 points and a zero or
+    nonzero tail, and its decomposition, true or with one fault."""
+    nonzero = st.integers(-6, 5).map(lambda k: Fraction(k + (k >= 0), 3))
+    tail = draw(st.one_of(st.just(Fraction(0)), nonzero))
+    steps = draw(st.lists(nonzero, min_size=1, max_size=60))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=len(steps), max_size=len(steps)))
+    runs = [tail + sum(steps[:k]) for k in range(len(steps), 0, -1)]
+    f = F([v for v, n in zip(runs, lengths) for _ in range(n)], tail)
+    coeffs = grouplike_decompose(f)
+    fault = draw(st.sampled_from(["none", "changed", "moved", "dropped", "extra"]))
+    keys = sorted(coeffs)
+    free = [p for p in [NEG_INF] + [fin(i) for i in range(len(f.prefix) + 10)] + [POS_INF]
+            if p not in coeffs]
+    if fault == "changed":
+        c = draw(st.sampled_from(keys))
+        coeffs[c] += draw(nonzero)
+    elif fault == "moved":
+        c = draw(st.sampled_from(keys))
+        coeffs[draw(st.sampled_from(free))] = coeffs.pop(c)
+    elif fault == "dropped":
+        del coeffs[draw(st.sampled_from(keys))]
+    elif fault == "extra":
+        coeffs[draw(st.sampled_from(free))] = draw(nonzero)
+    return fault, f, coeffs
+
+
+@given(decompositions())
+@settings(max_examples=200, deadline=None)
+def test_verify_decomposition_matches_dense_oracle(case):
+    fault, f, coeffs = case
+    verdict = verify_decomposition(f, coeffs)
+    assert verdict == dense_decomposition_holds(f, coeffs)
+    if fault in ("none", "changed", "extra"):
+        assert verdict == (fault == "none")
 
 
 def test_decompose_random_round_trip():

@@ -492,6 +492,17 @@ def test_parse_error_columns(text, line, col, message):
     assert str(exc.value) == f"s.slat:{line}:{col}: {message}"
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("elements: a b\nidentity: zz\n", 2, 11),
+    # the identity line may come first, and a comment may repeat the label
+    ("  identity:   zz # zz\nelements: a b\na * b = b\n", 1, 15),
+])
+def test_parse_unknown_identity_is_positioned(text, line, col):
+    with pytest.raises(NoIdentityError) as exc:
+        parse_semilattice(text, source="s.slat")
+    assert str(exc.value) == f"s.slat:{line}:{col}: identity 'zz' not among the elements"
+
+
 def outcome(build, *args):
     """What build(*args) returns, or the class and message of the error it raises."""
     try:

@@ -11,7 +11,10 @@ Fraction only in `exactlin.exact`, which keeps integral values as ints
 and refuses floats: everywhere else `Fraction(...)` is a quotient of two
 arguments. The finite side, `semilattice` and `bialgebra`, reads its
 ranks off the structure and never eliminates: it imports none of the
-dense `Matrix`, `rank`, `det` or `solve`.
+dense `Matrix`, `rank`, `det` or `solve`. The max-monoid decomposition
+certificate `verify_decomposition` stays independent of the telescoping
+that builds the coefficients: it names neither `finite_runs` nor
+`threshold_functional`.
 """
 
 import ast
@@ -29,6 +32,8 @@ PATH_JOINS = {"corpus.py": "data_path"}
 EXACT = ("exactlin.py", "exact")  # the one function that calls Fraction on one value
 NO_ELIMINATION = ("semilattice.py", "bialgebra.py")
 ELIMINATION = {"Matrix", "rank", "det", "solve", "exactlin", "*"}
+CERTIFICATE = ("nbar_dual.py", "verify_decomposition")
+TELESCOPING = {"finite_runs", "threshold_functional"}
 
 
 def _lines(path):
@@ -98,6 +103,17 @@ def _elimination_imports(source, name):
             continue
         hits += [f"{name}:{node.lineno}: {n}" for n in names]
     return hits
+
+
+def _telescoping_names(source, name):
+    """Each TELESCOPING name, as a name, attribute, import or string, inside
+    the function that CERTIFICATE names in its module."""
+    tree = ast.parse(source)
+    inside = _function_lines(tree, CERTIFICATE[1]) if name == CERTIFICATE[0] else range(0)
+    return [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if getattr(node, "lineno", None) in inside
+            and {getattr(node, field, None) for field in ("id", "attr", "name", "value")}
+            & TELESCOPING]
 
 
 def test_numbers_are_read_only_through_the_shared_grammar():
@@ -188,3 +204,27 @@ def test_elimination_rule_rejects_planted_imports():
         "bialgebra.py:2: Matrix", "bialgebra.py:2: rank", "bialgebra.py:3: exactlin",
         "bialgebra.py:4: semidual.exactlin", "bialgebra.py:5: det", "bialgebra.py:6: solve",
         "bialgebra.py:7: *"]
+
+
+def test_decomposition_certificate_names_no_telescoping():
+    source = (SRC / CERTIFICATE[0]).read_text(encoding="utf-8")
+    assert _function_lines(ast.parse(source), CERTIFICATE[1])
+    assert _telescoping_names(source, CERTIFICATE[0]) == []
+
+
+def test_telescoping_rule_rejects_planted_uses():
+    planted = textwrap.dedent("""\
+        def finite_runs(f):
+            return threshold_functional(f)
+
+        def verify_decomposition(f, coeffs):
+            "Never through finite_runs."
+            from .nbar_dual import threshold_functional as t
+            runs = finite_runs(f)
+            return nbar_dual.threshold_functional, getattr(nbar_dual, "finite_runs")
+        """)
+    assert sorted(_telescoping_names(planted, "nbar_dual.py")) == [
+        "nbar_dual.py:6: threshold_functional as t", "nbar_dual.py:7: finite_runs",
+        "nbar_dual.py:8: 'finite_runs'", "nbar_dual.py:8: nbar_dual.threshold_functional"]
+    # outside nbar_dual.py a function of that name is no certificate
+    assert _telescoping_names(planted, "graded.py") == []
