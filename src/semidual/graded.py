@@ -233,9 +233,14 @@ def homogeneous_components(a):
     return {d: AlgebraElement(a.parent, coords) for d, coords in sorted(parts.items())}
 
 
-def _project(keep, a):
-    """The coordinates of a on the basis vectors that keep marks, the rest dropped."""
-    return AlgebraElement(a.parent, {i: v for i, v in a.coeffs.items() if keep[i]})
+def _keep_word(f, algebra):
+    """The int whose bit i is set iff f(degree[i]) = 1: the basis vectors f keeps."""
+    return sum(1 << i for i, d in enumerate(algebra.degree) if f(d) == 1)
+
+
+def _project(word, a):
+    """The coordinates of a on the basis vectors whose bits word sets, the rest dropped."""
+    return AlgebraElement(a.parent, {i: v for i, v in a.coeffs.items() if word >> i & 1})
 
 
 def act_character(f, a):
@@ -243,81 +248,44 @@ def act_character(f, a):
     algebra = a.parent
     if not f.is_character_of(algebra.grading):
         raise CharacterMismatchError("not a character of the grading semilattice")
-    return _project([f(d) == 1 for d in algebra.degree], a)
-
-
-def _word(image):
-    """The bitmask of the basis vectors b_j with image[j] = b_j."""
-    return sum(1 << j for j, b in enumerate(image) if b.coeffs == {j: 1})
-
-
-def _multiplicative_witness(algebra, supports, keep, image, word):
-    """First basis pair (i, j), as labels, where gamma(b_i b_j) != gamma(b_i) gamma(b_j).
-
-    supports lists (i, j, B, P) for each stored product b_i b_j, in
-    lexicographic order, with B the bits of i and j and P the support of
-    the product as bitmasks; word is None unless the guard holds: every
-    image is 0 or its own basis vector and gamma(0) = 0. Then, assuming
-    gamma is linear, it keeps exactly the basis vectors in word, so a
-    pair without a stored product gives 0 = 0 and a stored pair passes
-    iff P & word is P when B lies in word and 0 otherwise: one integer
-    AND per stored pair. The products themselves are not projected, so a
-    gamma that is right on 0 and on every basis vector but not linear is
-    not caught here. Without the guard every basis pair is searched, and
-    only then is each product built as an element and projected by
-    _project.
-    """
-    label, n = algebra.basis, algebra.dim
-    if word is not None:
-        return next(((label[i], label[j]) for i, j, both, p in supports
-                     if p & word != (p if word & both == both else 0)), None)
-    return next(((label[i], label[j]) for i in range(n) for j in range(n)
-                 if _project(keep, algebra.element(algebra.mul_basis(i, j)))
-                 != image[i] * image[j]), None)
+    return _project(_keep_word(f, algebra), a)
 
 
 def _character_laws(algebra, kind, unit_name, unit_note):
     """Per character a multiplicative line, then unit-law lines or one INFO line.
 
     The policy is the one check_module_algebra documents; kind, unit_name
-    and unit_note only set the wording of the lines. Each character f
-    acts through its keep mask [f(degree[i]) = 1]; the characters come
-    from characters(grading), so they are not re-checked. A character
-    whose images pass the guard of _multiplicative_witness gets a word,
-    the bitmask of the basis vectors it keeps, read from the images that
-    _project produced, and is checked for multiplicativity by one AND per
-    stored product; any other character gets None and is checked through
-    _project. The strict unit law projects 1 once per character. Returns
-    the report, the characters, the masks, images[c][j] (character c
-    acting on basis vector j), and the words.
+    and unit_note only set the wording of the lines. Each character f acts
+    as the coordinate projection onto the basis vectors of its word
+    (_keep_word), so every law is read off the words and no element is
+    acted on. f(b_i) f(b_j) is b_i b_j when word holds bits i and j, else
+    0, and f(b_i b_j) keeps the part of the product's support P in word,
+    so a stored pair passes iff P & word is P or 0 as both bits are in
+    word or not: one integer AND per stored product. A pair without a
+    stored product gives 0 = 0. f(1) = 1 iff word holds the unit's
+    support. The characters come from characters(grading), so they are
+    not re-checked. Returns the report, the characters and their words.
     """
     if not verify_grading(algebra).passed:
         raise ValueError("algebra does not pass verify_grading")
     chars = characters(algebra.grading)
-    masks = [[f(d) == 1 for d in algebra.degree] for f in chars]
-    basis = [AlgebraElement(algebra, {i: 1}) for i in range(algebra.dim)]
-    images = [[_project(keep, b) for b in basis] for keep in masks]
-    zero = algebra.element({})
-    words = []
-    for keep, image in zip(masks, images):
-        word = _word(image)
-        guarded = _project(keep, zero) == zero and all(
-            not b.coeffs for j, b in enumerate(image) if not word >> j & 1)
-        words.append(word if guarded else None)
+    words = [_keep_word(f, algebra) for f in chars]
+    label = algebra.basis
     supports = [(i, j, 1 << i | 1 << j, sum(1 << k for k in vec))
                 for (i, j), vec in algebra.structure.items()]
     report = Report()
-    for ci, (keep, image, word) in enumerate(zip(masks, images, words)):
+    for ci, word in enumerate(words):
         report.check(kind, f"{character_label(ci)} multiplicative",
-                     _multiplicative_witness(algebra, supports, keep, image, word))
+                     next(((label[i], label[j]) for i, j, both, p in supports
+                           if p & word != (p if word & both == both else 0)), None))
     if not _split_unit_degrees(algebra):
-        one = algebra.one()
-        for ci, keep in enumerate(masks):
+        unit_mask = sum(1 << i for i in algebra.unit)
+        for ci, word in enumerate(words):
             report.add(kind, f"{character_label(ci)} {unit_name}",
-                       PASS if _project(keep, one) == one else FAIL)
+                       PASS if unit_mask & word == unit_mask else FAIL)
     else:
         report.add("check", unit_name, INFO, f"[{unit_note}]")
-    return report, chars, masks, images, words
+    return report, chars, words
 
 
 def check_module_algebra(algebra):
@@ -371,33 +339,27 @@ def dual_monoid_action(algebra):
     Checks that each endomorphism is multiplicative, that composition
     matches the pointwise product of characters, and that the constant-1
     character acts as the identity. The unital check follows the same
-    INFO policy as check_module_algebra when the unit is split. Both
-    action laws are checked on the image of every basis vector. When
-    every character passes the guard of _multiplicative_witness, each
-    image is 0 or its own basis vector, so gamma(f, gamma(g, b_j)) is b_j
-    or 0 as j lies in word_f & word_g or not, and composition holds iff
-    word_f & word_g == word_fg; otherwise it is checked through _project.
-    The identity character holds iff the word of its images has every
-    bit set.
+    INFO policy as check_module_algebra when the unit is split. Each
+    gamma(f, -) keeps the basis vectors of its word and kills the rest,
+    so gamma(f, gamma(g, b_j)) is b_j or 0 as j lies in word_f & word_g
+    or not: composition holds iff word_f & word_g == word_fg, and the
+    identity character iff its word has every bit set.
     """
-    report, chars, masks, images, words = _character_laws(
+    report, chars, words = _character_laws(
         algebra, "endomorphism", "unital",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) != 1 for characters vanishing on a unit degree")
     labels = [character_label(i) for i in range(len(chars))]
     dual = dual_semilattice(algebra.grading)
-    pairs = ((i, k, dual.op(i, k)) for i in range(len(chars)) for k in range(len(chars)))
-    if None not in words:
-        witness = next(((labels[i], labels[k]) for i, k, ik in pairs
-                        if words[i] & words[k] != words[ik]), None)
-    else:
-        witness = next(((labels[i], labels[k]) for i, k, ik in pairs
-                        if [_project(masks[i], image) for image in images[k]] != images[ik]),
-                       None)
+    every = range(len(chars))
+    witness = next(((labels[i], labels[k]) for i in every for k in every
+                    if words[i] & words[k] != words[dual.op(i, k)]), None)
     report.check("action", "composition", witness)
-    identity = _word(images[dual.identity]) == (1 << algebra.dim) - 1
+    identity = words[dual.identity] == (1 << algebra.dim) - 1
     report.add("action", "identity-character", PASS if identity else FAIL)
-    return DualAction(algebra, labels, dict(zip(labels, images)), report)
+    images = {name: [AlgebraElement(algebra, {j: 1} if word >> j & 1 else {})
+                     for j in range(algebra.dim)] for name, word in zip(labels, words)}
+    return DualAction(algebra, labels, images, report)
 
 
 def ut_graded(m, labels):

@@ -269,9 +269,20 @@ def verify_decomposition(f, coeffs):
     Checked at -inf, where f changes value, and at c.succ() for each
     threshold c below +inf. Between consecutive checked points f and
     every f_c are constant, so the check is complete for any coeffs.
-    Reads f pointwise, not through finite_runs: O(N + R |coeffs|).
+    Reads f pointwise, not through finite_runs, and sweeps down the
+    points and thresholds in decreasing order with a running sum of
+    coeffs[c] over c >= p: O(N + R log R) for N prefix entries and R
+    points and thresholds.
     """
     points = {NEG_INF}
     points.update(_point(i) for i in range(1, len(f.prefix) + 1) if f._at(i) != f._at(i - 1))
     points.update(c.succ() for c in coeffs if c != POS_INF)
-    return all(sum(v for c, v in coeffs.items() if p <= c) == f.eval(p) for p in points)
+    thresholds = sorted(coeffs, reverse=True)
+    total, k = 0, 0
+    for p in sorted(points, reverse=True):
+        while k < len(thresholds) and p <= thresholds[k]:
+            total += coeffs[thresholds[k]]
+            k += 1
+        if total != f.eval(p):
+            return False
+    return True

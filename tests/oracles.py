@@ -16,7 +16,7 @@ instead of the up-set bitmask certificate for associativity, and
 pointwise products of character tuples instead of ANDs of down-set
 bitmasks for the dual, and every
 basis pair through the public character action instead of the stored
-products through a keep mask and its bitmask word for the module-algebra
+products against one keep word per character for the module-algebra
 and action laws, a hand-written loop over every product with the unit
 instead of the table of stored products for the unit law,
 every bit-vector instead of the down-set indicators for characters, a

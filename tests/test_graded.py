@@ -19,8 +19,7 @@ from semidual import corpus, graded
 from semidual.cli import run
 from semidual.errors import ParseError
 from semidual.exactlin import Matrix
-from semidual.graded import (AlgebraElement, BadLabelsError,
-                             CharacterMismatchError, GradedFDAlgebra,
+from semidual.graded import (BadLabelsError, CharacterMismatchError, GradedFDAlgebra,
                              act_character, check_module_algebra,
                              dual_monoid_action, format_algebra_element,
                              homogeneous_components, parse_graded,
@@ -214,120 +213,64 @@ def test_dual_action_builds_its_matrices_on_first_access(monkeypatch, algebra):
             setattr(action, name, {})
 
 
-def _faulty_act(monkeypatch, corrupt):
-    """Replace the projection behind the action by the true one followed by corrupt.
-
-    corrupt(keep, image) also gets the keep mask [f(degree[i]) = 1] of the
-    acting character f.
-    """
-    true_project = graded._project
-    monkeypatch.setattr(graded, "_project",
-                        lambda keep, a: corrupt(keep, true_project(keep, a)))
+def _corrupted_words(corrupt):
+    """A patch of _keep_word: each character's true word, then corrupt(word)."""
+    true_word = graded._keep_word
+    return mock.patch.object(graded, "_keep_word",
+                             lambda f, algebra: corrupt(true_word(f, algebra)))
 
 
-def _keep(f, algebra):
-    return [f(d) == 1 for d in algebra.degree]
+def _drop_bit(i):
+    return lambda word: word & ~(1 << i)
 
 
-def test_scaled_character_image_is_caught(monkeypatch):
+def test_dropped_coordinate_is_caught():
     algebra = ut_graded(3, [1, 2, 3])
-    f1 = _keep(characters(algebra.grading)[0], algebra)
-    _faulty_act(monkeypatch, lambda keep, image: image.scale(2) if keep == f1 else image)
-    mult_fail = "f1 multiplicative: FAIL [witness ('E33', 'E33')]"
-    lines = dual_monoid_action(algebra).report.render().splitlines()
-    assert f"endomorphism {mult_fail}" in lines
-    assert "action composition: FAIL [witness ('f1', 'f1')]" in lines
-    lines = check_module_algebra(algebra).render().splitlines()
-    assert f"character {mult_fail}" in lines
-
-
-def test_dropped_coordinate_is_caught(monkeypatch):
-    algebra = ut_graded(3, [1, 2, 3])
-    _faulty_act(monkeypatch, lambda keep, image: AlgebraElement(
-        image.parent, {i: v for i, v in image.coords.items() if i != 0}))
-    lines = dual_monoid_action(algebra).report.render().splitlines()
+    with _corrupted_words(_drop_bit(0)):
+        lines = dual_monoid_action(algebra).report.render().splitlines()
     assert "action identity-character: FAIL" in lines
-
-
-def _leak(source, target):
-    """A fault that adds the source coordinate of every image onto the target one."""
-    def corrupt(keep, image):
-        coords = dict(image.coords)
-        if source in coords:
-            coords[target] = coords.get(target, 0) + coords[source]
-        return AlgebraElement(image.parent, coords)
-    return corrupt
-
-
-def test_leaked_coordinate_is_caught_off_the_stored_products(monkeypatch):
-    # gamma_f3(E11) = E11 + E12, so E11 E22 = 0 maps to 0 but E12 E22 = E12:
-    # the witness is a pair without a stored product, found by the all-pairs search
-    algebra = ut_graded(3, [1, 2, 3])
-    assert (0, 3) not in algebra.structure
-    _faulty_act(monkeypatch, _leak(0, 1))
-    mult_fail = "f3 multiplicative: FAIL [witness ('E11', 'E22')]"
-    assert dual_monoid_action(algebra).report.render().splitlines() == [
-        "endomorphism f1 multiplicative: PASS",
-        "endomorphism f2 multiplicative: PASS",
-        f"endomorphism {mult_fail}",
-        "check unital: INFO [unit not concentrated in identity-acting degrees;"
-        " gamma(f,1) != 1 for characters vanishing on a unit degree]",
-        "action composition: FAIL [witness ('f3', 'f3')]",
-        "action identity-character: FAIL",
-    ]
-    assert f"character {mult_fail}" in check_module_algebra(algebra).render().splitlines()
 
 
 @st.composite
 def projection_faults(draw, algebra):
-    """corrupt(keep, image) for a drawn fault on this algebra, or None for none."""
-    n, kind = algebra.dim, draw(st.sampled_from(
-        ["none", "scale", "drop", "leak", "constant", "zero"]))
+    """corrupt(word) for a drawn fault on this algebra's character words, or None for none."""
+    n, kind = algebra.dim, draw(st.sampled_from(["none", "drop", "add", "flip"]))
     if kind == "none":
         return None
     i = draw(st.integers(0, n - 1))
-    if kind == "scale":
-        ch = draw(st.sampled_from(characters(algebra.grading)))
-        target = _keep(ch, algebra)
-        return lambda keep, image: image.scale(-1) if keep == target else image
     if kind == "drop":
-        return lambda keep, image: AlgebraElement(
-            image.parent, {k: v for k, v in image.coords.items() if k != i})
-    if kind == "leak":
-        return _leak(i, draw(st.integers(0, n - 1).filter(lambda j: j != i or n == 1)))
-    bump = AlgebraElement(algebra, {i: 1})
-    if kind == "constant":
-        return lambda keep, image: image + bump
-    return lambda keep, image: image if image.coords else bump  # only gamma(0) is wrong
+        return _drop_bit(i)
+    if kind == "add":
+        return lambda word: word | 1 << i
+    target = _true_words(algebra)[draw(st.integers(0, len(algebra.grading) - 1))]
+    return lambda word: word ^ 1 << i if word == target else word
+
+
+@st.composite
+def ut_or_monoid_algebras(draw):
+    """ut_graded(1..8) or k[S] for a drawn union-closed family S."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        return ut_graded(m, list(range(1, m + 1)))
+    return _monoid_algebra(draw(union_closed_families(max_members=8)))
 
 
 @st.composite
 def graded_algebras_with_faults(draw):
-    if draw(st.booleans()):
-        m = draw(st.integers(1, 8))
-        algebra = ut_graded(m, list(range(1, m + 1)))
-    else:
-        algebra = _monoid_algebra(draw(union_closed_families(max_members=8)))
+    algebra = draw(ut_or_monoid_algebras())
     return algebra, draw(projection_faults(algebra))
 
 
 def _reports_and_oracle(algebra, corrupt=None):
     """The rendered dual_monoid_action and check_module_algebra reports, and the oracle's.
 
-    corrupt(keep, image) follows the true projection behind the action;
-    the all-pairs oracle acts through the same corrupted projection.
+    corrupt(word) follows the true word of each character behind the
+    action; the all-pairs oracle acts through act_character, which
+    projects through the same corrupted word.
     """
-    act = act_character
-    if corrupt is None:
-        context = contextlib.nullcontext()
-    else:
-        true_project = graded._project
-        context = mock.patch.object(graded, "_project",
-                                    lambda keep, a: corrupt(keep, true_project(keep, a)))
-        act = lambda f, a: corrupt(_keep(f, algebra), act_character(f, a))  # noqa: E731
-    with context:
+    with contextlib.nullcontext() if corrupt is None else _corrupted_words(corrupt):
         got = (dual_monoid_action(algebra).report, check_module_algebra(algebra))
-    want = (all_pairs_dual_action(algebra, act), all_pairs_module_algebra(algebra, act))
+        want = (all_pairs_dual_action(algebra), all_pairs_module_algebra(algebra))
     return [r.render() for r in got], [r.render() for r in want]
 
 
@@ -339,65 +282,78 @@ def test_action_reports_match_all_pairs_oracle(case):
 
 
 def _true_words(algebra):
-    return [sum(1 << j for j in range(algebra.dim) if keep[j])
-            for keep in (_keep(f, algebra) for f in characters(algebra.grading))]
+    """The word of each character, in characters() order: bit j set iff it keeps b_j."""
+    return [sum(1 << j for j, d in enumerate(algebra.degree) if f(d) == 1)
+            for f in characters(algebra.grading)]
+
+
+# the FAIL lines of dual_monoid_action with the flipped bit, by the first basis label
+_FLIPPED_FAILS = {
+    # f2 also keeps E12, but not E11, and E11 E12 = E12
+    "E11": ["endomorphism f2 multiplicative: FAIL [witness ('E11', 'E12')]"],
+    # f1 also keeps u1: still a down-set, but the word of f3, so f1 f2 = f1 breaks
+    "u0": ["action composition: FAIL [witness ('f1', 'f2')]"],
+}
 
 
 @pytest.mark.parametrize("algebra, character, bit", [
-    (ut_graded(3, [1, 2, 3]), 1, 1),                      # f2 also keeps E12
-    (_monoid_algebra(corpus.boolean_lattice(2)), 0, 1),  # f1 also keeps u1
+    (ut_graded(3, [1, 2, 3]), 1, 1),
+    (_monoid_algebra(corpus.boolean_lattice(2)), 0, 1),
 ])
-def test_flipped_word_bit_is_caught(monkeypatch, algebra, character, bit):
+def test_flipped_word_bit_is_caught(algebra, character, bit):
     target = _true_words(algebra)[character]
-    true_word = graded._word
-
-    def flipped(image):
-        word = true_word(image)
-        return word ^ 1 << bit if word == target else word
-
-    monkeypatch.setattr(graded, "_word", flipped)
-    got, want = _reports_and_oracle(algebra)
-    assert got != want
+    got, want = _reports_and_oracle(algebra, lambda word: word ^ 1 << bit if word == target
+                                    else word)
+    assert got == want
+    assert ([line for line in got[0].splitlines() if "FAIL" in line]
+            == _FLIPPED_FAILS[algebra.basis[0]])
 
 
-def test_dropped_unit_coordinate_on_a_monoid_algebra_is_pinned(monkeypatch):
-    # dropping u0 from every image is still a coordinate projection, so every
-    # character passes the guard and is checked on its word
+def test_dropped_unit_coordinate_on_a_monoid_algebra_is_pinned():
+    # dropping u0 from every word keeps every action a coordinate projection,
+    # one that kills the unit u0
     algebra = _monoid_algebra(corpus.boolean_lattice(2))
-    _faulty_act(monkeypatch, lambda keep, image: AlgebraElement(
-        image.parent, {i: v for i, v in image.coords.items() if i != 0}))
     multiplicative = ["f1 multiplicative: PASS",
                       "f2 multiplicative: FAIL [witness ('u0', 'u2')]",
                       "f3 multiplicative: FAIL [witness ('u0', 'u1')]",
                       "f4 multiplicative: FAIL [witness ('u0', 'u1')]"]
-    assert dual_monoid_action(algebra).report.render().splitlines() == [
-        *(f"endomorphism {line}" for line in multiplicative),
-        *(f"endomorphism f{c} unital: FAIL" for c in range(1, 5)),
-        "action composition: PASS",
-        "action identity-character: FAIL",
-    ]
-    assert check_module_algebra(algebra).render().splitlines() == [
-        *(f"character {line}" for line in multiplicative),
-        *(f"character f{c} unit-law: FAIL" for c in range(1, 5)),
-    ]
+    with _corrupted_words(_drop_bit(0)):
+        assert dual_monoid_action(algebra).report.render().splitlines() == [
+            *(f"endomorphism {line}" for line in multiplicative),
+            *(f"endomorphism f{c} unital: FAIL" for c in range(1, 5)),
+            "action composition: PASS",
+            "action identity-character: FAIL",
+        ]
+        assert check_module_algebra(algebra).render().splitlines() == [
+            *(f"character {line}" for line in multiplicative),
+            *(f"character f{c} unit-law: FAIL" for c in range(1, 5)),
+        ]
 
 
-def test_dropped_term_of_a_two_term_unit_is_caught(monkeypatch):
+def test_dropped_term_of_a_two_term_unit_is_caught():
     # k[S] x k[S]: basis u_s, w_s, the copies multiply to 0 with each other,
     # and the unit u_e + w_e lies in the identity degree, so the strict unit
-    # law applies; dropping u_e keeps the guard and breaks it for every character
+    # law applies; dropping u_e from every word breaks it for every character
     s = corpus.boolean_lattice(2)
     n = len(s)
     structure = {(c * n + i, c * n + j): {c * n + s.op(i, j): 1}
                  for c in (0, 1) for i in range(n) for j in range(n)}
     algebra = GradedFDAlgebra([f"{x}{i}" for x in "uw" for i in range(n)], structure,
                               {s.identity: 1, n + s.identity: 1}, s, [*range(n), *range(n)])
-    drop = s.identity
-    got, want = _reports_and_oracle(algebra, lambda keep, image: AlgebraElement(
-        image.parent, {i: v for i, v in image.coords.items() if i != drop}))
+    got, want = _reports_and_oracle(algebra, _drop_bit(s.identity))
     assert got == want
     assert [line for line in got[1].splitlines() if "unit-law" in line] == [
         f"character f{c} unit-law: FAIL" for c in range(1, n + 1)]
+
+
+@given(ut_or_monoid_algebras())
+@settings(max_examples=40, deadline=None)
+def test_action_images_are_the_character_action_on_the_basis(algebra):
+    images = dual_monoid_action(algebra).images
+    chars = characters(algebra.grading)
+    assert list(images) == [f"f{c}" for c in range(1, len(chars) + 1)]
+    for f, image in zip(chars, images.values()):
+        assert image == [act_character(f, algebra.element({j: 1})) for j in range(algebra.dim)]
 
 
 def test_unit_law_sums_cancel_exactly():
@@ -410,18 +366,6 @@ def test_unit_law_sums_cancel_exactly():
     lines = [line.render() for line in verify_grading(algebra).lines]
     assert "invariant unit-law: PASS" in lines
     assert "invariant grading-law: FAIL [witness ('v0', 'v0', 'v1')]" in lines
-
-
-@pytest.mark.parametrize("algebra", [_monoid_algebra(corpus.boolean_lattice(3)),
-                                     ut_graded(6, range(1, 7))], ids=["kS8", "ut6"])
-def test_action_projects_once_per_basis_image(monkeypatch, algebra):
-    calls = []
-    original = graded._project
-    monkeypatch.setattr(graded, "_project", lambda keep, a: calls.append(keep) or original(keep, a))
-    action = dual_monoid_action(algebra)
-    assert action.report.passed
-    chars = len(action.labels)
-    assert len(calls) <= chars * (algebra.dim + 2) + chars
 
 
 def _rescaled(algebra, scale):
@@ -468,25 +412,6 @@ def test_unit_law_matches_loop_oracle(algebra):
     want = f"invariant unit-law: FAIL [witness {witness}]" if witness else "invariant unit-law: PASS"
     assert [line.render() for line in verify_grading(algebra).lines
             if line.name == "unit-law"] == [want]
-
-
-def test_word_path_assumes_a_linear_projection():
-    # the word path projects basis vectors and 0 only, so a projection that is
-    # right on those but doubles every other image slips past multiplicativity:
-    # b_0 b_0 = 2 b_0 here, and the all-pairs oracle catches it on (E11, E11)
-    algebra = _rescaled(ut_graded(2, [1, 2]), [Fraction(2), Fraction(1), Fraction(1)])
-
-    def doubled(keep, image):
-        coords = image.coords
-        unit_vector = len(coords) == 1 and set(coords.values()) == {1}
-        return image if not coords or unit_vector else image.scale(2)
-
-    got, want = _reports_and_oracle(algebra, doubled)
-    assert [line for line in got[1].splitlines() if "multiplicative" in line] == [
-        "character f1 multiplicative: PASS", "character f2 multiplicative: PASS"]
-    assert [line for line in want[1].splitlines() if "multiplicative" in line] == [
-        "character f1 multiplicative: PASS",
-        "character f2 multiplicative: FAIL [witness ('E11', 'E11')]"]
 
 
 def test_dual_action_chain_gradings():

@@ -14,7 +14,9 @@ ranks off the structure and never eliminates: it imports none of the
 dense `Matrix`, `rank`, `det` or `solve`. The max-monoid decomposition
 certificate `verify_decomposition` stays independent of the telescoping
 that builds the coefficients: it names neither `finite_runs` nor
-`threshold_functional`.
+`threshold_functional`. The graded action laws, `_character_laws` and
+`dual_monoid_action`, read one keep word per character and never act on
+an element: they name neither `_project` nor `mul_basis`.
 """
 
 import ast
@@ -32,8 +34,9 @@ PATH_JOINS = {"corpus.py": "data_path"}
 EXACT = ("exactlin.py", "exact")  # the one function that calls Fraction on one value
 NO_ELIMINATION = ("semilattice.py", "bialgebra.py")
 ELIMINATION = {"Matrix", "rank", "det", "solve", "exactlin", "*"}
-CERTIFICATE = ("nbar_dual.py", "verify_decomposition")
-TELESCOPING = {"finite_runs", "threshold_functional"}
+# (module, functions, names those functions may not name)
+CERTIFICATE = ("nbar_dual.py", ("verify_decomposition",), {"finite_runs", "threshold_functional"})
+WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"), {"_project", "mul_basis"})
 
 
 def _lines(path):
@@ -105,15 +108,24 @@ def _elimination_imports(source, name):
     return hits
 
 
-def _telescoping_names(source, name):
-    """Each TELESCOPING name, as a name, attribute, import or string, inside
-    the function that CERTIFICATE names in its module."""
+def _forbidden_names(source, name, rule):
+    """Each name that rule forbids, as a name, attribute, import or string,
+    inside the functions that rule names in its module."""
+    module, functions, forbidden = rule
     tree = ast.parse(source)
-    inside = _function_lines(tree, CERTIFICATE[1]) if name == CERTIFICATE[0] else range(0)
+    inside = {n for fn in functions for n in _function_lines(tree, fn)} if name == module else ()
     return [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
             if getattr(node, "lineno", None) in inside
             and {getattr(node, field, None) for field in ("id", "attr", "name", "value")}
-            & TELESCOPING]
+            & forbidden]
+
+
+def _rule_violations(rule):
+    """The forbidden names the package source has where rule forbids them,
+    after asserting that every function rule names exists."""
+    source = (SRC / rule[0]).read_text(encoding="utf-8")
+    assert all(_function_lines(ast.parse(source), fn) for fn in rule[1])
+    return _forbidden_names(source, rule[0], rule)
 
 
 def test_numbers_are_read_only_through_the_shared_grammar():
@@ -207,9 +219,7 @@ def test_elimination_rule_rejects_planted_imports():
 
 
 def test_decomposition_certificate_names_no_telescoping():
-    source = (SRC / CERTIFICATE[0]).read_text(encoding="utf-8")
-    assert _function_lines(ast.parse(source), CERTIFICATE[1])
-    assert _telescoping_names(source, CERTIFICATE[0]) == []
+    assert _rule_violations(CERTIFICATE) == []
 
 
 def test_telescoping_rule_rejects_planted_uses():
@@ -223,8 +233,32 @@ def test_telescoping_rule_rejects_planted_uses():
             runs = finite_runs(f)
             return nbar_dual.threshold_functional, getattr(nbar_dual, "finite_runs")
         """)
-    assert sorted(_telescoping_names(planted, "nbar_dual.py")) == [
+    assert sorted(_forbidden_names(planted, "nbar_dual.py", CERTIFICATE)) == [
         "nbar_dual.py:6: threshold_functional as t", "nbar_dual.py:7: finite_runs",
         "nbar_dual.py:8: 'finite_runs'", "nbar_dual.py:8: nbar_dual.threshold_functional"]
     # outside nbar_dual.py a function of that name is no certificate
-    assert _telescoping_names(planted, "graded.py") == []
+    assert _forbidden_names(planted, "graded.py", CERTIFICATE) == []
+
+
+def test_character_laws_act_on_no_element():
+    assert _rule_violations(WORD_LAWS) == []
+
+
+def test_acting_rule_rejects_planted_uses():
+    planted = textwrap.dedent("""\
+        def _project(word, a):
+            return a.parent.mul_basis(0, 0)
+
+        def _character_laws(algebra, kind, unit_name, unit_note):
+            "Never through _project."
+            from .graded import _project as p
+            return [_project(w, algebra.one()) for w in words]
+
+        def dual_monoid_action(algebra):
+            return algebra.mul_basis(0, 1), getattr(algebra, "mul_basis")
+        """)
+    assert sorted(_forbidden_names(planted, "graded.py", WORD_LAWS)) == [
+        "graded.py:10: 'mul_basis'", "graded.py:10: algebra.mul_basis",
+        "graded.py:6: _project as p", "graded.py:7: _project"]
+    # outside graded.py functions of those names are no action laws
+    assert _forbidden_names(planted, "nbar_dual.py", WORD_LAWS) == []
