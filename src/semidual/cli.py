@@ -200,9 +200,9 @@ def _cmd_graded(args, out):
         return out.emit_verdict("module-algebra", graded.check_module_algebra(algebra))
     # action-table
     action = graded.dual_monoid_action(algebra)
-    for name in action.labels:
-        images = [f"{b} -> {graded.format_algebra_element(image)}"
-                  for b, image in zip(algebra.basis, action.images[name])]
+    for name, word in zip(action.labels, action.words):
+        images = [f"{b} -> {b}:1" if word >> j & 1 else f"{b} -> 0"
+                  for j, b in enumerate(algebra.basis)]
         out.emit(f"gamma {name}: {', '.join(images)}",
                  ("gamma", name, "; ".join(images)))
     return out.emit_verdict("action", action.report)

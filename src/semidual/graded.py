@@ -264,12 +264,12 @@ def _character_laws(algebra, kind, unit_name, unit_note):
     word or not: one integer AND per stored product. A pair without a
     stored product gives 0 = 0. f(1) = 1 iff word holds the unit's
     support. The characters come from characters(grading), so they are
-    not re-checked. Returns the report, the characters and their words.
+    not re-checked. Returns the report and the words, one per character
+    in the order of characters(grading).
     """
     if not verify_grading(algebra).passed:
         raise ValueError("algebra does not pass verify_grading")
-    chars = characters(algebra.grading)
-    words = [_keep_word(f, algebra) for f in chars]
+    words = [_keep_word(f, algebra) for f in characters(algebra.grading)]
     label = algebra.basis
     supports = [(i, j, 1 << i | 1 << j, sum(1 << k for k in vec))
                 for (i, j), vec in algebra.structure.items()]
@@ -285,7 +285,7 @@ def _character_laws(algebra, kind, unit_name, unit_note):
                        PASS if unit_mask & word == unit_mask else FAIL)
     else:
         report.add("check", unit_name, INFO, f"[{unit_note}]")
-    return report, chars, words
+    return report, words
 
 
 def check_module_algebra(algebra):
@@ -296,7 +296,7 @@ def check_module_algebra(algebra):
     only when the unit is concentrated in identity-acting degrees;
     otherwise one INFO line per algebra records the deviation.
     """
-    report, *_ = _character_laws(
+    report, _ = _character_laws(
         algebra, "character", "unit-law",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) is the projection of 1 onto the degrees where f = 1")
@@ -305,36 +305,29 @@ def check_module_algebra(algebra):
 
 @dataclass(frozen=True, eq=False)
 class DualAction:
-    """The character action, as basis images and as matrices, plus its verification.
+    """The character action as one keep word per character, plus its verification.
 
-    `images[name][j]` is the image of basis vector j under the named
-    character. `matrices[name]` holds the same images as columns; the
-    dense matrices are built from `images` on the first access to
-    `matrices` and that dict is kept, so every later access returns it.
+    Bit j of `words[c]` is set iff the character `labels[c]` keeps basis
+    vector j; it kills every other basis vector. `matrices[name]` is the
+    diagonal 0/1 matrix of the same map, built from the words on the
+    first access; that dict is kept, so every later access returns it.
     """
 
     algebra: GradedFDAlgebra
     labels: list
-    images: dict
+    words: list
     report: Report
 
     @cached_property
     def matrices(self):
-        return {name: _columns_matrix(image) for name, image in self.images.items()}
-
-
-def _columns_matrix(images):
-    """The dense matrix whose column j holds the coordinates of images[j]."""
-    n = len(images)
-    entries = [0] * (n * n)
-    for j, image in enumerate(images):
-        for i, v in image.coeffs.items():
-            entries[i * n + j] = v
-    return Matrix(n, n, entries)
+        n = self.algebra.dim
+        return {name: Matrix(n, n, [word >> j & 1 if i == j else 0
+                                    for i in range(n) for j in range(n)])
+                for name, word in zip(self.labels, self.words)}
 
 
 def dual_monoid_action(algebra):
-    """Materialize gamma(f, -) per character and verify the action laws.
+    """The action gamma(f, -) of every character, as its keep word, and its laws.
 
     Checks that each endomorphism is multiplicative, that composition
     matches the pointwise product of characters, and that the constant-1
@@ -345,21 +338,19 @@ def dual_monoid_action(algebra):
     or not: composition holds iff word_f & word_g == word_fg, and the
     identity character iff its word has every bit set.
     """
-    report, chars, words = _character_laws(
+    report, words = _character_laws(
         algebra, "endomorphism", "unital",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) != 1 for characters vanishing on a unit degree")
-    labels = [character_label(i) for i in range(len(chars))]
+    every = range(len(words))
+    labels = [character_label(i) for i in every]
     dual = dual_semilattice(algebra.grading)
-    every = range(len(chars))
     witness = next(((labels[i], labels[k]) for i in every for k in every
                     if words[i] & words[k] != words[dual.op(i, k)]), None)
     report.check("action", "composition", witness)
     identity = words[dual.identity] == (1 << algebra.dim) - 1
     report.add("action", "identity-character", PASS if identity else FAIL)
-    images = {name: [AlgebraElement(algebra, {j: 1} if word >> j & 1 else {})
-                     for j in range(algebra.dim)] for name, word in zip(labels, words)}
-    return DualAction(algebra, labels, images, report)
+    return DualAction(algebra, labels, words, report)
 
 
 def ut_graded(m, labels):

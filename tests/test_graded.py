@@ -198,17 +198,17 @@ def test_dual_action_builds_its_matrices_on_first_access(monkeypatch, algebra):
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     action = dual_monoid_action(algebra)
     assert built == []
-    n = algebra.dim
-    columns = {name: Matrix.from_rows([[image[j].coeffs.get(i, 0) for j in range(n)]
+    n, basis = algebra.dim, [algebra.element({j: 1}) for j in range(algebra.dim)]
+    columns = {name: Matrix.from_rows([[act_character(f, b).coeffs.get(i, 0) for b in basis]
                                        for i in range(n)])
-               for name, image in action.images.items()}
+               for name, f in zip(action.labels, characters(algebra.grading))}
     built.clear()
     matrices = action.matrices
     assert matrices == columns
     assert len(built) == len(columns)
     assert action.matrices is matrices  # a planted entry stays in place
     assert len(built) == len(columns)  # and nothing is built again
-    for name in ("matrices", "images"):
+    for name in ("words", "matrices"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(action, name, {})
 
@@ -349,11 +349,18 @@ def test_dropped_term_of_a_two_term_unit_is_caught():
 @given(ut_or_monoid_algebras())
 @settings(max_examples=40, deadline=None)
 def test_action_images_are_the_character_action_on_the_basis(algebra):
-    images = dual_monoid_action(algebra).images
+    action = dual_monoid_action(algebra)
     chars = characters(algebra.grading)
-    assert list(images) == [f"f{c}" for c in range(1, len(chars) + 1)]
-    for f, image in zip(chars, images.values()):
-        assert image == [act_character(f, algebra.element({j: 1})) for j in range(algebra.dim)]
+    n = algebra.dim
+    assert action.labels == [f"f{c}" for c in range(1, len(chars) + 1)]
+    assert len(action.words) == len(chars)
+    for name, f, word in zip(action.labels, chars, action.words):
+        bits = [word >> j & 1 for j in range(n)]
+        assert [act_character(f, algebra.element({j: 1})) for j in range(n)] == [
+            algebra.element({j: 1} if bit else {}) for j, bit in enumerate(bits)]
+        assert word >> n == 0
+        assert action.matrices[name] == Matrix.from_rows(
+            [[bits[j] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def test_unit_law_sums_cancel_exactly():

@@ -16,7 +16,8 @@ certificate `verify_decomposition` stays independent of the telescoping
 that builds the coefficients: it names neither `finite_runs` nor
 `threshold_functional`. The graded action laws, `_character_laws` and
 `dual_monoid_action`, read one keep word per character and never act on
-an element: they name neither `_project` nor `mul_basis`.
+or build an element: they name none of `_project`, `mul_basis` and
+`AlgebraElement`.
 """
 
 import ast
@@ -36,7 +37,8 @@ NO_ELIMINATION = ("semilattice.py", "bialgebra.py")
 ELIMINATION = {"Matrix", "rank", "det", "solve", "exactlin", "*"}
 # (module, functions, names those functions may not name)
 CERTIFICATE = ("nbar_dual.py", ("verify_decomposition",), {"finite_runs", "threshold_functional"})
-WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"), {"_project", "mul_basis"})
+WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"),
+             {"_project", "mul_basis", "AlgebraElement"})
 
 
 def _lines(path):
@@ -256,9 +258,10 @@ def test_acting_rule_rejects_planted_uses():
 
         def dual_monoid_action(algebra):
             return algebra.mul_basis(0, 1), getattr(algebra, "mul_basis")
+            images = [AlgebraElement(algebra, {j: 1}) for j in range(algebra.dim)]
         """)
     assert sorted(_forbidden_names(planted, "graded.py", WORD_LAWS)) == [
         "graded.py:10: 'mul_basis'", "graded.py:10: algebra.mul_basis",
-        "graded.py:6: _project as p", "graded.py:7: _project"]
+        "graded.py:11: AlgebraElement", "graded.py:6: _project as p", "graded.py:7: _project"]
     # outside graded.py functions of those names are no action laws
     assert _forbidden_names(planted, "nbar_dual.py", WORD_LAWS) == []
