@@ -206,8 +206,13 @@ class Congruence:
 def congruence_closure(s, pairs):
     """Smallest congruence of s containing the given label pairs (union-find).
 
-    Each pass unites a t with r t for every a, its root r and every t;
-    at the fixpoint that is compatibility, as in Congruence.is_congruence.
+    With c = a b, the congruence generated by a ~ b unites x with x c for
+    every x above a or above b, and nothing else. These unions are
+    compatible: x above a makes x t above a, and (x t) c = (x c) t. Any
+    congruence with a ~ b has a ~ c ~ b (a = a a ~ a b), hence x = x a ~
+    x c for each x above a. The congruence of several pairs is the join
+    of theirs, the closure of all the unions: one pass over the elements
+    per pair.
     """
     parent = list(range(len(s)))
 
@@ -217,23 +222,13 @@ def congruence_closure(s, pairs):
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            return True
-        return False
-
     for a, b in pairs:
-        union(s.index(a), s.index(b))
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(s)):
-            r = find(a)
-            for t in range(len(s)):
-                if union(s.op(a, t), s.op(r, t)):
-                    changed = True
+        a, b = s.index(a), s.index(b)
+        c = s.op(a, b)
+        for x in range(len(s)):
+            if s.leq(a, x) or s.leq(b, x):
+                ri, rc = find(x), find(s.op(x, c))
+                parent[max(ri, rc)] = min(ri, rc)
     groups = {}
     for i in range(len(s)):
         groups.setdefault(find(i), []).append(i)

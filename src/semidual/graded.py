@@ -364,7 +364,7 @@ def ut_graded(m, labels):
         raise BadLabelsError("size must be at least 1")
     if len(labels) != m:
         raise BadLabelsError(f"need exactly {m} labels, got {len(labels)}")
-    if any(not isinstance(v, int) or v < 0 for v in labels):
+    if any(type(v) is not int or v < 0 for v in labels):
         raise BadLabelsError("labels must be naturals")
     if any(labels[i] >= labels[i + 1] for i in range(m - 1)):
         raise BadLabelsError("labels must be strictly increasing")

@@ -248,8 +248,8 @@ class _Scanner:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def natural(self):
-        """The natural number written at the scan position."""
+    def index(self):
+        """The letter or place, a natural number from 1, written at the scan position."""
         self.skip_ws()
         match = NATURAL.match(self.text, self.pos)
         if match is None:
@@ -258,6 +258,8 @@ class _Scanner:
             value = int(match.group())
         except ValueError:  # beyond the interpreter's digit limit for int() of a string
             self.error("number too long")
+        if value < 1:
+            self.error("letters and places start at 1")
         self.pos = match.end()
         return value
 
@@ -291,12 +293,10 @@ def parse_poly(text, ctx, source="<expr>"):
             if sc.peek() != "x":
                 sc.error("expected a variable like x1")
             sc.pos += 1
-            letter = sc.natural()
+            letter = sc.index()
             sc.take("|")
-            place = sc.natural()
+            place = sc.index()
             sc.take(")")
-            if letter < 1 or place < 1:
-                sc.error("letters and places start at 1")
             return LPPoly.var(ctx, letter, place)
         if NATURAL.match(sc.text, sc.pos):
             return LPPoly.constant(ctx, sc.rational())

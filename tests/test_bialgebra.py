@@ -235,7 +235,7 @@ def test_quotient_grouplikes_rejects_a_foreign_congruence():
 def test_congruences_match_all_pairs_oracles(s, data):
     n = len(s)
     index = st.integers(0, n - 1)
-    glue = data.draw(st.lists(st.tuples(index, index), max_size=3))
+    glue = data.draw(st.lists(st.tuples(index, index), max_size=5))
     pairs = [(s.label(a), s.label(b)) for a, b in glue]
     closure = congruence_closure(s, pairs)
     assert list(closure.classes) == all_pairs_congruence_classes(s, pairs)
@@ -254,7 +254,8 @@ def test_congruences_match_all_pairs_oracles(s, data):
 
 
 def test_congruence_closure_beyond_one_pass():
-    # one pass unites s28, s56, s60 and s54, s62 apart; the next pass merges them
+    # s28 ~ s56 unites s28, s56, s60 and s54 ~ s60 unites s54, s60, s62: the two
+    # pairs' congruences meet in s60, so the join is one class above s0
     masks = [0, 28, 54, 56, 60, 62]
     labels = {x: f"s{x}" for x in masks}
     s = validate(list(labels.values()),
@@ -262,6 +263,22 @@ def test_congruence_closure_beyond_one_pass():
     pairs = [("s28", "s56"), ("s54", "s60")]
     closure = congruence_closure(s, pairs)
     assert closure.classes == ((0,), (1, 2, 3, 4, 5))
+    assert list(closure.classes) == all_pairs_congruence_classes(s, pairs)
+
+
+def test_congruence_closure_makes_one_pass_per_pair(monkeypatch):
+    # the all-pairs fixpoint spends 2 n^2 products on each pass; the principal
+    # congruence formula spends at most 3 table reads per element and pair
+    s = corpus.boolean_lattice(6)
+    pairs = [("12", "34"), ("5", "6"), ("1", "123456")]
+    calls = []
+    for name in ("op", "leq"):
+        read = getattr(type(s), name)
+        monkeypatch.setattr(type(s), name,
+                            lambda self, i, j, read=read: calls.append(1) or read(self, i, j))
+    closure = congruence_closure(s, pairs)
+    monkeypatch.undo()
+    assert len(calls) <= 4 * len(s) * len(pairs)
     assert list(closure.classes) == all_pairs_congruence_classes(s, pairs)
 
 

@@ -290,6 +290,11 @@ def test_unknown_identity_is_positioned(tmp_path, fmt, sep):
     assert invoke("slat", "order", str(path), "--format", fmt) == (2, "", f"error: {message}\n")
 
 
+def test_exit_2_on_unknown_basis_element():
+    assert invoke("graded", "act", galg("ut2"), "--char", "f1", "--element", "ZZ:1") == (
+        2, "", "error: no basis element 'ZZ'\n")
+
+
 def test_exit_2_on_unknown_flag():
     code, _, err = invoke("slat", "characters", slat("chain2"), "--bogus")
     assert code == 2 and err
@@ -456,6 +461,22 @@ def test_main_exits_3_with_the_traceback_when_run_crashes(monkeypatch, capsys, c
     assert out == ""
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith(f"{crash.__name__}: {crash('planted')}\n")
+
+
+@pytest.mark.parametrize("crash", [ZeroDivisionError, OverflowError])
+def test_numeric_faults_in_a_command_escape_run_and_exit_3(monkeypatch, capsys, crash):
+    # both are ArithmeticErrors, which run would otherwise report as check: FAIL
+    def special_det(row):
+        raise crash("planted")
+
+    monkeypatch.setattr(nbar_dual, "special_det", special_det)
+    with pytest.raises(crash, match="planted"):
+        invoke("nbar", "det", "--row=1,2,3")
+    assert _main_exit(monkeypatch, "nbar", "det", "--row=1,2,3") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"{crash.__name__}: planted\n")
 
 
 def test_main_passes_the_exit_codes_of_run_through(monkeypatch, capsys):

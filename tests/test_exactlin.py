@@ -85,6 +85,13 @@ def test_solve_singular_returns_none():
     assert solve(mat([[1, 1], [1, 1]]), [1, 1]) is None
 
 
+def test_matrix_refuses_a_wrong_entry_count_and_ragged_rows():
+    with pytest.raises(ValueError, match=r"need 2x2 = 4 entries, got 3"):
+        Matrix(2, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix.from_rows([[1, 2], [3]])
+
+
 def test_det_rejects_non_square():
     with pytest.raises(NonSquareError):
         det(mat([[1, 2, 3], [4, 5, 6]]))

@@ -50,3 +50,5 @@ def test_invalid_points():
         fin(-1)
     with pytest.raises(ValueError):
         ExtNat(5)
+    with pytest.raises(ValueError, match="infinite points carry no number"):
+        ExtNat(POS_INF.kind, 5)

@@ -428,14 +428,18 @@ def test_dual_action_chain_gradings():
 
 
 def test_ut_bad_labels():
-    with pytest.raises(BadLabelsError):
-        ut_graded(2, [2, 1])
-    with pytest.raises(BadLabelsError):
-        ut_graded(2, [1])
-    with pytest.raises(BadLabelsError):
-        ut_graded(0, [])
-    with pytest.raises(BadLabelsError):
-        ut_graded(2, [1, 1])
+    for m, labels, message in [
+        (2, [2, 1], "labels must be strictly increasing"),
+        (2, [1], "need exactly 2 labels, got 1"),
+        (0, [], "size must be at least 1"),
+        (2, [1, 1], "labels must be strictly increasing"),
+        (2, [-1, 2], "labels must be naturals"),
+        # bool is a subclass of int, but True is no natural
+        (2, [True, 2], "labels must be naturals"),
+        (2, [0, False], "labels must be naturals"),
+    ]:
+        with pytest.raises(BadLabelsError, match=re.escape(message)):
+            ut_graded(m, labels)
 
 
 @pytest.mark.parametrize("structure, unit, message", [
@@ -447,6 +451,18 @@ def test_indices_outside_the_basis_are_rejected(structure, unit, message):
     grading = validate(["e"], {}, "e")
     with pytest.raises(BadLabelsError, match=re.escape(message)):
         GradedFDAlgebra(("u",), structure, unit, grading, (0,))
+
+
+@pytest.mark.parametrize("basis, degree, message", [
+    (("u", "u"), (0, 0), "duplicate basis labels"),
+    (("u", "v"), (0,), "degree map must cover the whole basis"),
+    (("u",), (1,), "degree index 1 outside the grading semilattice"),
+    (("u",), (-1,), "degree index -1 outside the grading semilattice"),
+])
+def test_bad_basis_or_degree_map_is_rejected(basis, degree, message):
+    grading = validate(["e"], {}, "e")
+    with pytest.raises(BadLabelsError, match=re.escape(message)):
+        GradedFDAlgebra(basis, {}, {0: 1}, grading, degree)
 
 
 def test_only_nonzero_products_are_stored():

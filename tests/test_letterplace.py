@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidual import exactlin, letterplace
 from semidual.errors import ParseError
@@ -154,12 +156,42 @@ def test_weight_components_and_act_min_match_per_term_weights(monkeypatch):
         assert parts == want
 
 
+@st.composite
+def letterplace_polys(draw):
+    """A sum of up to four words in letters 1..3 and places 1..4, some of them odd."""
+    ctx = ParityContext.make(odd_letters=draw(st.sets(st.integers(1, 3))),
+                             odd_places=draw(st.sets(st.integers(1, 4))))
+    variables = st.builds(v, st.integers(1, 3), st.integers(1, 4))
+    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    p = LPPoly.zero(ctx)
+    for word, coeff in draw(st.lists(st.tuples(st.lists(variables, max_size=4), coeffs),
+                                     max_size=4)):
+        p = p + LPPoly.from_word(ctx, word, coeff)
+    return p
+
+
+@given(letterplace_polys())
+@settings(max_examples=100, deadline=None)
+def test_weight_components_are_the_moebius_inversion_of_act_min(p):
+    # the thresholds act by truncation, so the component of weight w_k is the
+    # difference of the truncations at w_k and at the weight below it
+    parts = weight_components(p)
+    below = LPPoly.zero(p.parent)
+    for w in sorted(parts):
+        kept = act_min(w, p)
+        assert parts[w] == kept - below
+        below = kept
+    assert below == p
+
+
 def test_act_min_examples():
     p = LPPoly.var(EVEN, 1, 1) * LPPoly.var(EVEN, 2, 2) + LPPoly.var(EVEN, 1, 3)
     assert act_min(fin(2), p) == LPPoly.var(EVEN, 1, 1) * LPPoly.var(EVEN, 2, 2)
     assert act_min(POS_INF, p) == p
     q = LPPoly.constant(EVEN, 5) + LPPoly.var(EVEN, 1, 1)
     assert act_min(NEG_INF, q) == LPPoly.constant(EVEN, 5)
+    with pytest.raises(TypeError, match="z must be a point of the extended chain"):
+        act_min(3, p)
 
 
 def test_embed_word_examples():
@@ -477,8 +509,14 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as exc:
         parse_poly("(x1|1) + ", EVEN)
     assert exc.value.col == 10
-    with pytest.raises(ParseError):
-        parse_poly("(x0|1)", EVEN)
+    # a zero letter or place is reported at its first digit
+    for text, col in (("(x0|1)", 3), ("(x1|0)", 5), ("( x0 | 1 )", 4)):
+        with pytest.raises(ParseError, match="letters and places start at 1") as exc:
+            parse_poly(text, EVEN)
+        assert exc.value.col == col, text
+    with pytest.raises(ParseError, match="expected a variable like x1") as exc:
+        parse_poly("(y1|1)", EVEN)
+    assert exc.value.col == 2
     with pytest.raises(ParseError):
         parse_poly("(x1|1", EVEN)
     with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,13 @@ def test_fraction_entries_are_kept_and_others_converted():
 def test_translate_by_bottom_is_identity():
     f = F([3, 2], 1)
     assert translate(f, NEG_INF) == f
+
+
+def test_translate_refuses_plus_inf_and_bare_ints():
+    message = re.escape("translation points live in the max-monoid (no +inf)")
+    for n in (POS_INF, 3):
+        with pytest.raises(ValueError, match=message):
+            translate(F([3, 2], 1), n)
 
 
 def test_translate_pointwise_oracle():
@@ -388,6 +396,21 @@ def test_verify_decomposition_matches_dense_oracle(case):
     assert verdict == dense_decomposition_holds(f, coeffs)
     if fault in ("none", "changed", "extra"):
         assert verdict == (fault == "none")
+
+
+@given(st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]), max_size=8),
+       st.sampled_from([0, 1, Fraction(-1, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_decomposition_is_the_moebius_inversion_of_f(prefix, tail):
+    # f = sum_c a_c f_c with f_c = [p <= c] inverts to a_c = f(c) - f(c + 1)
+    f = F(prefix, tail)
+    want, c = {POS_INF: f.tail}, NEG_INF
+    while c <= f.tail_onset():
+        step = f.eval(c) - f.eval(c.succ())
+        if step:
+            want[c] = step
+        c = c.succ()
+    assert grouplike_decompose(f) == want
 
 
 def test_decompose_random_round_trip():
