@@ -22,7 +22,7 @@ class ExtNat:
     def __post_init__(self):
         if self.kind not in (_NEG, _FIN, _POS):
             raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == _FIN and (not isinstance(self.n, int) or self.n < 0):
+        if self.kind == _FIN and (type(self.n) is not int or self.n < 0):
             raise ValueError(f"finite point needs a natural number, got {self.n!r}")
         if self.kind != _FIN and self.n != 0:
             raise ValueError("infinite points carry no number")

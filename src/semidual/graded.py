@@ -126,11 +126,9 @@ def format_algebra_element(a):
 
 
 def _split_unit_degrees(algebra):
-    """Sorted labels of the unit's degrees d with op(d, s) != s for some degree s in use."""
+    """Sorted labels of the unit's degrees other than the identity e; [t <= e] kills them."""
     g, degree = algebra.grading, algebra.degree
-    used = set(degree)
-    return sorted({g.label(degree[i]) for i in algebra.unit
-                   if any(g.op(degree[i], s) != s for s in used)})
+    return sorted({g.label(degree[i]) for i in algebra.unit if degree[i] != g.identity})
 
 
 def verify_grading(algebra):
@@ -155,8 +153,8 @@ def verify_grading(algebra):
     each stored product whose left or right factor is a unit term, and
     names the first basis vector that fails either side. Integral
     constants, the unit's included, are held as ints and nothing
-    divides, so every sum is exact. The fourth invariant (unit
-    concentrated in identity-acting degrees) is reported as INFO when it
+    divides, so every sum is exact. The fourth invariant (unit in the
+    identity degree, see _split_unit_degrees) is reported as INFO when it
     fails: gradings that split the unit across degrees are legitimate,
     they just lose the strict module-algebra unit law.
     """

@@ -51,7 +51,7 @@ class LPVariable(NamedTuple):
 
 
 def variable(letter, place):
-    if letter < 1 or place < 1:
+    if type(letter) is not int or type(place) is not int or letter < 1 or place < 1:
         raise ValueError(f"letters and places start at 1, got ({letter}, {place})")
     return LPVariable(letter, place)
 

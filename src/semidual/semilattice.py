@@ -18,12 +18,13 @@ The layer works on these down-sets. With up(x) the bitmask of the
 elements above x, a symmetric idempotent table with an identity is
 associative iff up(op(i, j)) = up(i) & up(j) for every pair, so validate
 certifies associativity in O(n^2) word operations instead of walking n^3
-triples. The dual is the AND table of the down-set bitmasks, since
-down(x) & down(y) = down(x meet y). Sorted by size, the down-sets order
-the elements along a linear extension, in which the evaluation matrix is
-unitriangular, so its full rank is certified in O(n^2) steps with no
-elimination. Only a table that fails the associativity certificate pays
-for the cubic search of its first non-associative triple.
+triples. Each down-set is held as one int mask, built once per call. The
+dual is the AND table of the masks, since down(x) & down(y) = down(x
+meet y). Sorted by size, the masks order the elements along a linear
+extension, in which the evaluation matrix is unitriangular, so one sweep
+over them certifies its full rank with no elimination. Only a table
+that fails the associativity certificate pays for the cubic search of
+its first non-associative triple.
 """
 
 from dataclasses import dataclass
@@ -270,14 +271,15 @@ def character_label(i):
 
 
 def _down_sets(s):
-    """(values, x) for every element x, in canonical character order.
+    """(mask, x) for every element x, in canonical character order.
 
-    values is the 0/1 list of t -> [t <= x] over the indices t. Sorting
-    by support size first orders the elements along a linear extension
-    of <=, since t < x makes the down-set of t strictly smaller.
+    Bit n-1-t of mask is set iff t <= x. Sorting by support size first
+    orders the elements along a linear extension of <=, since t < x makes
+    the down-set of t strictly smaller; ties go by mask, as ints.
     """
-    return sorted((([int(v == x) for v in column], x) for x, column in enumerate(zip(*s.table))),
-                  key=lambda pair: (sum(pair[0]), pair[0]))
+    bits = [1 << t for t in reversed(range(len(s)))]
+    return sorted(((sum(b for b, v in zip(bits, row) if v == x), x) for x, row in enumerate(s.table)),
+                  key=lambda pair: (pair[0].bit_count(), pair[0]))
 
 
 def characters(s):
@@ -288,19 +290,15 @@ def characters(s):
     join x. Conversely t -> [t <= x] is a character for every x, since
     op(t, u) <= x iff t <= x and u <= x. Hence one character per element.
     """
-    return [Character(tuple(values)) for values, _ in _down_sets(s)]
+    return [Character(tuple([1 if v == x else 0 for v in s.table[x]])) for _, x in _down_sets(s)]
 
 
-def _and_table(rows, width):
-    """The semilattice of 0/1 sequences of the given width under pointwise product.
+def _and_table(masks, width):
+    """The semilattice of width-bit masks under AND, labelled f1, f2, ... in the order given.
 
-    Elements are labelled f1, f2, ... in the order given; the identity
-    is the all-ones sequence. Each sequence is read as a bitmask, so a
-    product is one AND. Raises ValueError on an entry other than 0 or 1
-    and KeyError when a product or the all-ones sequence is not among
-    the rows.
+    The identity is the all-ones mask. Raises KeyError when a product or
+    the all-ones mask is not among the masks.
     """
-    masks = [int("".join(map(str, values)), 2) for values in rows]
     lookup = {mask: i for i, mask in enumerate(masks)}
     table = [[lookup[a & b] for b in masks] for a in masks]
     return FiniteSemilattice((character_label(i) for i in range(len(masks))),
@@ -315,9 +313,9 @@ def dual_semilattice(s):
     of x and y is the indicator of the down-set of x meet y (a finite
     join-semilattice with a bottom is a lattice), so the table is closed
     and is a bounded semilattice by construction. It is built as the AND
-    table of the down-set bitmasks: n^2 dictionary lookups of n-bit ints.
+    table of the down-set masks: n^2 dictionary lookups of n-bit ints.
     """
-    return _and_table([values for values, _ in _down_sets(s)], len(s))
+    return _and_table([mask for mask, _ in _down_sets(s)], len(s))
 
 
 @dataclass(frozen=True)
@@ -335,32 +333,35 @@ class MonoidMap:
 def double_dual_iso(s):
     """The evaluation map s -> dual(dual(s)), verified to be an isomorphism.
 
-    ev_s sends a character to its value at s. The characters of s and of
-    the dual are enumerated once each; the double dual's table comes from
-    dual_semilattice. Failure of injectivity, surjectivity or
-    multiplicativity is raised rather than asserted; for a valid bounded
-    semilattice none can occur.
+    ev_s sends a character to its value at s. The masks of s and of the
+    dual are built once each, their AND tables are the dual and the double
+    dual, and the evaluation at t is the mask of the characters 1 at t.
+    Failures of injectivity, surjectivity or multiplicativity are raised,
+    not asserted; for a valid bounded semilattice none can occur.
     """
-    chars = characters(s)
+    n, masks = len(s), [mask for mask, _ in _down_sets(s)]
     try:
-        dual = _and_table([ch.values for ch in chars], len(s))
-    except (KeyError, ValueError):
+        dual = _and_table(masks, n)
+    except KeyError:
         raise NotMultiplicativeError(
             "the characters are not closed under pointwise product") from None
-    dual_chars = characters(dual)
-    double = dual_semilattice(dual)
-    lookup = {ch.values: i for i, ch in enumerate(dual_chars)}
-
+    dual_masks = [mask for mask, _ in _down_sets(dual)]
+    double = _and_table(dual_masks, len(dual))
+    lookup = {mask: i for i, mask in enumerate(dual_masks)}
+    evaluations = [0] * n  # bit len(masks)-1-c of evaluations[t] is character c at t
+    for c, mask in enumerate(masks):
+        while mask:  # t = n - mask.bit_length() is the first element left in mask
+            evaluations[n - mask.bit_length()] |= 1 << (len(masks) - 1 - c)
+            mask ^= 1 << (mask.bit_length() - 1)
     assignment = []
-    for i in range(len(s)):
-        ev = tuple(ch.values[i] for ch in chars)
+    for i, ev in enumerate(evaluations):
         if ev not in lookup:
             raise NotMultiplicativeError(
                 f"evaluation at {s.label(i)} is not a character of the dual")
         assignment.append(lookup[ev])
-    if len(set(assignment)) != len(s):
+    if len(set(assignment)) != n:
         raise NotInjectiveError("evaluation map identifies distinct elements")
-    if set(assignment) != set(range(len(dual_chars))) or len(double) != len(dual_chars):
+    if len(double) != n:
         raise NotSurjectiveError("evaluation map misses a double-dual element")
     if assignment[s.identity] != double.identity:
         raise NotMultiplicativeError("evaluation map moves the identity")
@@ -379,18 +380,19 @@ def ev_matrix_rank(s):
     Equality with |S| certifies that the evaluation functionals are
     linearly independent, i.e. the finite-case representative-function
     bialgebra of the dual is the whole monoid algebra (zero biideal).
-    With the rows taken along the linear extension of the canonical
-    order, the matrix is the zeta matrix of the order and so upper
-    unitriangular: value 1 at the element of each character, 0 at every
-    later element. That is checked on the actual values in O(n^2) steps
-    and gives rank n; values that fail the check contradict the theorem,
-    and ArithmeticError is raised rather than any rank reported.
+    Along the canonical order the matrix is the zeta matrix of the order,
+    upper unitriangular: one sweep checks that each of the n masks holds
+    its own element and no earlier mask does, which gives rank n. Masks
+    that fail it contradict the theorem, and ArithmeticError is raised.
     """
-    chars = characters(s)
-    order = [x for _, x in _down_sets(s)]
-    if len(chars) == len(s) and all(chars[c](x) == (c == r)
-                                    for r, x in enumerate(order) for c in range(r + 1)):
-        return len(s)
+    n, down, seen = len(s), _down_sets(s), 0  # seen: the union of the earlier masks
+    for mask, x in down:
+        if not (mask & ~seen) >> (n - 1 - x) & 1:
+            break
+        seen |= mask
+    else:
+        if len(down) == n:
+            return n
     raise ArithmeticError("the character evaluation matrix is not unitriangular")
 
 

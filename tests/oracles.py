@@ -417,7 +417,7 @@ def all_pairs_character_laws(algebra, kind, unit_name, unit_note, act=act_charac
         report.add(kind, f"{character_label(ci)} multiplicative",
                    FAIL if witness else PASS, f"[witness {witness}]" if witness else "")
     g, degree = algebra.grading, algebra.degree
-    split = any(g.op(degree[i], s) != s for i in algebra.unit for s in set(degree))
+    split = any(degree[i] != g.identity for i in algebra.unit)
     if not split:
         one = algebra.one()
         for ci, f in enumerate(chars):

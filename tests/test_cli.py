@@ -169,6 +169,29 @@ def test_graded_action_table():
     check_golden(["graded", "action-table", galg("ut2")], expected)
 
 
+def test_unit_outside_the_identity_degree_is_info_in_every_command(tmp_path):
+    # the unit sits in n2 > n1 of chain3, which every degree in use absorbs,
+    # but the character f1 = [t <= n1] kills it, so gamma(f1, 1) = 0
+    (tmp_path / "chain3.slat").write_text(corpus.render_corpus_files()["chain3.slat"])
+    path = tmp_path / "u.galg"
+    path.write_text("basis: u\nunit: u:1\nsemilattice: chain3.slat\n"
+                    "degree u n2\nmul u u = u:1\n")
+    lines = {
+        "verify": "invariant unit-degrees: INFO [unit has components in non-identity-acting"
+                  " degrees n2; strict module-algebra unit law does not apply]\n",
+        "module-algebra": "check unit-law: INFO [unit not concentrated in identity-acting"
+                          " degrees; gamma(f,1) is the projection of 1 onto the degrees"
+                          " where f = 1]\n",
+        "action-table": "check unital: INFO [unit not concentrated in identity-acting"
+                        " degrees; gamma(f,1) != 1 for characters vanishing on a unit"
+                        " degree]\n",
+    }
+    for command, line in lines.items():
+        code, out, err = invoke("graded", command, str(path))
+        assert (code, err) == (0, ""), command
+        assert line in out and "FAIL" not in out, command
+
+
 def test_graded_ut_prints_document():
     with open(galg("ut2"), encoding="utf-8") as fh:
         expected = fh.read()

@@ -52,3 +52,9 @@ def test_invalid_points():
         ExtNat(5)
     with pytest.raises(ValueError, match="infinite points carry no number"):
         ExtNat(POS_INF.kind, 5)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, 2.5])
+def test_bool_and_float_are_no_naturals(n):
+    with pytest.raises(ValueError, match="finite point needs a natural number"):
+        fin(n)

@@ -82,6 +82,12 @@ def test_multiply_odd_total_parity_square_vanishes():
     assert (p * p).terms == {}
 
 
+@pytest.mark.parametrize("letter, place", [(True, 2), (1, True), (1.0, 2), (1, 2.0)])
+def test_bool_and_float_letters_and_places_are_refused(letter, place):
+    with pytest.raises(ValueError, match="letters and places start at 1"):
+        LPPoly.var(EVEN, letter, place)
+
+
 def test_multiply_context_mismatch():
     with pytest.raises(ContextMismatchError):
         multiply(LPPoly.var(EVEN, 1, 1), LPPoly.var(ODD_LETTERS, 1, 1))

@@ -1,5 +1,5 @@
 import io
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import assume, find, given, settings
@@ -323,6 +323,18 @@ def _faulty(fault, on_dual=True):
     return wrap
 
 
+def _on_double(fault):
+    """Corrupt every second _and_table result: double_dual_iso builds the dual, then the double."""
+    calls = count(1)
+
+    def wrap(real):
+        def table(masks, width):
+            d = real(masks, width)
+            return fault(d) if next(calls) % 2 == 0 else d
+        return table
+    return wrap
+
+
 def _moved_identity(d):
     return FiniteSemilattice(d.elements, (d.identity + 1) % len(d), d.table)
 
@@ -336,14 +348,14 @@ def _joins_to_identity(d):
 
 
 @pytest.mark.parametrize("attr, fault, message", [
-    ("characters", _faulty(lambda chars: chars[1:]),
+    ("_down_sets", _faulty(lambda down: down[1:]),
      "evaluation at n3 is not a character of the dual"),
-    ("characters", _faulty(lambda chars: [chars[0], chars[2]], on_dual=False),
+    ("_down_sets", _faulty(lambda down: [down[0], down[2]], on_dual=False),
      "evaluation map identifies distinct elements"),
-    ("characters", _faulty(lambda chars: chars + [Character((0,) * len(chars))]),
+    ("_down_sets", _faulty(lambda down: down + [(0, 0)]),
      "evaluation map misses a double-dual element"),
-    ("dual_semilattice", _faulty(_moved_identity), "evaluation map moves the identity"),
-    ("dual_semilattice", _faulty(_joins_to_identity),
+    ("_and_table", _on_double(_moved_identity), "evaluation map moves the identity"),
+    ("_and_table", _on_double(_joins_to_identity),
      "evaluation map is not multiplicative at (n2, n3)"),
 ], ids=["dual-character-dropped", "character-dropped", "dual-character-added",
         "identity-moved", "table-corrupted"])
@@ -358,21 +370,46 @@ def test_double_dual_faults_are_caught(monkeypatch, attr, fault, message):
         assert (out.getvalue(), err.getvalue()) == (line, "")
 
 
-@pytest.mark.parametrize("fault", [
-    lambda chars: chars[1:],
-    lambda chars: [Character(tuple(2 * v for v in ch.values)) for ch in chars],
-], ids=["bottom-dropped", "doubled"])
+@pytest.mark.parametrize("fault", [lambda down: down[1:]], ids=["bottom-dropped"])
 def test_double_dual_reports_characters_not_closed_under_products(monkeypatch, fault):
-    # without the indicator of {0}, the characters of 1 and 2 multiply outside the list;
-    # doubled values are no 0/1 indicators and square outside it
-    real = semilattice.characters
-    monkeypatch.setattr(semilattice, "characters",
+    # without the down-set of 0, the down-sets of 1 and 2 meet outside the list
+    real = semilattice._down_sets
+    monkeypatch.setattr(semilattice, "_down_sets",
                         lambda t: fault(real(t)) if t.elements[0] == "0" else real(t))
     argv = ["slat", "double-dual", corpus.data_path("bool2.slat")]
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, out, err) == 1
     assert (out.getvalue(), err.getvalue()) == (
         "isomorphism: FAIL the characters are not closed under pointwise product\n", "")
+
+
+def test_double_dual_and_ev_rank_build_the_down_sets_once_per_structure(monkeypatch):
+    real = semilattice._down_sets
+    calls = []
+    monkeypatch.setattr(semilattice, "_down_sets", lambda t: calls.append(t) or real(t))
+    s = corpus.boolean_lattice(3)
+    double_dual_iso(s)
+    assert len(calls) == 2  # s and its dual
+    calls.clear()
+    ev_matrix_rank(s)
+    assert calls == [s]
+
+
+@given(union_closed_families())
+@settings(max_examples=30, deadline=None)
+def test_down_set_masks_and_double_dual_match_the_oracles(s):
+    n = len(s)
+    assert sorted(x for _, x in semilattice._down_sets(s)) == list(range(n))
+    for mask, x in semilattice._down_sets(s):
+        assert mask == sum(1 << (n - 1 - t) for t in range(n) if s.leq(t, x))
+    chars = brute_characters(s)
+    lookup = {ch.values: i for i, ch in enumerate(chars)}
+    table = [[lookup[tuple(x * y for x, y in zip(a.values, b.values))] for b in chars]
+             for a in chars]
+    dual = FiniteSemilattice((f"f{i + 1}" for i in range(n)), lookup[(1,) * n], table)
+    dual_lookup = {ch.values: i for i, ch in enumerate(brute_characters(dual))}
+    assert double_dual_iso(s).assignment == tuple(
+        dual_lookup[tuple(ch(i) for ch in chars)] for i in range(n))
 
 
 def test_double_dual_trivial_is_identity():
@@ -409,13 +446,13 @@ def test_ev_matrix_rank_matches_bareiss_on_union_closed_families(s):
 
 
 @pytest.mark.parametrize("fault", [
-    lambda chars: chars[::-1],
-    lambda chars: chars[:-1] + chars[:1],
-    lambda chars: [Character(tuple(2 * v for v in ch.values)) for ch in chars],
-], ids=["reversed", "duplicated", "doubled"])
+    lambda down: down[::-1],
+    lambda down: down[:-1] + down[:1],
+    lambda down: down[:-1],
+], ids=["reversed", "duplicated", "top-dropped"])
 def test_ev_matrix_rank_refuses_a_broken_triangle(monkeypatch, fault):
-    real = semilattice.characters
-    monkeypatch.setattr(semilattice, "characters", lambda s: fault(real(s)))
+    real = semilattice._down_sets
+    monkeypatch.setattr(semilattice, "_down_sets", lambda s: fault(real(s)))
     message = "the character evaluation matrix is not unitriangular"
     for name in CORPUS_SLAT:
         s = corpus.load_semilattice(name)

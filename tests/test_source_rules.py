@@ -17,7 +17,10 @@ that builds the coefficients: it names neither `finite_runs` nor
 `threshold_functional`. The graded action laws, `_character_laws` and
 `dual_monoid_action`, read one keep word per character and never act on
 or build an element: they name none of `_project`, `mul_basis` and
-`AlgebraElement`.
+`AlgebraElement`. The finite side's dual, double dual and evaluation
+rank work on the int down-set masks alone: `_and_table`,
+`dual_semilattice`, `double_dual_iso` and `ev_matrix_rank` name none of
+`characters`, `Character` and `join`.
 """
 
 import ast
@@ -39,6 +42,9 @@ ELIMINATION = {"Matrix", "rank", "det", "solve", "exactlin", "*"}
 CERTIFICATE = ("nbar_dual.py", ("verify_decomposition",), {"finite_runs", "threshold_functional"})
 WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"),
              {"_project", "mul_basis", "AlgebraElement"})
+DOWN_SET_MASKS = ("semilattice.py",
+                  ("_and_table", "dual_semilattice", "double_dual_iso", "ev_matrix_rank"),
+                  {"characters", "Character", "join"})
 
 
 def _lines(path):
@@ -265,3 +271,30 @@ def test_acting_rule_rejects_planted_uses():
         "graded.py:11: AlgebraElement", "graded.py:6: _project as p", "graded.py:7: _project"]
     # outside graded.py functions of those names are no action laws
     assert _forbidden_names(planted, "nbar_dual.py", WORD_LAWS) == []
+
+
+def test_duality_works_on_down_set_masks_only():
+    assert _rule_violations(DOWN_SET_MASKS) == []
+
+
+def test_mask_rule_rejects_planted_uses():
+    planted = textwrap.dedent("""\
+        def characters(s):
+            return [Character(v) for v in s.table]
+
+        def _and_table(rows, width):
+            return [int("".join(map(str, values)), 2) for values in rows]
+
+        def double_dual_iso(s):
+            from .semilattice import Character as C, characters
+            return getattr(semilattice, "characters")(s)
+
+        def ev_matrix_rank(s):
+            return [ch(x) for ch in characters(s) for x in range(len(s))]
+        """)
+    assert sorted(_forbidden_names(planted, "semilattice.py", DOWN_SET_MASKS)) == [
+        "semilattice.py:12: characters", "semilattice.py:5: ''.join",
+        "semilattice.py:8: Character as C", "semilattice.py:8: characters",
+        "semilattice.py:9: 'characters'"]
+    # outside semilattice.py functions of those names are not the duality
+    assert _forbidden_names(planted, "graded.py", DOWN_SET_MASKS) == []
