@@ -11,8 +11,9 @@ the package: the monoid algebra kS and its tensor square, the graded
 algebras, and the letterplace polynomials. It stores the nonzero
 coordinates on a basis, does the linear operations and the parent
 check, and extends a product given on basis keys bilinearly through
-bilinear, the one loop over pairs of terms in the package;
-format_sum writes such a vector as a signed sum. Every value that the
+bilinear, the loop over pairs of terms of kS, kS⊗kS and the graded
+algebras; LPPoly runs its own loop on packed exponent words. format_sum
+writes such a vector as a signed sum. Every value that the
 package stores or returns goes through `exact`: an int when integral, a
 Fraction otherwise, never a float. So integral structure constants never
 enter Fraction arithmetic. Quotients are built as Fraction(a, b), never
@@ -73,10 +74,9 @@ class SparseVector:
     Vectors combine only with vectors of the same class and parent (the
     space they live in). Subclasses supply `basis_product(i, j)`, the
     product of two basis keys as a mapping from keys to rationals, which
-    `*` extends bilinearly through `bilinear`; a subclass whose keys are
-    cheaper to multiply with some data attached may instead override
-    `product` to feed `bilinear` prepared terms. Treat instances as
-    immutable.
+    `*` extends bilinearly through `bilinear`; a subclass whose terms
+    multiply faster in another form may instead override `product`, as
+    LPPoly does on packed exponent words. Treat instances as immutable.
     """
 
     __slots__ = ("parent", "coeffs")

@@ -8,23 +8,24 @@ with k the number of out-of-order pairs of odd variables in it, and an
 odd variable squares to zero. Both factors of a product of canonical
 monomials are sorted with distinct odd variables, so k counts only the
 cross-factor pairs: an odd a of the left factor above an odd b of the
-right one. The place maximum grades the algebra over the
-max-monoid of naturals-with-bottom, and each point z of the min-monoid
-acts by deleting all terms of weight above z.
+right one. A product packs each monomial into an int exponent word over
+the variables of both factors, so a pair of terms costs one int add and
+its sign one popcount of an odd-variable mask. The place maximum grades
+the algebra over the max-monoid of naturals-with-bottom, and each point
+z of the min-monoid acts by deleting all terms of weight above z.
 
 Words in the letters embed one by one via x_{i_1} ... x_{i_n} mapsto
 (x_{i_1}|1) ... (x_{i_n}|n); no product on the letter side is modelled,
 since concatenation does not preserve places.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .errors import NATURAL, RATIONAL, ParseError, read_rational
-from .exactlin import (ParentMismatchError as ContextMismatchError, SparseVector, bilinear,
-                       exact, format_sum)
+from .exactlin import (ParentMismatchError as ContextMismatchError, SparseVector, exact,
+                       format_sum)
 from .extnat import NEG_INF, ExtNat, fin
 
 
@@ -36,7 +37,11 @@ class ParityContext(NamedTuple):
 
     @classmethod
     def make(cls, odd_letters=(), odd_places=()):
-        return cls(frozenset(odd_letters), frozenset(odd_places))
+        odd_letters, odd_places = frozenset(odd_letters), frozenset(odd_places)
+        for n in odd_letters | odd_places:
+            if type(n) is not int or n < 1:
+                raise ValueError(f"letters and places start at 1, got {n!r}")
+        return cls(odd_letters, odd_places)
 
     def parity(self, var):
         return (int(var.letter in self.odd_letters) + int(var.place in self.odd_places)) % 2
@@ -69,29 +74,6 @@ def normalize(word, ctx):
         return None
     inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
     return (-1) ** inversions, tuple(sorted(word))
-
-
-def _merge(left, right):
-    """Product of two canonical monomials, each given as (monomial, its odd variables).
-
-    Empty when the odd parts share a variable; otherwise the sorted
-    concatenation with sign (-1)^k, k the number of pairs a > b with a
-    odd on the left and b odd on the right.
-    """
-    m1, odd1 = left
-    m2, odd2 = right
-    sign = 1
-    if odd1 and odd2 and not odd1[-1] < odd2[0]:
-        above = len(odd1)
-        inversions = 0
-        for b in odd2:
-            i = bisect_left(odd1, b)
-            if i < above and odd1[i] == b:
-                return {}
-            inversions += above - i
-        if inversions & 1:
-            sign = -1
-    return {tuple(sorted(m1 + m2)): sign}
 
 
 class LPPoly(SparseVector):
@@ -135,28 +117,65 @@ class LPPoly(SparseVector):
     def constant(cls, ctx, c):
         return cls(ctx, {(): c})
 
-    def _merge_terms(self):
-        """(d, terms): d is the common denominator of the coefficients, and terms
-        holds ((monomial, odd part), d * coefficient), an int, for each term."""
-        parity = self.parent.parity
+    def _packed(self, bits):
+        """(d, terms): d is the common denominator of the coefficients, and terms holds
+        (key, odd, below, monomial, d * coefficient) per term, summing over its
+        variables the (field, odd bit, bits above an odd bit) that bits gives each."""
         d = lcm(*(c.denominator for c in self.coeffs.values()))
-        return d, [((m, tuple(v for v in m if parity(v))), c.numerator * (d // c.denominator))
-                   for m, c in self.coeffs.items()]
+        terms = []
+        for m, c in self.coeffs.items():
+            key = odd = below = 0
+            for x in m:
+                field, bit, above = bits[x]
+                key += field
+                odd |= bit
+                below ^= above
+            terms.append((key, odd, below, m, c.numerator * (d // c.denominator)))
+        return d, terms
 
     def product(self, other):
-        """Bilinear product on integer numerators, divided once per result term.
+        """Bilinear product on packed exponent words, divided once per result term.
 
-        Each odd part is found once per term, not once per pair, and each
-        pair of terms costs one int product. Each sum is then divided by
-        the product d of the two common denominators: exactly, as an int,
-        when d divides it, and as one Fraction otherwise.
+        The variables of both factors get indices in canonical order, and a
+        monomial packs into the int key summing 1 << (index * width) over its
+        variables. width is the bit length of the sum of the top degrees, so no
+        exponent carries and a product of terms has key k1 + k2. The odd
+        variables of a term form the mask odd, and bit a of below is set iff an
+        odd number of them lie below a: terms with o1 & o2 multiply to 0, and
+        otherwise the Koszul sign is -1 iff o1 & below2 has an odd popcount.
+        Int numerators (coefficient times common denominator) sum per key, and a
+        monomial is sorted only when its key first shows. Each nonzero sum is
+        divided once by d1 d2, as an int when that divides it and as one
+        Fraction otherwise, so the result is exact and nonzero and is not
+        cleaned again.
         """
         self._check(other)
-        d1, left = self._merge_terms()
-        d2, right = other._merge_terms()
+        parity = self.parent.parity
+        width = (max(map(len, self.coeffs), default=0)
+                 + max(map(len, other.coeffs), default=0)).bit_length()
+        bits = {}
+        for i, x in enumerate(sorted({x for p in (self, other) for m in p.coeffs for x in m})):
+            odd = parity(x)
+            bits[x] = (1 << (i * width), odd << i, -(odd << (i + 1)))
+        d1, left = self._packed(bits)
+        d2, right = other._packed(bits)
+        sums, words = {}, {}
+        for k1, o1, _, m1, c1 in left:
+            for k2, o2, below, m2, c2 in right:
+                if o1 & o2:
+                    continue
+                k = k1 + k2
+                c = -c1 * c2 if (o1 & below).bit_count() & 1 else c1 * c2
+                if k in sums:
+                    sums[k] += c
+                else:
+                    sums[k], words[k] = c, tuple(sorted(m1 + m2))
         d = d1 * d2
-        return type(self)(self.parent, {k: Fraction(v, d) if v % d else v // d
-                                        for k, v in bilinear(left, right, _merge).items()})
+        out = object.__new__(type(self))  # no __init__, whose clean would check every value again
+        out.parent = self.parent
+        out.coeffs = {words[k]: Fraction(v, d) if v % d else v // d
+                      for k, v in sums.items() if v}
+        return out
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -173,7 +192,7 @@ class LPPoly(SparseVector):
 
 
 def multiply(p, q):
-    """Bilinear product; term products merge two canonical monomials."""
+    """Bilinear product of two polynomials on packed exponent words."""
     return p.product(q)
 
 

@@ -396,6 +396,15 @@ def test_an_empty_comma_list_is_the_empty_list(argv):
     assert (code, err) == (0, "") and out
 
 
+@pytest.mark.parametrize("flag", ["--odd-letters", "--odd-places"])
+@pytest.mark.parametrize("items", ["0", "1,0", "0,2"])
+@pytest.mark.parametrize("argv", [["lp", "mul", "(x1|1)", "(x2|2)"], ["lp", "embed", "1", "2"]],
+                         ids=["mul", "embed"])
+def test_lp_exit_2_on_a_parity_context_naming_0(argv, flag, items):
+    # as a variable (x0|1) is refused, so is letter or place 0 in a parity context
+    assert invoke(*argv, flag, items) == (2, "", "error: letters and places start at 1, got 0\n")
+
+
 def test_galg_rational_outside_p_over_q_is_refused_at_its_column(tmp_path):
     (tmp_path / "chain1.slat").write_text(corpus.render_corpus_files()["chain1.slat"])
     path = tmp_path / "big.galg"

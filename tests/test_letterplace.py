@@ -1,9 +1,11 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semidual import exactlin, letterplace
@@ -86,6 +88,16 @@ def test_multiply_odd_total_parity_square_vanishes():
 def test_bool_and_float_letters_and_places_are_refused(letter, place):
     with pytest.raises(ValueError, match="letters and places start at 1"):
         LPPoly.var(EVEN, letter, place)
+
+
+@pytest.mark.parametrize("odd_letters, odd_places", [
+    ([0], []), ([], [0]), ([1, 0], [2]), ([-1], []), ([True], []), ([], [2.0]), (["1"], []),
+])
+def test_parity_context_refuses_what_is_no_letter_or_place(odd_letters, odd_places):
+    # the message of `variable`, as `(x0|1)` gets
+    with pytest.raises(ValueError, match="letters and places start at 1, got "):
+        ParityContext.make(odd_letters, odd_places)
+    assert ParityContext.make([1, 3], [2]) == (frozenset({1, 3}), frozenset({2}))
 
 
 def test_multiply_context_mismatch():
@@ -335,29 +347,30 @@ def test_merge_product_associative_and_supercommutative(name):
                 assert pa * qb == (qb * pa).scale(-1 if a and b else 1)
 
 
-def _miscount_one_inversion(merge):
-    """merge with the count off by one whenever some cross pair is inverted."""
-    def faulty(left, right):
-        out = merge(left, right)
-        if left[1] and right[1] and left[1][-1] > right[1][0]:
-            return {m: -c for m, c in out.items()}
-        return out
-    return faulty
+def _mutated_product(old, new):
+    """LPPoly.product with its source text old replaced by new, run in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(LPPoly.product))
+    assert source.count(old) == 1
+    namespace = dict(vars(letterplace))
+    exec(source.replace(old, new), namespace)
+    return namespace["product"]
 
 
-def _keep_shared_odd(merge):
-    """merge without the shared-odd-variable check: such a term survives with sign 1."""
-    def faulty(left, right):
-        return merge(left, right) or {tuple(sorted(left[0] + right[0])): 1}
-    return faulty
+# Each fault corrupts one seam of the packed kernel. miscount-one-inversion:
+# the bits above an odd variable skip the next index, so below misses an odd
+# left variable right above an odd right one. keep-shared-odd: the o1 & o2
+# test never fires, so a pair sharing an odd variable survives.
+MERGE_FAULTS = {
+    "miscount-one-inversion": ("-(odd << (i + 1))", "-(odd << (i + 2))"),
+    "keep-shared-odd": ("if o1 & o2:", "if False:"),
+}
 
 
-@pytest.mark.parametrize("fault", [_miscount_one_inversion, _keep_shared_odd],
-                         ids=["miscount-one-inversion", "keep-shared-odd"])
+@pytest.mark.parametrize("fault", list(MERGE_FAULTS))
 @pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
 def test_merge_product_oracle_catches_a_faulty_merge(monkeypatch, name, fault):
     cases = _merge_cases(MERGE_CONTEXTS[name])
-    monkeypatch.setattr(letterplace, "_merge", fault(letterplace._merge))
+    monkeypatch.setattr(LPPoly, "product", _mutated_product(*MERGE_FAULTS[fault]))
     assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
 
 
@@ -425,30 +438,164 @@ def _common_denominator(p):
     return lcm(*(c.denominator for c in p.terms.values()))
 
 
-def _divide_by_left_only(p, q):
-    """LPPoly.product dividing the numerator sums by d1 only."""
-    d1, left = p._merge_terms()
-    _, right = q._merge_terms()
-    sums = exactlin.bilinear(left, right, letterplace._merge)
-    return LPPoly(p.context, {k: Fraction(s, d1) for k, s in sums.items()})
+# divide-by-d1-only: the divisor of the numerator sums drops the right
+# factor's common denominator. keep-zero-sums: the zero filter is gone, so a
+# key whose pair products cancel stays with coefficient 0.
+NUMERATOR_FAULTS = {
+    "divide-by-d1-only": ("d = d1 * d2", "d = d1"),
+    "keep-zero-sums": ("for k, v in sums.items() if v}", "for k, v in sums.items()}"),
+}
 
 
-def _keep_zero_sums(clean):
-    """clean with every zero entry of its input kept."""
-    return lambda coeffs: {**{k: c for k, c in coeffs.items() if not c}, **clean(coeffs)}
-
-
-@pytest.mark.parametrize("fault", ["divide-by-d1-only", "keep-zero-sums"])
+@pytest.mark.parametrize("fault", list(NUMERATOR_FAULTS))
 @pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
 def test_numerator_product_oracle_catches_a_fault(monkeypatch, name, fault):
     spread, cancelling, integral = _numerator_cases(MERGE_CONTEXTS[name])
-    if fault == "divide-by-d1-only":
-        monkeypatch.setattr(LPPoly, "product", _divide_by_left_only)
-        cases = spread
-    else:
-        monkeypatch.setattr(exactlin, "clean", _keep_zero_sums(exactlin.clean))
-        cases = cancelling
+    cases = spread if fault == "divide-by-d1-only" else cancelling
+    monkeypatch.setattr(LPPoly, "product", _mutated_product(*NUMERATOR_FAULTS[fault]))
     assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
+
+
+def _assert_product_matches_loop(p, q):
+    """p q agrees with the loop oracle term for term, and each coefficient is an
+    int exactly where the oracle's Fraction is integral."""
+    got, want = (p * q).terms, loop_letterplace_product(p, q)
+    assert got == want
+    assert {m: type(c) for m, c in got.items()} == {
+        m: int if c.denominator == 1 else Fraction for m, c in want.items()}
+    return got
+
+
+COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)])
+
+
+def _edge_contexts(letters, places):
+    """All-even, all-odd (every letter odd, no place), or random odd letters and places."""
+    return st.one_of(
+        st.just(ParityContext.make()),
+        st.just(ParityContext.make(odd_letters=range(1, letters + 1))),
+        st.builds(ParityContext.make, st.sets(st.integers(1, letters)),
+                  st.sets(st.integers(1, places))))
+
+
+def _edge_polys(ctx, variables, max_degree=3, max_terms=4):
+    def total(terms):
+        p = LPPoly.zero(ctx)
+        for word, c in terms:
+            p = p + LPPoly.from_word(ctx, word, c)
+        return p
+    return st.lists(st.tuples(st.lists(variables, max_size=max_degree), COEFFS),
+                    max_size=max_terms).map(total)
+
+
+SMALL_VARIABLES = st.builds(v, st.integers(1, 4), st.integers(1, 4))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_product_with_a_constant_factor(data):
+    # with both factors constant the field width is 0
+    ctx = data.draw(_edge_contexts(4, 4))
+    c = LPPoly.constant(ctx, data.draw(COEFFS))
+    d = LPPoly.constant(ctx, data.draw(COEFFS))
+    q = data.draw(_edge_polys(ctx, SMALL_VARIABLES))
+    for left, right in ((c, q), (q, c), (c, d), (LPPoly.zero(ctx), c), (q, LPPoly.zero(ctx))):
+        _assert_product_matches_loop(left, right)
+    assert (c * d).terms == {(): c.terms[()] * d.terms[()]}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_product_of_powers_that_fill_a_field(data):
+    # x^a x^b with a + b = 2^w - 1 puts all ones in a w-bit field, and no other
+    # term has a higher degree, so w is the width; a carry would spill into the
+    # field of the next variable
+    ctx = data.draw(st.sampled_from([EVEN, *MERGE_CONTEXTS.values()]))
+    x = data.draw(SMALL_VARIABLES.filter(lambda y: not ctx.parity(y)))
+    w = data.draw(st.integers(1, 4))
+    a = data.draw(st.integers(0, (1 << w) - 1))
+    b = (1 << w) - 1 - a
+
+    def with_power(k):
+        terms = dict(data.draw(_edge_polys(ctx, SMALL_VARIABLES, max_degree=k)).terms)
+        terms[(x,) * k] = data.draw(COEFFS)
+        return LPPoly(ctx, terms)
+
+    p, q = with_power(a), with_power(b)
+    assert max(map(len, p.terms), default=0) + max(map(len, q.terms), default=0) == (1 << w) - 1
+    _assert_product_matches_loop(p, q)
+    _assert_product_matches_loop(q, p)
+
+
+def test_packed_product_of_powers_that_fill_a_four_bit_field():
+    x, y, z = (LPPoly.var(EVEN, *lp) for lp in ((2, 1), (2, 2), (3, 1)))
+    power = LPPoly.one(EVEN)
+    powers = [power]
+    for _ in range(8):
+        power = power * x
+        powers.append(power)
+    # (x2|1)^7 (x2|1)^8: exponent 15 fills the 4-bit field of (x2|1), next to (x2|2)
+    got = _assert_product_matches_loop(powers[7] + y, powers[8] + z)
+    assert got[(v(2, 1),) * 15] == 1
+    assert got[(v(2, 1),) * 8 + (v(2, 2),)] == 1 and got[(v(2, 1),) * 7 + (v(3, 1),)] == 1
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_packed_product_past_a_machine_word(data):
+    # 65 to 80 distinct variables, so keys and odd masks pass 64 bits
+    ctx = data.draw(_edge_contexts(12, 12))
+    pool = data.draw(st.lists(st.builds(v, st.integers(1, 12), st.integers(1, 12)),
+                              min_size=65, max_size=80, unique=True))
+    words = [pool[i:i + 2] for i in range(0, len(pool), 2)]
+    p = LPPoly.zero(ctx)
+    for word in words:
+        p = p + LPPoly.from_word(ctx, word, data.draw(COEFFS))
+    q = data.draw(_edge_polys(ctx, st.sampled_from(pool), max_terms=6))
+    assert len({x for m in p.terms for x in m}) > 64
+    _assert_product_matches_loop(p, q)
+    _assert_product_matches_loop(q, p)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_product_sums_that_cancel(data):
+    # (c1 a + c2 b)(c3 a + c4 b), with c4 chosen so that the ab and ba terms cancel
+    ctx = data.draw(_edge_contexts(4, 4))
+    a, b = (data.draw(st.lists(SMALL_VARIABLES, min_size=1, max_size=3)) for _ in range(2))
+    signs = koszul_sign(a + b, ctx), koszul_sign(b + a, ctx)
+    assume(None not in signs and normalize(a, ctx) and normalize(b, ctx))
+    (sa, ma), (sb, mb) = normalize(a, ctx), normalize(b, ctx)
+    assume(ma != mb)
+    c1, c2, c3 = (data.draw(COEFFS) for _ in range(3))
+    c4 = Fraction(-c2 * c3 * signs[1]) / (c1 * signs[0])
+    p = LPPoly(ctx, {ma: c1 * sa, mb: c2 * sb})
+    q = LPPoly(ctx, {ma: c3 * sa, mb: c4 * sb})
+    got = _assert_product_matches_loop(p, q)
+    assert tuple(sorted(ma + mb)) not in got
+
+
+def test_product_builds_one_fraction_per_nonintegral_term_and_no_clean_pass(monkeypatch):
+    spread, cancelling, integral = _numerator_cases(MERGE_CONTEXTS["bench"])
+    made, cleaned = [], []
+    clean = exactlin.clean
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(letterplace, "Fraction", Counted)
+    monkeypatch.setattr(exactlin, "clean", lambda coeffs: cleaned.append(coeffs) or clean(coeffs))
+    for p, q in spread + cancelling + integral:
+        made.clear()
+        cleaned.clear()
+        got = (p * q).terms
+        fractions = [c for c in got.values() if type(c) is not int]
+        # each stored Fraction is the one the product built, checked by nothing else
+        assert len(made) == len(fractions)
+        assert all(type(c) is Counted for c in fractions)
+        assert cleaned == []
 
 
 def test_supercommutativity_random():

@@ -14,6 +14,7 @@ from semidual.nbar_dual import (StepFunctional, char_mult, finite_runs,
                                 is_character, special_det,
                                 threshold_functional, translate,
                                 translate_span_basis, verify_decomposition)
+from semidual.semilattice import Character, characters, validate
 
 from oracles import (cofactor_det, dense_decomposition_holds, point_finite_runs,
                      point_pointwise_mul, point_translate, window)
@@ -452,3 +453,126 @@ def test_character_span_dimension_small():
     for c in [NEG_INF, fin(0), fin(3), POS_INF]:
         f = threshold_functional(c)
         assert translate_span_basis(f).dimension <= 2
+
+
+# The infinite side as a Pontryagin pair. The threshold characters f_c, for c
+# in N̄ ∪ {+inf}, form the min-monoid M = (N̄ ∪ {+inf}, min) with identity
+# f_{+inf}, and grouplike_decompose carries the finite dual onto kM as an
+# algebra: the pointwise product goes to the min-convolution, the constant 1
+# to {+inf: 1}, and translation by p deletes the coefficients at c < p.
+
+PAIR_VALUES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+functionals = st.builds(F, st.lists(PAIR_VALUES, max_size=8),
+                        st.one_of(st.just(0), PAIR_VALUES))
+finite_points = st.one_of(st.just(NEG_INF), st.integers(0, 9).map(fin))
+
+
+def _nonzero(coeffs):
+    return {c: a for c, a in coeffs.items() if a}
+
+
+def _convolution(a, b, join):
+    out = {}
+    for c, x in a.items():
+        for d, y in b.items():
+            out[join(c, d)] = out.get(join(c, d), 0) + x * y
+    return _nonzero(out)
+
+
+def _product_law(f, g, join=min):
+    product = grouplike_decompose(f.pointwise_mul(g))
+    return _nonzero(product) == _convolution(grouplike_decompose(f), grouplike_decompose(g), join)
+
+
+def _unit_law(f, decompose=grouplike_decompose):
+    one = F((), 1)
+    return (decompose(one) == {POS_INF: 1}
+            and decompose(f.pointwise_mul(one)) == decompose(f)
+            and _nonzero(decompose(f)) == _convolution(decompose(f), decompose(one), min))
+
+
+def _translation_law(f, p, shift=translate):
+    kept = {c: a for c, a in _nonzero(grouplike_decompose(f)).items() if c >= p}
+    return _nonzero(grouplike_decompose(shift(f, p))) == kept
+
+
+@given(functionals, functionals)
+@settings(max_examples=200, deadline=None)
+def test_decomposition_takes_products_to_min_convolutions(f, g):
+    assert _product_law(f, g)
+
+
+@given(functionals)
+@settings(max_examples=100, deadline=None)
+def test_decomposition_takes_the_constant_one_to_the_unit(f):
+    assert _unit_law(f)
+
+
+@given(functionals, finite_points)
+@settings(max_examples=200, deadline=None)
+def test_translation_by_p_kills_the_coefficients_below_p(f, p):
+    assert _translation_law(f, p)
+
+
+def _evaluation_gap(k, op=min, window=None):
+    """Evaluations at the window points and the characters of the chain
+    {-inf, 0, ..., k, +inf} under op; n evaluates to c -> f_c(n).
+
+    The window is -inf, 0, ..., k unless given. Returns (evaluations,
+    characters, the chain's points).
+    """
+    points = [NEG_INF] + [fin(i) for i in range(k + 1)] + [POS_INF]
+    identity = next(e for e in points if all(op(e, x) == x for x in points))
+    s = validate([str(x) for x in points],
+                 {(str(x), str(y)): str(op(x, y)) for x in points for y in points}, str(identity))
+    window = points[:-1] if window is None else window
+    evaluations = [Character(tuple(threshold_functional(c).eval(n) for c in points))
+                   for n in window]
+    return evaluations, characters(s), points
+
+
+def _gap_is_the_point_at_plus_inf(k, op=min, window=None):
+    evaluations, chars, points = _evaluation_gap(k, op, window)
+    only_at_top = Character(tuple(int(c == POS_INF) for c in points))
+    return (len(set(evaluations)) == len(evaluations)
+            and set(chars) - set(evaluations) == {only_at_top}
+            and set(evaluations) <= set(chars))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 8])
+def test_double_dual_of_a_window_misses_only_the_point_at_plus_inf(k):
+    # the characters of (chain, min) are the up-set indicators [c >= n]; the
+    # evaluations at -inf, 0, ..., k are injective and give all but the one for
+    # n = +inf, so the double dual of N̄ is N̄ ∪ {+inf}
+    evaluations, chars, points = _evaluation_gap(k)
+    assert len(chars) == len(points) == len(evaluations) + 1
+    assert _gap_is_the_point_at_plus_inf(k)
+
+
+def _drop_plus_inf_term(f):
+    return {c: a for c, a in grouplike_decompose(f).items() if c != POS_INF}
+
+
+PAIR_CASES = random_functionals(101, 30)
+
+
+@pytest.mark.parametrize("law", ["product-by-max", "unit-without-plus-inf", "translate-one-too-far",
+                                 "gap-under-max", "gap-without-bottom"])
+def test_pontryagin_laws_catch_a_planted_fault(law):
+    points = [NEG_INF] + [fin(i) for i in range(6)]
+    if law == "product-by-max":
+        holds = all(_product_law(f, g, join=max) for f in PAIR_CASES for g in PAIR_CASES)
+    elif law == "unit-without-plus-inf":
+        holds = all(_unit_law(f, decompose=_drop_plus_inf_term) for f in PAIR_CASES)
+    elif law == "translate-one-too-far":
+        holds = all(_translation_law(f, p, shift=lambda f, p: translate(f, p.succ()))
+                    for f in PAIR_CASES for p in points)
+    elif law == "gap-under-max":
+        holds = _gap_is_the_point_at_plus_inf(3, op=max)
+    else:
+        holds = _gap_is_the_point_at_plus_inf(3, window=[fin(i) for i in range(4)])
+    assert not holds
+    # the same cases pass without the fault
+    assert all(_product_law(f, g) for f in PAIR_CASES for g in PAIR_CASES)
+    assert all(_unit_law(f) and _translation_law(f, p) for f in PAIR_CASES for p in points)
+    assert _gap_is_the_point_at_plus_inf(3)
