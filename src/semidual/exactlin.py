@@ -76,7 +76,10 @@ class SparseVector:
     product of two basis keys as a mapping from keys to rationals, which
     `*` extends bilinearly through `bilinear`; a subclass whose terms
     multiply faster in another form may instead override `product`, as
-    LPPoly does on packed exponent words. Treat instances as immutable.
+    LPPoly does on packed exponent words. The constructor cleans, and a
+    subclass's constructor may also check the keys; the vector operations
+    build their results, whose keys come from vectors already built,
+    through `_of`, which does neither. Treat instances as immutable.
     """
 
     __slots__ = ("parent", "coeffs")
@@ -84,6 +87,13 @@ class SparseVector:
     def __init__(self, parent, coeffs):
         self.parent = parent
         self.coeffs = clean(coeffs)
+
+    @classmethod
+    def _of(cls, parent, coeffs):
+        """The vector with these exact nonzero coefficients, taken as they are."""
+        out = object.__new__(cls)
+        out.parent, out.coeffs = parent, coeffs
+        return out
 
     def _check(self, other):
         if self.parent is not other.parent and self.parent != other.parent:
@@ -94,20 +104,20 @@ class SparseVector:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out[k] + v if k in out else v
-        return type(self)(self.parent, out)
+        return self._of(self.parent, clean(out))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = exact(c)
-        return type(self)(self.parent, {k: v * c for k, v in self.coeffs.items()})
+        return self._of(self.parent, clean({k: v * c for k, v in self.coeffs.items()}))
 
     def product(self, other):
         """Sum of x_i y_j basis_product(i, j) over the coordinates of both factors."""
         self._check(other)
-        return type(self)(self.parent, bilinear(self.coeffs.items(), other.coeffs.items(),
-                                                self.basis_product))
+        return self._of(self.parent, clean(bilinear(self.coeffs.items(), other.coeffs.items(),
+                                                    self.basis_product)))
 
     __mul__ = product
 

@@ -80,10 +80,20 @@ class LPPoly(SparseVector):
     """Sparse rational polynomial on canonical letterplace monomials.
 
     The parent is the parity context; `context` and `terms` are other
-    names for `parent` and `coeffs`.
+    names for `parent` and `coeffs`. The constructor refuses a monomial
+    that is not canonical: out of ascending order, or with an odd
+    variable twice. The operations, whose terms are canonical already,
+    build their results through `_of`, unchecked.
     """
 
     __slots__ = ()
+
+    def __init__(self, ctx, coeffs):
+        super().__init__(ctx, coeffs)
+        for m in self.coeffs:
+            if any(b < a or (a == b and ctx.parity(a)) for a, b in zip(m, m[1:])):
+                raise ValueError(f"monomial {'*'.join(map(str, m))} is not canonical:"
+                                 " variables ascend, odd ones without repeats")
 
     @property
     def context(self):
@@ -171,11 +181,8 @@ class LPPoly(SparseVector):
                 else:
                     sums[k], words[k] = c, tuple(sorted(m1 + m2))
         d = d1 * d2
-        out = object.__new__(type(self))  # no __init__, whose clean would check every value again
-        out.parent = self.parent
-        out.coeffs = {words[k]: Fraction(v, d) if v % d else v // d
-                      for k, v in sums.items() if v}
-        return out
+        return self._of(self.parent, {words[k]: Fraction(v, d) if v % d else v // d
+                                      for k, v in sums.items() if v})
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -215,7 +222,7 @@ def weight_components(p):
     parts = {}  # int place maximum -> terms, so one chain point is built per weight
     for m, c in p.coeffs.items():
         parts.setdefault(_top(m), {})[m] = c
-    return {_point(top): LPPoly(p.parent, terms) for top, terms in sorted(parts.items())}
+    return {_point(top): LPPoly._of(p.parent, terms) for top, terms in sorted(parts.items())}
 
 
 def act_min(z, p):
@@ -224,7 +231,7 @@ def act_min(z, p):
         raise TypeError("z must be a point of the extended chain")
     tops = {m: _top(m) for m in p.coeffs}
     kept = {top: _point(top) <= z for top in set(tops.values())}
-    return LPPoly(p.parent, {m: c for m, c in p.coeffs.items() if kept[tops[m]]})
+    return LPPoly._of(p.parent, {m: c for m, c in p.coeffs.items() if kept[tops[m]]})
 
 
 def embed_word(letters, ctx):

@@ -1,27 +1,28 @@
 """The finite dual of the monoid algebra of (naturals-with-bottom, max).
 
 A functional lies in the finite dual exactly when it is eventually
-constant; such functionals are stored as a finite prefix of values (at
--inf, 0, 1, ...) plus a tail value. Translation by n sends f to
-m -> f(max(n, m)), so the translate span is finite dimensional, with
-one basis translate per maximal constant run. The multiplicative
+constant; it is stored as one (last position, value) pair per maximal
+constant run on the chain -inf, 0, 1, ..., plus a tail value, and every
+cost is in the number of runs. Translation by n sends f to
+m -> f(max(n, m)), which keeps the runs that end at n or later, so the
+translate span has one basis translate per run. The multiplicative
 functionals are the threshold characters f_c (1 up to c, 0 beyond,
 including c = +-inf and the constant 1 at c = +inf), which realize the
 min-monoid on the full extended chain under pointwise product.
 
 Every finite-dual functional is a unique combination of threshold
-characters, one per run; the decomposition telescopes the run values.
-The evaluation matrix [p <= c] of those characters on the run end
-points is unitriangular, so the coefficients are unique and need no
+characters, one per run: it telescopes the run values and needs no
 linear solve. A combination is certified pointwise where f or one of
 its characters changes value, which covers the whole chain. The
-translate-span basis is certified by the closed form of its special_det
-matrix.
+translate-span basis is certified by the runs of its translates and the
+closed form of their special_det matrix.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import itemgetter
 
 from .exactlin import Matrix, det, exact
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
@@ -37,29 +38,45 @@ def _point(i):
     return fin(i - 1) if i else NEG_INF
 
 
+def _runs(pairs, tail):
+    """The (position, value) pairs after which the value changes, the tail following the last."""
+    return tuple(p for p, (_, nxt) in zip(pairs, pairs[1:] + [(None, tail)]) if p[1] != nxt)
+
+
 class StepFunctional:
     """Eventually constant rational values on the chain -inf, 0, 1, ...
 
     The chain is indexed by position: -inf is position 0 and n is
-    position n + 1. prefix[i] is the value at position i and tail the
-    value at every position from len(prefix) on; the stored prefix is
-    trimmed so its last entry differs from the tail. Every value is made
-    exact by `exact`: an int when integral, otherwise a Fraction.
+    position n + 1. The constructor reads the values at positions 0, 1,
+    ... from a prefix. runs holds one (last position, value) pair per
+    maximal constant run, in increasing position, and tail the value past
+    the last run, which no run takes. Every value is made exact by
+    `exact`: an int when integral, otherwise a Fraction.
     """
 
-    __slots__ = ("prefix", "tail")
+    __slots__ = ("runs", "tail")
 
     def __init__(self, prefix, tail):
-        tail = exact(tail)
-        values = [exact(x) for x in prefix]
-        while values and values[-1] == tail:
-            values.pop()
-        self.prefix = tuple(values)
-        self.tail = tail
+        self.tail = exact(tail)
+        self.runs = _runs([(i, exact(x)) for i, x in enumerate(prefix)], self.tail)
+
+    @classmethod
+    def _of(cls, runs, tail):
+        """The functional with these runs and exact tail, taken as they are."""
+        f = cls.__new__(cls)
+        f.runs, f.tail = runs, tail
+        return f
+
+    @property
+    def prefix(self):
+        """The values at positions 0, 1, ... through the end of the last run."""
+        starts = [0] + [end + 1 for end, _ in self.runs]
+        return tuple(v for (end, v), a in zip(self.runs, starts) for _ in range(a, end + 1))
 
     def _at(self, i):
         """The value at position i."""
-        return self.prefix[i] if i < len(self.prefix) else self.tail
+        k = bisect_left(self.runs, i, key=itemgetter(0))
+        return self.runs[k][1] if k < len(self.runs) else self.tail
 
     def eval(self, point):
         if point == POS_INF:
@@ -68,22 +85,23 @@ class StepFunctional:
 
     def tail_onset(self):
         """First point from which the functional equals its tail forever."""
-        return _point(len(self.prefix))
+        return _point(self.runs[-1][0] + 1 if self.runs else 0)
 
     def is_zero(self):
-        return not self.prefix and self.tail == 0
+        return not self.runs and self.tail == 0
 
     def pointwise_mul(self, other):
-        n = max(len(self.prefix), len(other.prefix))
-        return StepFunctional([self._at(i) * other._at(i) for i in range(n)],
-                              self.tail * other.tail)
+        tail = exact(self.tail * other.tail)
+        ends = sorted({end for end, _ in self.runs + other.runs})
+        return StepFunctional._of(
+            _runs([(e, exact(self._at(e) * other._at(e))) for e in ends], tail), tail)
 
     def __eq__(self, other):
         return (isinstance(other, StepFunctional)
-            and self.prefix == other.prefix and self.tail == other.tail)
+            and self.runs == other.runs and self.tail == other.tail)
 
     def __hash__(self):
-        return hash((self.prefix, self.tail))
+        return hash((self.runs, self.tail))
 
     def __repr__(self):
         body = ",".join(str(x) for x in self.prefix)
@@ -93,29 +111,21 @@ class StepFunctional:
 def threshold_functional(c):
     """The character f_c: 1 at points <= c, 0 beyond; f_{+inf} is constant 1."""
     if c == POS_INF:
-        return StepFunctional((), 1)
-    return StepFunctional((1,) * (_position(c) + 1), 0)
+        return StepFunctional._of((), 1)
+    return StepFunctional._of(((_position(c), 1),), 0)
 
 
 def translate(f, n):
-    """The translate m -> f(max(n, m)), recanonicalized."""
+    """The translate m -> f(max(n, m)): the runs of f that end at n or later."""
     if not isinstance(n, ExtNat) or n == POS_INF:
         raise ValueError("translation points live in the max-monoid (no +inf)")
-    i = _position(n)
-    if i == 0 or not f.prefix:
-        return f
-    return StepFunctional([f._at(max(i, j)) for j in range(len(f.prefix))], f.tail)
+    kept = bisect_left(f.runs, _position(n), key=itemgetter(0))
+    return StepFunctional._of(f.runs[kept:], f.tail)
 
 
 def finite_runs(f):
-    """(end point, value) per maximal constant run before the tail.
-
-    The trailing infinite run (the tail) is not listed; canonical form
-    guarantees the last listed run really ends.
-    """
-    last = len(f.prefix) - 1
-    return [(_point(i), value) for i, value in enumerate(f.prefix)
-            if i == last or f.prefix[i + 1] != value]
+    """(end point, value) per maximal constant run; the tail is not listed."""
+    return [(_point(end), value) for end, value in f.runs]
 
 
 @dataclass(frozen=True)
@@ -144,25 +154,23 @@ def translate_span_basis(f):
     """Breakpoints whose translates span all translates of f, verified directly.
 
     One breakpoint per finite constant run, plus the tail onset when the
-    tail is nonzero (a zero tail translates to zero). One pass checks
-    that f keeps each run value to the run end, then the tail, so every
-    translate is a basis translate or zero. At their k points, values v_i,
-    the basis translates take the values v_max(i, j) of the special_det
-    matrix, whose closed form v_k * prod(v_i - v_{i+1}) must be nonzero.
+    tail is nonzero (a zero tail translates to zero). The runs and tail
+    must describe f at each run start of either, so every translate is a
+    basis translate or zero. The translate at the i-th of the k points,
+    values v_j, must keep the runs from the i-th on: row i of [v_max(i, j)],
+    whose closed form v_k * prod(v_i - v_{i+1}) must be nonzero.
     """
     runs = finite_runs(f)
     tail_point = f.tail_onset() if f.tail != 0 else None
     spanning = runs + ([(tail_point, f.tail)] if tail_point is not None else [])
     points, values = [p for p, _ in spanning], [v for _, v in spanning]
-    expected = []
-    for end, value in runs:
-        expected += [value] * (_position(end) + 1 - len(expected))
-    for i, value in enumerate(expected + [f.tail] * (len(f.prefix) - len(expected))):
-        if f._at(i) != value:
+    listed = tuple((_position(end), value) for end, value in runs)
+    described = StepFunctional._of(listed, f.tail)
+    for i in sorted({0, *(end + 1 for end, _ in f.runs + listed)}):
+        if f._at(i) != described._at(i):
             raise ArithmeticError(f"translate at {_point(i)} escapes the breakpoint span")
-    rows = [[g.eval(q) for q in points] for g in (translate(f, p) for p in points)]
-    special, closed = _special_matrix(values)
-    if rows != special or not closed:
+    if (any(translate(f, p) != StepFunctional._of(listed[i:], f.tail)
+            for i, p in enumerate(points)) or not _special_closed_form(values)):
         raise ArithmeticError("breakpoint translates are not linearly independent")
     return TranslateSpanBasis(tuple(points[:len(runs)]), tail_point, len(points))
 
@@ -184,15 +192,12 @@ def is_character(f):
     Characters take values in {0, 1}, send the identity -inf to 1, and
     once 0 stay 0 (f(b) = f(a) f(b) for a < b), so they are the f_c =
     [p <= c], multiplicative because max(a, b) <= c iff a <= c and
-    b <= c. The canonical form has the tail values trimmed off its
-    prefix, so f_{+inf} is the empty prefix with tail 1 and f_c for
-    c < +inf is an all-ones prefix ending at c with tail 0.
+    b <= c. In canonical form f_{+inf} has no run and tail 1, and f_c
+    for c < +inf is one run of 1 ending at c with tail 0.
     """
-    if not f.prefix:
-        return POS_INF if f.tail == 1 else None
-    if f.tail == 0 and all(v == 1 for v in f.prefix):
-        return _point(len(f.prefix) - 1)
-    return None
+    if len(f.runs) == 1 and f.runs[0][1] == 1 and f.tail == 0:
+        return _point(f.runs[0][0])
+    return POS_INF if not f.runs and f.tail == 1 else None
 
 
 def char_mult(s, t):
@@ -210,10 +215,9 @@ def char_mult(s, t):
     return expected
 
 
-def _special_matrix(row):
-    """The rows of [row[max(i, j)]] and the closed form of their determinant."""
-    closed = exact(row[-1] * prod(a - b for a, b in zip(row, row[1:]))) if row else 1
-    return [[v] * i + row[i:] for i, v in enumerate(row)], closed
+def _special_closed_form(row):
+    """The determinant of [row[max(i, j)]] by its closed form."""
+    return exact(row[-1] * prod(a - b for a, b in zip(row, row[1:]))) if row else 1
 
 
 @dataclass(frozen=True)
@@ -234,8 +238,8 @@ def special_det(row):
     differ, the determinant is nonzero.
     """
     row = [exact(x) for x in row]
-    rows, closed = _special_matrix(row)
-    direct = det(Matrix.from_rows(rows))
+    closed = _special_closed_form(row)
+    direct = det(Matrix.from_rows([[v] * i + row[i:] for i, v in enumerate(row)]))
     if direct != closed:
         raise ArithmeticError(f"determinant {direct} disagrees with closed form {closed}")
     met = bool(row) and row[-1] != 0 and all(a != b for a, b in zip(row, row[1:]))
@@ -248,10 +252,9 @@ def grouplike_decompose(f):
     The +inf coefficient is the tail value (kept even when zero); each
     finite run contributes its end point with coefficient run value
     minus the next run's value, which telescopes to f at every point.
-    With the run end points and the tail onset in decreasing order, the
-    evaluation matrix [p <= c] of the used characters is unitriangular:
-    the coefficients are unique, and a linear solve would only repeat
-    the telescoping. The independent certificate is verify_decomposition.
+    At the run end points and the tail onset, the evaluation matrix
+    [p <= c] of the used characters is unitriangular, so a linear solve
+    would only repeat the telescoping; verify_decomposition certifies.
     """
     runs = finite_runs(f)
     values = [value for _, value in runs] + [f.tail]
@@ -269,13 +272,10 @@ def verify_decomposition(f, coeffs):
     Checked at -inf, where f changes value, and at c.succ() for each
     threshold c below +inf. Between consecutive checked points f and
     every f_c are constant, so the check is complete for any coeffs.
-    Reads f pointwise, not through finite_runs, and sweeps down the
-    points and thresholds in decreasing order with a running sum of
-    coeffs[c] over c >= p: O(N + R log R) for N prefix entries and R
-    points and thresholds.
+    Reads f, not finite_runs, and sweeps down the sorted points and
+    thresholds with a running sum of coeffs[c] over c >= p: O(R log R).
     """
-    points = {NEG_INF}
-    points.update(_point(i) for i in range(1, len(f.prefix) + 1) if f._at(i) != f._at(i - 1))
+    points = {NEG_INF, *(_point(end + 1) for end, _ in f.runs)}
     points.update(c.succ() for c in coeffs if c != POS_INF)
     thresholds = sorted(coeffs, reverse=True)
     total, k = 0, 0

@@ -105,6 +105,44 @@ def test_multiply_context_mismatch():
         multiply(LPPoly.var(EVEN, 1, 1), LPPoly.var(ODD_LETTERS, 1, 1))
 
 
+def test_constructor_refuses_a_monomial_that_is_not_canonical():
+    # (x2|1)(x1|1) is -(x1|1)(x2|1) when both are odd, a sign the constructor cannot
+    # supply, and an odd variable squares to 0; from_word sorts with the sign
+    x1, x2 = v(1, 1), v(2, 1)
+    for ctx, mono in [(ODD_LETTERS, (x2, x1)), (EVEN, (x2, x1)), (ODD_LETTERS, (x1, x1)),
+                      (ODD_LETTERS, (x1, x2, x2))]:
+        with pytest.raises(ValueError, match="is not canonical"):
+            LPPoly(ctx, {(): 1, mono: Fraction(1, 2)})
+    assert LPPoly.from_word(ODD_LETTERS, [x2, x1]) == LPPoly(ODD_LETTERS, {(x1, x2): -1})
+    assert LPPoly(EVEN, {(x1, x1, x2): 2}).terms == {(x1, x1, x2): 2}
+
+
+def test_operations_neither_check_nor_clean_their_canonical_terms_again(monkeypatch):
+    # the constructor's canonical-order check is for terms from outside; the terms
+    # of a sum, product, weight part or act_min image are canonical already, and
+    # those of the last three are exact and nonzero too
+    ctx = ParityContext.make(odd_letters=[1], odd_places=[2])
+    p = parse_poly("(x1|1)*(x2|2) + 1/2*(x2|1) - 3*(x3|3) + 2", ctx)
+    q = parse_poly("(x1|2) - (x2|1)", ctx)
+    built, cleaned = [], []
+    init, clean = LPPoly.__init__, exactlin.clean
+    monkeypatch.setattr(LPPoly, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    sums = [p + q, p - q, p.scale(Fraction(2, 3))]
+    assert built == []
+    monkeypatch.setattr(exactlin, "clean", lambda coeffs: cleaned.append(coeffs) or clean(coeffs))
+    parts = weight_components(p * q)
+    kept = act_min(fin(2), p)
+    assert built == [] and cleaned == []
+    monkeypatch.undo()
+    both = {*p.terms, *q.terms}
+    assert sums == [LPPoly(ctx, {m: p.terms.get(m, 0) + q.terms.get(m, 0) for m in both}),
+                    LPPoly(ctx, {m: p.terms.get(m, 0) - q.terms.get(m, 0) for m in both}),
+                    LPPoly(ctx, {m: c * Fraction(2, 3) for m, c in p.terms.items()})]
+    assert sum(parts.values(), LPPoly.zero(ctx)) == p * q
+    assert kept == LPPoly(ctx, {m: c for m, c in p.terms.items() if weight(m) <= fin(2)})
+
+
 def test_weight_examples():
     assert weight(()) == NEG_INF
     assert weight((v(3, 5),)) == fin(5)

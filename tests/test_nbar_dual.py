@@ -17,7 +17,8 @@ from semidual.nbar_dual import (StepFunctional, char_mult, finite_runs,
 from semidual.semilattice import Character, characters, validate
 
 from oracles import (cofactor_det, dense_decomposition_holds, point_finite_runs,
-                     point_pointwise_mul, point_translate, window)
+                     point_pointwise_mul, point_translate, step_values, window)
+from test_exactlin import _follows_exact
 
 
 def F(prefix, tail):
@@ -136,6 +137,65 @@ def test_finite_runs_matches_point_oracle():
     assert not fs[0].prefix
     for f in fs:
         assert finite_runs(f) == point_finite_runs(f), f
+
+
+# Values whose products with each other are integral, 1/2 * 2 among them, and an
+# integral Fraction; runs of equal values may meet, so the constructor merges them.
+RUN_VALUES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+                              Fraction(6, 3)])
+
+
+@st.composite
+def run_inputs(draw):
+    """(prefix, tail): 1 to 60 runs of 1 to 4 equal values, and a zero or nonzero tail."""
+    values = draw(st.lists(RUN_VALUES, min_size=1, max_size=60))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+    tail = draw(st.one_of(st.just(0), RUN_VALUES))
+    return [x for x, n in zip(values, lengths) for _ in range(n)], tail
+
+
+def _stored_values(f):
+    return [value for _, value in f.runs] + [f.tail]
+
+
+@given(run_inputs(), run_inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_run_storage_matches_the_point_oracles(first, second, data):
+    f, g = F(*first), F(*second)
+    points = window(f)
+    values = [f.eval(p) for p in points]
+    assert values == step_values(*first, len(points))
+    assert all(map(_follows_exact, values + _stored_values(f)))
+    assert finite_runs(f) == point_finite_runs(f)
+    for n in data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=4)):
+        assert translate(f, n) == point_translate(f, n)
+    product = f.pointwise_mul(g)
+    assert product == point_pointwise_mul(f, g)
+    assert all(map(_follows_exact, _stored_values(product)))
+
+
+def test_run_storage_needs_no_pass_over_the_chain(monkeypatch):
+    # the work on a functional grows with its runs (R = 1000), not with the
+    # chain they cover (N = 100 000 positions)
+    f = long_functional(7, 100000, 1000, 4)
+    character = threshold_functional(fin(99998))
+    bound, calls = 4 * 1000, []
+    at, exact = StepFunctional._at, nbar_dual.exact
+
+    def counted(call):
+        def wrapper(*args):
+            calls.append(call.__name__)
+            assert len(calls) <= bound, f"{len(calls)} calls of _at and exact"
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(StepFunctional, "_at", counted(at))
+    monkeypatch.setattr(nbar_dual, "exact", counted(exact))
+    for work, arg in [(translate_span_basis, f), (grouplike_decompose, f), (is_character, f),
+                      (is_character, character)]:
+        calls.clear()
+        work(arg)
+    assert is_character(character) == fin(99998)
 
 
 def test_finite_runs_examples():

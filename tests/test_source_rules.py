@@ -20,7 +20,9 @@ or build an element: they name none of `_project`, `mul_basis` and
 `AlgebraElement`. The finite side's dual, double dual and evaluation
 rank work on the int down-set masks alone: `_and_table`,
 `dual_semilattice`, `double_dual_iso` and `ev_matrix_rank` name none of
-`characters`, `Character` and `join`.
+`characters`, `Character` and `join`. A max-monoid functional is held as
+its runs: nothing in `nbar_dual` reads the dense `.prefix` view but the
+`StepFunctional` constructor, the view itself and `__repr__`.
 """
 
 import ast
@@ -45,6 +47,8 @@ WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"),
 DOWN_SET_MASKS = ("semilattice.py",
                   ("_and_table", "dual_semilattice", "double_dual_iso", "ev_matrix_rank"),
                   {"characters", "Character", "join"})
+# (module, class, the methods of that class that may read the attribute, the attribute)
+PREFIX_VIEW = ("nbar_dual.py", "StepFunctional", ("__init__", "prefix", "__repr__"), "prefix")
 
 
 def _lines(path):
@@ -134,6 +138,22 @@ def _rule_violations(rule):
     source = (SRC / rule[0]).read_text(encoding="utf-8")
     assert all(_function_lines(ast.parse(source), fn) for fn in rule[1])
     return _forbidden_names(source, rule[0], rule)
+
+
+def _attribute_reads(source, name, rule):
+    """Each read of the attribute rule names, as `.attribute` or the string, anywhere
+    in rule's module but in the methods of rule's class that it exempts."""
+    module, cls, exempt, attribute = rule
+    if name != module:
+        return []
+    tree = ast.parse(source)
+    allowed = {n for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls
+               for m in c.body if isinstance(m, ast.FunctionDef) and m.name in exempt
+               for n in range(m.lineno, m.end_lineno + 1)}
+    return [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if getattr(node, "lineno", None) not in allowed
+            and (isinstance(node, ast.Attribute) and node.attr == attribute
+                 or isinstance(node, ast.Constant) and node.value == attribute)]
 
 
 def test_numbers_are_read_only_through_the_shared_grammar():
@@ -298,3 +318,45 @@ def test_mask_rule_rejects_planted_uses():
         "semilattice.py:9: 'characters'"]
     # outside semilattice.py functions of those names are not the duality
     assert _forbidden_names(planted, "graded.py", DOWN_SET_MASKS) == []
+
+
+def test_max_monoid_functionals_work_on_runs():
+    source = (SRC / PREFIX_VIEW[0]).read_text(encoding="utf-8")
+    cls = next(c for c in ast.parse(source).body
+               if isinstance(c, ast.ClassDef) and c.name == PREFIX_VIEW[1])
+    assert set(PREFIX_VIEW[2]) <= {m.name for m in cls.body if isinstance(m, ast.FunctionDef)}
+    assert _attribute_reads(source, PREFIX_VIEW[0], PREFIX_VIEW) == []
+
+
+def test_prefix_rule_rejects_planted_reads():
+    planted = textwrap.dedent("""\
+        class StepFunctional:
+            def __init__(self, prefix, tail):
+                self.runs = list(prefix)
+
+            @property
+            def prefix(self):
+                return tuple(self.runs)
+
+            def _at(self, i):
+                return self.prefix[i]
+
+            def __repr__(self):
+                return f"StepFunctional(prefix={self.prefix})"
+
+        class TranslateSpanBasis:
+            def __repr__(self):
+                return str(self.f.prefix)
+
+        def translate(f, n):
+            key = lambda g: g.prefix
+            return getattr(f, "prefix")[n:], key
+
+        TAIL = StepFunctional((), 0).prefix
+        """)
+    assert sorted(_attribute_reads(planted, "nbar_dual.py", PREFIX_VIEW)) == [
+        "nbar_dual.py:10: self.prefix", "nbar_dual.py:17: self.f.prefix",
+        "nbar_dual.py:20: g.prefix", "nbar_dual.py:21: 'prefix'",
+        "nbar_dual.py:23: StepFunctional((), 0).prefix"]
+    # outside nbar_dual.py a functional may hold a prefix
+    assert _attribute_reads(planted, "graded.py", PREFIX_VIEW) == []
