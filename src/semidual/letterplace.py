@@ -24,23 +24,39 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import NATURAL, RATIONAL, ParseError, read_rational
-from .exactlin import (ParentMismatchError as ContextMismatchError, SparseVector, exact,
-                       format_sum)
+from .exactlin import (ParentMismatchError as ContextMismatchError, SparseVector, clean,
+                       exact, format_sum)
 from .extnat import NEG_INF, ExtNat, fin
 
 
-class ParityContext(NamedTuple):
-    """Which letters and places are odd; everything else is even."""
-
+class _OddSets(NamedTuple):
     odd_letters: frozenset = frozenset()
     odd_places: frozenset = frozenset()
 
-    @classmethod
-    def make(cls, odd_letters=(), odd_places=()):
+
+class ParityContext(_OddSets):
+    """Which letters and places are odd; everything else is even.
+
+    A pair of frozensets of ints from 1: every construction, `make`,
+    `_make` and `_replace` included, refuses a bool, any other non-int or
+    a value below 1 with ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, odd_letters=(), odd_places=()):
         odd_letters, odd_places = frozenset(odd_letters), frozenset(odd_places)
-        for n in odd_letters | odd_places:
+        for n in (*odd_letters, *odd_places):
             if type(n) is not int or n < 1:
                 raise ValueError(f"letters and places start at 1, got {n!r}")
+        return super().__new__(cls, odd_letters, odd_places)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @classmethod
+    def make(cls, odd_letters=(), odd_places=()):
         return cls(odd_letters, odd_places)
 
     def parity(self, var):
@@ -308,7 +324,10 @@ class _Scanner:
 
 def parse_poly(text, ctx, source="<expr>"):
     """Parse `term (+|- term)*` with term `factor (* factor)*` and
-    factor either `(x<letter>|<place>)` or a nonnegative rational."""
+    factor either `(x<letter>|<place>)` or a nonnegative rational.
+
+    The terms are summed into one dict and the polynomial is built once,
+    so the work is linear in the number of terms."""
     sc = _Scanner(text, source)
 
     def factor():
@@ -335,15 +354,19 @@ def parse_poly(text, ctx, source="<expr>"):
             result = result * factor()
         return result
 
+    sums = {}  # every term's coefficients, summed in place: one pass over the terms
     sign = 1
     if sc.peek() in ("+", "-"):
         sign = -1 if sc.peek() == "-" else 1
         sc.pos += 1
-    total = term().scale(sign)
-    while sc.peek() in ("+", "-"):
-        negative = sc.peek() == "-"
+    while True:
+        for mono, c in term().coeffs.items():
+            c *= sign
+            sums[mono] = sums[mono] + c if mono in sums else c
+        if sc.peek() not in ("+", "-"):
+            break
+        sign = -1 if sc.peek() == "-" else 1
         sc.pos += 1
-        total = total + term().scale(-1 if negative else 1)
     if not sc.at_end():
         sc.error("unexpected input")
-    return total
+    return LPPoly._of(ctx, clean(sums))

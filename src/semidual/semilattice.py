@@ -406,13 +406,37 @@ def parse_semilattice(text, source="<input>"):
     inconsistent ones rejected. Errors carry the line and column of the
     offending word. Each product line fills both orientations of the
     index table, and the laws are certified as in validate.
+
+    Each line is split once, its comment cut only when it has a `#`. A
+    line of five words with `*` and `=` in place whose first word opens
+    no header is a product line: each label costs one dictionary lookup,
+    and the labels are walked only to name an unknown one. Every other
+    line goes through the header and error branches.
     """
-    elements = None
-    identity = None
+    elements = identity = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if (len(words) == 5 and words[1] == "*" and words[3] == "="
+                and not words[0].startswith(("elements:", "identity:"))):
+            if elements is None:
+                raise ParseError("product line before elements line",
+                                 lineno, word_column(raw, 0), source)
+            a, _, b, _, c = words
+            i, j, k = index.get(a), index.get(b), index.get(c)
+            if i is None or j is None or k is None:
+                lbl = next(w for w in (a, b, c) if w not in index)
+                raise ParseError(f"unknown element {lbl!r}",
+                                 lineno, word_column(raw, 2 * (a, b, c).index(lbl)), source)
+            row = table[i]
+            if row[j] is not None and row[j] != k:
+                raise ConflictingEntryError(
+                    f"{source}:{lineno}:{word_column(raw, 4)}: conflicting products"
+                    f" for pair ({a}, {b}): {elements[row[j]]} vs {c}")
+            row[j] = table[j][i] = k
             continue
+        if not words:
+            continue
+        line = raw.split("#", 1)[0].strip()
         if line.startswith("elements:"):
             if elements is not None:
                 raise ParseError("elements given twice", lineno, word_column(raw, 0), source)
@@ -422,8 +446,7 @@ def parse_semilattice(text, source="<input>"):
             reject_repeats(elements, "element", raw, lineno, source)
             index = {label: i for i, label in enumerate(elements)}
             table = [[None] * len(elements) for _ in elements]
-            continue
-        if line.startswith("identity:"):
+        elif line.startswith("identity:"):
             if identity is not None:
                 raise ParseError("identity given twice", lineno, word_column(raw, 0), source)
             parts = line[len("identity:"):].split()
@@ -431,25 +454,9 @@ def parse_semilattice(text, source="<input>"):
                 col = word_column(raw, 1, raw.index(":") + 1) if parts else word_column(raw, 0)
                 raise ParseError("identity line needs exactly one label", lineno, col, source)
             identity = (parts[0], lineno, raw)
-            continue
-        parts = line.split()
-        if len(parts) != 5 or parts[1] != "*" or parts[3] != "=":
+        else:
             raise ParseError(f"expected `a * b = c`, got {line!r}",
                              lineno, word_column(raw, 0), source)
-        if elements is None:
-            raise ParseError("product line before elements line",
-                             lineno, word_column(raw, 0), source)
-        a, _, b, _, c = parts
-        for lbl in (a, b, c):
-            if lbl not in index:
-                raise ParseError(f"unknown element {lbl!r}",
-                                 lineno, word_column(raw, 2 * (a, b, c).index(lbl)), source)
-        i, j, k = index[a], index[b], index[c]
-        if table[i][j] is not None and table[i][j] != k:
-            raise ConflictingEntryError(
-                f"{source}:{lineno}:{word_column(raw, 4)}: conflicting products"
-                f" for pair ({a}, {b}): {elements[table[i][j]]} vs {c}")
-        table[i][j] = table[j][i] = k
     if elements is None:
         raise ParseError("missing elements line", 1, 1, source)
     if identity is None:

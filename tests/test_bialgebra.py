@@ -377,3 +377,114 @@ def test_axiom_faults_are_caught(monkeypatch, attr, fault, want):
         report = check_bialgebra_axioms(s)
         assert [line.render() for line in report.failures()] == [
             f"axiom {line}" for line in want[name]], name
+
+
+FAULT_SEMILATTICES = (("chain3", chain(3)), ("bool2", corpus.boolean_lattice(2)),
+                      ("div12", corpus.divisor_lattice(12)))
+
+
+def _recorded_table_laws(monkeypatch):
+    """What each _table_laws call returns, recorded while the check runs."""
+    results, real = [], bialgebra._table_laws
+    monkeypatch.setattr(bialgebra, "_table_laws",
+                        lambda *args: results.append(real(*args)) or results[-1])
+    return results
+
+
+def test_axioms_on_the_table_apply_each_map_once_per_basis_element(monkeypatch):
+    # certify, then walk: on kS both multiplicative laws come off the table, so
+    # comultiply and counit see each basis vector once (the walk calls each n^2
+    # more times), and the n^2 basis products stay with multiply
+    s = corpus.boolean_lattice(4)
+    calls = {name: 0 for name in ("comultiply", "counit", "multiply")}
+    for name in calls:
+        def counted(*args, real=getattr(bialgebra, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(bialgebra, name, counted)
+    laws = _recorded_table_laws(monkeypatch)
+    assert check_bialgebra_axioms(s).passed
+    n = len(s)
+    assert calls == {"comultiply": n, "counit": n, "multiply": n * n}
+    assert laws == [(True, True)]
+
+
+def _diagonal_plus_identity(a):
+    # s -> s (x) s + s (x) e: two terms off the identity, so the table shape fails
+    p = a.parent
+    return (TensorElement(p, {(i, i): v for i, v in a.coeffs.items()})
+            + TensorElement(p, {(i, p.identity): v for i, v in a.coeffs.items()}))
+
+
+def test_axiom_fault_off_the_table_shape_runs_the_walk(monkeypatch):
+    # the lines the walk printed before the table certificate was added
+    want = {name: [f"coassociativity: FAIL [witness s={a}]", f"counit-left: FAIL [witness s={e}]",
+                   f"counit-right: FAIL [witness s={e}]",
+                   f"comultiplication-multiplicative: FAIL [witness s={e} t={e}]",
+                   "comultiplication-unit: FAIL"]
+            for name, a, e in (("chain3", "n2", "n1"), ("bool2", "1", "0"), ("div12", "2", "1"))}
+    monkeypatch.setattr(bialgebra, "comultiply", _diagonal_plus_identity)
+    laws = _recorded_table_laws(monkeypatch)
+    for name, s in FAULT_SEMILATTICES:
+        assert [line.render() for line in check_bialgebra_axioms(s).failures()] == [
+            f"axiom {line}" for line in want[name]], name
+    assert laws == [None, None, None]
+
+
+def _right_on_the_basis(real, double):
+    """real on a basis vector with coefficient 1, doubled on anything else."""
+    return lambda a: real(a) if list(a.coeffs.values()) == [1] else double(real(a))
+
+
+@pytest.mark.parametrize("attr, double", [
+    ("comultiply", lambda t: t.scale(2)),
+    ("counit", lambda c: 2 * c),
+], ids=["comultiply", "counit"])
+def test_maps_right_on_the_basis_but_not_linear_pass(monkeypatch, attr, double):
+    # the assumption the check rests on: linearity is not tested, only the basis is
+    real = getattr(bialgebra, attr)
+    fault = _right_on_the_basis(real, double)
+    monkeypatch.setattr(bialgebra, attr, fault)
+    laws = _recorded_table_laws(monkeypatch)
+    for _, s in FAULT_SEMILATTICES:
+        twice = MonoidAlgebraElement(s, {s.identity: 2})
+        assert fault(twice) != double(real(MonoidAlgebraElement.basis(s, s.identity)))
+        assert check_bialgebra_axioms(s).passed
+    assert laws == [(True, True)] * 3
+
+
+@given(s=union_closed_families(max_members=8), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_laws_agree_with_the_walk(s, data):
+    # comultiplies v_i b_f(i) (x) b_g(i) and counits u_i: f and g each the identity
+    # or constant at the unit (s -> s (x) s, s (x) e, e (x) s, e (x) e), v and u all 1,
+    # then up to two entries redrawn. The laws read off the table are the walk's
+    # verdicts, and the report is the report of the walk alone, witnesses included
+    n, e = len(s), s.identity
+    f, g = ([data.draw(st.sampled_from([i, e])) for i in range(n)] for _ in range(2))
+    v, u = [1] * n, [1] * n
+    values = st.sampled_from([-1, 0, 2, Fraction(1, 2)])
+    for _ in range(data.draw(st.integers(0, 2))):
+        entries, i = data.draw(st.sampled_from([f, g, v, u])), data.draw(st.integers(0, n - 1))
+        entries[i] = data.draw(st.integers(0, n - 1) if entries in (f, g) else values)
+
+    def comultiply(a):
+        return TensorElement(a.parent, {(f[i], g[i]): c * v[i] for i, c in a.coeffs.items()})
+
+    def counit(a):
+        return sum(c * u[i] for i, c in a.coeffs.items())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bialgebra, "comultiply", comultiply)
+        mp.setattr(bialgebra, "counit", counit)
+        laws = _recorded_table_laws(mp)
+        certified = check_bialgebra_axioms(s)
+        mp.setattr(bialgebra, "_table_laws", lambda *args: None)
+        walked = check_bialgebra_axioms(s)
+    assert certified.render() == walked.render()
+    if 0 in v:  # a zero coefficient leaves a delta with no term
+        assert laws == [None]
+    else:
+        verdicts = {line.name: line.status == "PASS" for line in walked.lines}
+        assert laws == [(verdicts["comultiplication-multiplicative"],
+                         verdicts["counit-multiplicative"])]

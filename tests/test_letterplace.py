@@ -92,12 +92,25 @@ def test_bool_and_float_letters_and_places_are_refused(letter, place):
 
 @pytest.mark.parametrize("odd_letters, odd_places", [
     ([0], []), ([], [0]), ([1, 0], [2]), ([-1], []), ([True], []), ([], [2.0]), (["1"], []),
+    ([1], [True]),
 ])
 def test_parity_context_refuses_what_is_no_letter_or_place(odd_letters, odd_places):
-    # the message of `variable`, as `(x0|1)` gets
-    with pytest.raises(ValueError, match="letters and places start at 1, got "):
-        ParityContext.make(odd_letters, odd_places)
+    # the message of `variable`, as `(x0|1)` gets, from every construction: not
+    # only make but the constructor, _make and _replace, so LPPoly.var never builds
+    # (x1|1) on a context naming 0; a bool next to the 1 it equals is refused too
+    letters, places = frozenset(odd_letters), frozenset(odd_places)
+    for build in (lambda: ParityContext.make(odd_letters, odd_places),
+                  lambda: ParityContext(letters, places),
+                  lambda: ParityContext(odd_letters=odd_letters, odd_places=odd_places),
+                  lambda: ParityContext._make([letters, places]),
+                  lambda: EVEN._replace(odd_letters=letters, odd_places=places)):
+        with pytest.raises(ValueError, match="letters and places start at 1, got "):
+            build()
     assert ParityContext.make([1, 3], [2]) == (frozenset({1, 3}), frozenset({2}))
+    ctx = ParityContext(frozenset({1}), [2])
+    assert ctx == ParityContext.make([1], [2])
+    assert hash(ctx) == hash(ODD_LETTERS._replace(odd_letters={1}, odd_places={2}))
+    assert str(LPPoly.var(ctx, 1, 1)) == "LPPoly((x1|1))"
 
 
 def test_multiply_context_mismatch():
@@ -689,6 +702,23 @@ def test_parse_round_trip():
     for text in examples:
         p = parse_poly(text, ctx)
         assert parse_poly(format_poly(p), ctx) == p
+
+
+def test_parse_poly_work_is_linear_in_the_terms(monkeypatch):
+    # the terms are summed into one dict and the polynomial built once: the
+    # coefficients that pass through clean are three per term (one per factor and
+    # one in the sum), where adding term by term cleaned the whole sum each time
+    cleaned = []
+    real = exactlin.clean
+    for module in (exactlin, letterplace):
+        monkeypatch.setattr(module, "clean", lambda coeffs: cleaned.append(len(coeffs))
+                            or real(coeffs), raising=False)
+    for n in (100, 200, 400):
+        terms = [(Fraction(k + 1, 3), v(k % 9 + 1, k // 9 + 1)) for k in range(n)]
+        cleaned.clear()
+        p = parse_poly(" + ".join(f"{c}*{x}" for c, x in terms), EVEN)
+        assert sum(cleaned) <= 3 * n
+        assert p.terms == {(x,): c for c, x in terms}
 
 
 def test_parse_rational_coefficients():

@@ -1,4 +1,5 @@
 import io
+import random
 from itertools import count, product
 
 import pytest
@@ -19,7 +20,7 @@ from semidual.semilattice import (Character, ConflictingEntryError,
 
 from oracles import (brute_characters, first_nonassociative_triple, label_keyed_parse,
                      label_keyed_validate, pairwise_is_character, pointwise_product_dual,
-                     validated_copy)
+                     validated_copy, walk_parse_semilattice)
 
 
 def chain2():
@@ -639,6 +640,123 @@ def random_slat_texts(draw):
 @settings(max_examples=300, deadline=None)
 def test_parse_matches_label_keyed_reference_on_free_texts(text):
     assert outcome(parse_semilattice, text, "s.slat") == outcome(label_keyed_parse, text, "s.slat")
+
+
+# Every break str.splitlines knows; "\r" then "\n" is one break, as in a file.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+GAPS = [" ", "  ", "\t", " \t ", "\t\t  "]
+LABELS = ["a", "b", "c", "zz"]
+
+
+@st.composite
+def _spaced(draw, words):
+    """words joined by a drawn gap, maybe indented, maybe with a trailing comment."""
+    line = draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(GAPS)).join(words)
+    if draw(st.booleans()):
+        line += draw(st.sampled_from([" # ", "#", " #a * b = c", " ##"]))
+    return line + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@st.composite
+def _free_line(draw):
+    """One line of any kind the reader meets, over a few labels, one of them unknown."""
+    label = st.sampled_from(LABELS[:3] * 3 + LABELS[3:])
+    kind = draw(st.sampled_from(["product"] * 8 + ["elements", "identity", "header-product",
+                                                   "malformed", "blank", "comment"]))
+    if kind == "product":
+        a, b, c = draw(label), draw(label), draw(label)
+        return draw(_spaced([a, "*", b, "=", c]))
+    if kind == "elements":
+        names = draw(st.lists(st.sampled_from(LABELS[:3]), max_size=4))
+        if names and draw(st.booleans()):  # the header glued to its first label
+            return draw(_spaced(["elements:" + names[0]] + names[1:]))
+        return draw(_spaced(["elements:"] + names))
+    if kind == "identity":
+        return draw(_spaced(["identity:"] + draw(st.lists(label, max_size=2))))
+    if kind == "header-product":
+        head = draw(st.sampled_from(["elements:", "identity:", "elements:a", "identity:b"]))
+        return draw(_spaced([head, "*", draw(label), "=", draw(label)]))
+    if kind == "malformed":
+        return draw(_spaced(draw(st.sampled_from([
+            ["a", "*", "b"], ["a", "+", "b", "=", "c"], ["a", "*", "b", "=", "c", "d"],
+            ["a", "*", "b", "c", "="], ["*"], ["a*b=c"]]))))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t ", "   "]))
+    return draw(_spaced([])) + "# " + draw(st.sampled_from(["note", "a * b = c", "elements: a"]))
+
+
+def _joined(draw, lines):
+    """Each line ended by a drawn break, then maybe a comment with no break after it."""
+    breaks = st.sampled_from(LINE_BREAKS)
+    return "".join(line + draw(breaks) for line in lines) + draw(st.sampled_from(["", "# end"]))
+
+
+@st.composite
+def free_texts(draw):
+    """Lines of every kind in any order: headers anywhere, twice or missing, products
+    before the elements line, unknown labels, repeated, reversed and conflicting pairs.
+
+    Most texts also get a well-formed elements line near the top and an
+    identity line at a drawn place, so that texts also reach the laws."""
+    lines = draw(st.lists(_free_line(), max_size=10))
+    headers = draw(st.sampled_from([0, 1, 2, 2, 2]))  # how many of the pair to insert
+    if headers:
+        names = draw(st.permutations(LABELS[:draw(st.sampled_from([1, 2, 3, 3, 3]))]))
+        lines.insert(draw(st.integers(0, min(1, len(lines)))),
+                     draw(_spaced(["elements:"] + names)))
+    if headers == 2:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(_spaced(["identity:", draw(st.sampled_from(names + ["zz"]))])))
+    return _joined(draw, lines)
+
+
+@st.composite
+def respaced_slat_texts(draw):
+    """A slat_texts case with its gaps, breaks, comments and blank lines redrawn.
+
+    The layout comes from a drawn seed, so a text of 50 lines costs a few draws."""
+    _, text = draw(slat_texts())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    out = []
+    for line in text.splitlines():
+        out.append(rng.choice(["", " ", "\t"]) + rng.choice(GAPS).join(line.split())
+                   + rng.choice(["", "", " ", "\t", " # c", "#a * b = c"]))
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "  ", "# note", "\t# a * b = c"]))
+    return "".join(line + rng.choice(LINE_BREAKS) for line in out) + rng.choice(["", "# end"])
+
+
+@given(st.one_of(free_texts(), respaced_slat_texts()))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_line_walker(text):
+    # the reader that splits each line once and takes the product shape first
+    # against the walker it replaced: an equal structure, or the same error
+    assert outcome(parse_semilattice, text, "s.slat") == outcome(walk_parse_semilattice, text,
+                                                                 "s.slat")
+
+
+def test_line_walker_strategies_reach_every_outcome():
+    # a fixed draw of the strategies above meets passing texts and every error the
+    # reader raises, and the two readers agree on each text of it
+    seen = set()
+
+    @given(st.one_of(free_texts(), respaced_slat_texts()))
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def read(text):
+        got = outcome(parse_semilattice, text, "s.slat")
+        assert got == outcome(walk_parse_semilattice, text, "s.slat")
+        if isinstance(got, FiniteSemilattice):
+            seen.add(FiniteSemilattice)
+        else:
+            seen.add(got[0] if got[0] is not ParseError else got[1].split(": ", 1)[1][:12])
+
+    read()
+    assert seen == {FiniteSemilattice, ConflictingEntryError, MissingPairError,
+                    NotIdempotentError, NoIdentityError, NotAssociativeError,
+                    "unknown elem", "product line", "expected `a ", "elements giv",
+                    "identity giv", "missing elem", "missing iden", "duplicate el",
+                    "empty elemen", "identity lin"}
 
 
 @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), st.sampled_from("abcz"),

@@ -20,7 +20,11 @@ or build an element: they name none of `_project`, `mul_basis` and
 `AlgebraElement`. The finite side's dual, double dual and evaluation
 rank work on the int down-set masks alone: `_and_table`,
 `dual_semilattice`, `double_dual_iso` and `ev_matrix_rank` name none of
-`characters`, `Character` and `join`. A max-monoid functional is held as
+`characters`, `Character` and `join`. The bialgebra certificate
+`_table_laws` reads the multiplicative laws off the semilattice table
+and the maps' values on the basis, which it is given: it names none of
+`comultiply`, `counit`, `multiply`, `TensorElement` and `tensor_square`,
+so it never applies a map it certifies. A max-monoid functional is held as
 its runs: nothing in `nbar_dual` reads the dense `.prefix` view but the
 `StepFunctional` constructor, the view itself and `__repr__`.
 """
@@ -47,6 +51,8 @@ WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"),
 DOWN_SET_MASKS = ("semilattice.py",
                   ("_and_table", "dual_semilattice", "double_dual_iso", "ev_matrix_rank"),
                   {"characters", "Character", "join"})
+TABLE_LAWS = ("bialgebra.py", ("_table_laws",),
+              {"comultiply", "counit", "multiply", "TensorElement", "tensor_square"})
 # (module, class, the methods of that class that may read the attribute, the attribute)
 PREFIX_VIEW = ("nbar_dual.py", "StepFunctional", ("__init__", "prefix", "__repr__"), "prefix")
 
@@ -318,6 +324,29 @@ def test_mask_rule_rejects_planted_uses():
         "semilattice.py:9: 'characters'"]
     # outside semilattice.py functions of those names are not the duality
     assert _forbidden_names(planted, "graded.py", DOWN_SET_MASKS) == []
+
+
+def test_axiom_table_laws_apply_no_map():
+    assert _rule_violations(TABLE_LAWS) == []
+
+
+def test_table_law_rule_rejects_planted_uses():
+    planted = textwrap.dedent("""\
+        def comultiply(a):
+            return TensorElement(a.parent, {})
+
+        def _table_laws(s, products, deltas, counits):
+            "Never through comultiply."
+            from .bialgebra import counit as eps, tensor_square
+            delta_law = all(comultiply(p) == deltas[0] * deltas[0] for p in products[0])
+            return delta_law, getattr(bialgebra, "multiply") is bialgebra.counit, TensorElement
+        """)
+    assert sorted(_forbidden_names(planted, "bialgebra.py", TABLE_LAWS)) == [
+        "bialgebra.py:6: counit as eps", "bialgebra.py:6: tensor_square",
+        "bialgebra.py:7: comultiply", "bialgebra.py:8: 'multiply'",
+        "bialgebra.py:8: TensorElement", "bialgebra.py:8: bialgebra.counit"]
+    # outside bialgebra.py a function of that name certifies nothing
+    assert _forbidden_names(planted, "graded.py", TABLE_LAWS) == []
 
 
 def test_max_monoid_functionals_work_on_runs():
