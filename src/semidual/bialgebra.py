@@ -147,9 +147,7 @@ def check_bialgebra_axioms(s):
                  first_element(lambda i: apply_counit(deltas[i], 1) != basis[i]))
 
     products = [[multiply(a, b) for b in basis] for a in basis]
-    laws = (_table_laws(s, products, deltas, counits)
-            if all(type(d) is TensorElement for d in deltas) else None)
-    delta_law, counit_law = laws or (False, False)
+    delta_law, counit_law = _table_laws(s, products, deltas, counits) or (False, False)
     report.check("axiom", "comultiplication-multiplicative", None if delta_law else
                  first_pair(lambda i, j: comultiply(products[i][j]) != deltas[i] * deltas[j]))
     report.check("axiom", "counit-multiplicative", None if counit_law else
@@ -166,14 +164,15 @@ def _table_laws(s, products, deltas, counits):
     """(Delta multiplicative, counit multiplicative) read off s.table, or None off the shape.
 
     The shape: products[i][j] is the basis vector of s.table[i][j] in kS
-    and each delta, a vector of kS (x) kS over s, has one term. Then
+    and each delta is a TensorElement over s with one term. Then
     products[i][j] equals basis vector t = s.table[i][j], whose images
     are deltas[t] and counits[t], and with deltas[i] = v b_a (x) b_b and
     deltas[j] = w b_c (x) b_d the product deltas[i] deltas[j] is the one
     term v w b_ac (x) b_bd. Both laws are compared a row of pairs at a time.
     """
     table = s.table
-    if not all(d.parent is s and len(d.coeffs) == 1 for d in deltas):
+    if not all(type(d) is TensorElement and d.parent is s and len(d.coeffs) == 1
+               for d in deltas):
         return None
     units = [{t: 1} for t in range(len(s))]
     for row, entries in zip(products, table):

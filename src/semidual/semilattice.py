@@ -407,7 +407,7 @@ def parse_semilattice(text, source="<input>"):
     offending word. Each product line fills both orientations of the
     index table, and the laws are certified as in validate.
 
-    Each line is split once, its comment cut only when it has a `#`. A
+    Each line has its comment cut once and its words split once. A
     line of five words with `*` and `=` in place whose first word opens
     no header is a product line: each label costs one dictionary lookup,
     and the labels are walked only to name an unknown one. Every other
@@ -415,7 +415,8 @@ def parse_semilattice(text, source="<input>"):
     """
     elements = identity = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        body = raw.split("#", 1)[0]
+        words = body.split()
         if (len(words) == 5 and words[1] == "*" and words[3] == "="
                 and not words[0].startswith(("elements:", "identity:"))):
             if elements is None:
@@ -436,7 +437,7 @@ def parse_semilattice(text, source="<input>"):
             continue
         if not words:
             continue
-        line = raw.split("#", 1)[0].strip()
+        line = body.strip()
         if line.startswith("elements:"):
             if elements is not None:
                 raise ParseError("elements given twice", lineno, word_column(raw, 0), source)

@@ -21,11 +21,8 @@ and action laws, a hand-written loop over every product with the unit
 instead of the table of stored products for the unit law,
 every bit-vector instead of the down-set indicators for characters, a
 coefficient grid instead of the symbolic forcing for quotient
-group-likes, a label-keyed table read in two passes instead of the
-one-pass index table for the semilattice text format, and the line
-walker that strips, tests both headers and then checks the product
-shape of every line instead of the reader that splits each line once
-and takes the product shape first.
+group-likes, and a label-keyed table read in two passes instead of the
+one-pass index table for the semilattice text format.
 Tests compare package output against these.
 """
 
@@ -42,7 +39,7 @@ from semidual.reporting import FAIL, INFO, PASS, Report
 from semidual.semilattice import (Character, ConflictingEntryError, DuplicateLabelError,
                                   FiniteSemilattice, MissingPairError, NoIdentityError,
                                   NotAssociativeError, NotIdempotentError, UnknownLabelError,
-                                  _certify, character_label, characters, validate)
+                                  character_label, characters, validate)
 
 BRUTE_CHARACTER_LIMIT = 16
 BRUTE_GROUPLIKE_LIMIT = 6
@@ -610,68 +607,3 @@ def label_keyed_parse(text, source="<input>"):
         raise NoIdentityError(
             f"{source}:{lineno}:{col}: identity {identity!r} not among the elements")
     return label_keyed_validate(elements, op_table, identity)
-
-
-def walk_parse_semilattice(text, source="<input>"):
-    """Parse the semilattice text format into a certified structure, in one pass.
-
-    Format: an `elements:` line, an `identity:` line, then product lines
-    `a * b = c`. `#` starts a comment; blank lines are ignored. A label
-    may appear only once on the elements line. One orientation per
-    unordered pair suffices; consistent duplicates are allowed,
-    inconsistent ones rejected. Errors carry the line and column of the
-    offending word. Each product line fills both orientations of the
-    index table, and the laws are certified as in validate.
-    """
-    elements = None
-    identity = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("elements:"):
-            if elements is not None:
-                raise ParseError("elements given twice", lineno, word_column(raw, 0), source)
-            elements = tuple(line[len("elements:"):].split())
-            if not elements:
-                raise ParseError("empty elements line", lineno, word_column(raw, 0), source)
-            reject_repeats(elements, "element", raw, lineno, source)
-            index = {label: i for i, label in enumerate(elements)}
-            table = [[None] * len(elements) for _ in elements]
-            continue
-        if line.startswith("identity:"):
-            if identity is not None:
-                raise ParseError("identity given twice", lineno, word_column(raw, 0), source)
-            parts = line[len("identity:"):].split()
-            if len(parts) != 1:
-                col = word_column(raw, 1, raw.index(":") + 1) if parts else word_column(raw, 0)
-                raise ParseError("identity line needs exactly one label", lineno, col, source)
-            identity = (parts[0], lineno, raw)
-            continue
-        parts = line.split()
-        if len(parts) != 5 or parts[1] != "*" or parts[3] != "=":
-            raise ParseError(f"expected `a * b = c`, got {line!r}",
-                             lineno, word_column(raw, 0), source)
-        if elements is None:
-            raise ParseError("product line before elements line",
-                             lineno, word_column(raw, 0), source)
-        a, _, b, _, c = parts
-        for lbl in (a, b, c):
-            if lbl not in index:
-                raise ParseError(f"unknown element {lbl!r}",
-                                 lineno, word_column(raw, 2 * (a, b, c).index(lbl)), source)
-        i, j, k = index[a], index[b], index[c]
-        if table[i][j] is not None and table[i][j] != k:
-            raise ConflictingEntryError(
-                f"{source}:{lineno}:{word_column(raw, 4)}: conflicting products"
-                f" for pair ({a}, {b}): {elements[table[i][j]]} vs {c}")
-        table[i][j] = table[j][i] = k
-    if elements is None:
-        raise ParseError("missing elements line", 1, 1, source)
-    if identity is None:
-        raise ParseError("missing identity line", 1, 1, source)
-    label, lineno, raw = identity
-    if label not in index:
-        raise NoIdentityError(f"{source}:{lineno}:{word_column(raw, 0, raw.index(':') + 1)}:"
-                              f" identity {label!r} not among the elements")
-    return _certify(elements, index[label], table)

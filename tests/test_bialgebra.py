@@ -431,6 +431,31 @@ def test_axiom_fault_off_the_table_shape_runs_the_walk(monkeypatch):
     assert laws == [None, None, None]
 
 
+class _FirstFactorTensor(TensorElement):
+    """One-term basis tensors whose product keeps the first factor: (a, b)(c, d) = (a, bd)."""
+
+    __slots__ = ()
+
+    def basis_product(self, ab, cd):
+        (a, b), (_, d) = ab, cd
+        return {(a, self.parent.op(b, d)): 1}
+
+
+def test_axiom_deltas_of_another_type_run_the_walk(monkeypatch):
+    # the table reads the product of two one-term deltas as a TensorElement product;
+    # a delta of another class, with its own product, is left to the walk
+    monkeypatch.setattr(bialgebra, "comultiply", lambda a: _FirstFactorTensor(
+        a.parent, {(i, i): v for i, v in a.coeffs.items()}))
+    laws = _recorded_table_laws(monkeypatch)
+    for name, s in FAULT_SEMILATTICES:
+        n = len(s)
+        i, j = next((i, j) for i in range(n) for j in range(n) if s.op(i, j) != i)
+        lines = [line.render() for line in check_bialgebra_axioms(s).failures()]
+        assert (f"axiom comultiplication-multiplicative: FAIL"
+                f" [witness s={s.label(i)} t={s.label(j)}]") in lines, name
+    assert laws == [None, None, None]
+
+
 def _right_on_the_basis(real, double):
     """real on a basis vector with coefficient 1, doubled on anything else."""
     return lambda a: real(a) if list(a.coeffs.values()) == [1] else double(real(a))

@@ -20,7 +20,7 @@ from semidual.semilattice import (Character, ConflictingEntryError,
 
 from oracles import (brute_characters, first_nonassociative_triple, label_keyed_parse,
                      label_keyed_validate, pairwise_is_character, pointwise_product_dual,
-                     validated_copy, walk_parse_semilattice)
+                     validated_copy)
 
 
 def chain2():
@@ -636,12 +636,6 @@ def random_slat_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-@given(random_slat_texts())
-@settings(max_examples=300, deadline=None)
-def test_parse_matches_label_keyed_reference_on_free_texts(text):
-    assert outcome(parse_semilattice, text, "s.slat") == outcome(label_keyed_parse, text, "s.slat")
-
-
 # Every break str.splitlines knows; "\r" then "\n" is one break, as in a file.
 LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]
@@ -727,25 +721,23 @@ def respaced_slat_texts(draw):
     return "".join(line + rng.choice(LINE_BREAKS) for line in out) + rng.choice(["", "# end"])
 
 
-@given(st.one_of(free_texts(), respaced_slat_texts()))
+@given(st.one_of(random_slat_texts(), free_texts(), respaced_slat_texts()))
 @settings(max_examples=300, deadline=None)
-def test_parse_matches_the_line_walker(text):
-    # the reader that splits each line once and takes the product shape first
-    # against the walker it replaced: an equal structure, or the same error
-    assert outcome(parse_semilattice, text, "s.slat") == outcome(walk_parse_semilattice, text,
-                                                                 "s.slat")
+def test_parse_matches_label_keyed_reference_on_free_texts(text):
+    # an equal structure, or the same error class and message
+    assert outcome(parse_semilattice, text, "s.slat") == outcome(label_keyed_parse, text, "s.slat")
 
 
-def test_line_walker_strategies_reach_every_outcome():
-    # a fixed draw of the strategies above meets passing texts and every error the
-    # reader raises, and the two readers agree on each text of it
+def test_free_text_strategies_reach_every_outcome():
+    # a fixed draw of free_texts and respaced_slat_texts meets passing texts and every
+    # error the reader raises, and the reader agrees with label_keyed_parse on each
     seen = set()
 
     @given(st.one_of(free_texts(), respaced_slat_texts()))
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     def read(text):
         got = outcome(parse_semilattice, text, "s.slat")
-        assert got == outcome(walk_parse_semilattice, text, "s.slat")
+        assert got == outcome(label_keyed_parse, text, "s.slat")
         if isinstance(got, FiniteSemilattice):
             seen.add(FiniteSemilattice)
         else:

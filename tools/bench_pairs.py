@@ -1,26 +1,20 @@
-"""Alternated before/after runs of the benchmark and of library timings, as one JSON record.
+"""Alternated before/after runs of the benchmark, as one JSON record.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json
-        [--workload NAME:PAIRS:FIRST_SEED ...] [--traced NAME:SEED] [--seconds 30]
-        [--library-rounds 3] [--note TEXT]
+        [--workload NAME:PAIRS:FIRST_SEED ...] [--traced NAME:SEED]
 
 PARENT and CHANGE are two checkouts of the repository, each with src/ and
 perfbench/, for example `git archive COMMIT | tar -x -C DIR`. For each
 --workload, pair k runs `python3 perfbench/run.py --workload NAME --seed
 FIRST_SEED+k --seconds S --trace 0` from the root of each checkout, the
-parent first when k is even. --traced adds one pair with --trace 1. Each
-library round starts one fresh interpreter per side, parent first in even
-rounds, and takes the best of several process-time measurements of:
-check_bialgebra_axioms on the Boolean lattice of 512 elements (best of 3),
-parse_semilattice over the .slat texts of one slat_duality round (seed 11,
-best of 15), and parse_poly on sums of 1000, 2000 and 4000 distinct terms
-(best of 3); plus `balg axioms` on that lattice's .slat file end to end,
-the median wall time of five `python3 -m semidual.cli` processes.
+parent first when k is even, with S the run_seconds of BENCHMARK.json.
+--traced adds one pair with --trace 1.
 
 The record keeps every run and, per workload and end-to-end metric, the
 medians, quartiles (statistics.quantiles, n=4, inclusive), the pairs the
 change wins and whether the change stays within the metric's bound in
-BENCHMARK.json. Only the standard library is used; nothing is installed.
+BENCHMARK.json. What the runs show is written into the record by hand.
+Only the standard library is used.
 """
 
 import argparse
@@ -30,41 +24,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
-
-LIBRARY = r"""
-import json, random, sys, time
-root = sys.argv[1]
-sys.path[:0] = [root + "/src", root + "/perfbench"]
-from semidual import bialgebra, corpus, letterplace, semilattice
-import families, wl_slat
-
-def best(call, repeat):
-    times = []
-    for _ in range(repeat):
-        t = time.process_time()
-        call()
-        times.append(time.process_time() - t)
-    return round(1000 * min(times), 3)
-
-out = {}
-bool9 = corpus.boolean_lattice(9)
-out["check_bialgebra_axioms bool9"] = best(lambda: bialgebra.check_bialgebra_axioms(bool9), 3)
-rng = random.Random(11)
-texts = [families.slat_text(labels, masks) for _, labels, masks in wl_slat._structures(rng)]
-for n in wl_slat.VALIDATE_ONLY_SIZES:
-    labels = [f"v{i}" for i in range(n)]
-    texts.append(families.slat_text(labels, families.union_closed(rng, n, universe=14)))
-out["parse_semilattice slat_duality round"] = best(
-    lambda: [semilattice.parse_semilattice(text) for text in texts], 15)
-ctx = letterplace.ParityContext.make([1], [2])
-for n in (1000, 2000, 4000):
-    text = " + ".join(f"{k % 7 + 1}/3*(x{k % 10 + 1}|1)*(x{k // 10 % 10 + 1}|3)*(x{k // 100 + 1}|4)"
-                      for k in range(n))
-    out[f"parse_poly {n} terms"] = best(lambda: letterplace.parse_poly(text, ctx), 3)
-print(json.dumps(out))
-"""
 
 
 def _run_bench(root, workload, seed, seconds, trace):
@@ -75,22 +34,6 @@ def _run_bench(root, workload, seed, seconds, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.returncode == 0 else None
     return {"rc": proc.returncode, "result": result,
             "stderr": proc.stderr.strip()[-2000:] if proc.returncode else ""}
-
-
-def _library(root, slat_path):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", LIBRARY, root], capture_output=True, text=True,
-                          env=env, check=True)
-    out = json.loads(proc.stdout)
-    env["PYTHONPATH"] = os.path.join(root, "src")
-    walls = []
-    for _ in range(5):
-        t = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "semidual.cli", "balg", "axioms", slat_path],
-                       capture_output=True, env=env, check=True)
-        walls.append(time.perf_counter() - t)
-    out["balg axioms bool9 end to end (median of 5)"] = round(1000 * statistics.median(walls), 1)
-    return out
 
 
 def _quartiles(values):
@@ -138,9 +81,6 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", default=[],
                         help="NAME:PAIRS:FIRST_SEED, repeatable")
     parser.add_argument("--traced", help="NAME:SEED for one traced pair")
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--library-rounds", type=int, default=3)
-    parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     spec = json.load(open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8"))
@@ -151,16 +91,16 @@ def main(argv=None):
                                   + [named.get(a, a) for a in argv]),
               "machine": f"{os.cpu_count()} cores, Python {platform.python_version()},"
                          f" {platform.platform()}",
-              "note": args.note, "runs": []}
-    jobs = [(w, int(n), int(seed0) + k, 0, k)
+              "runs": []}
+    jobs = [(w, int(seed0) + k, 0, k)
             for w, n, seed0 in (item.split(":") for item in args.workload) for k in range(int(n))]
     if args.traced:
         workload, seed = args.traced.split(":")
-        jobs.append((workload, 1, int(seed), 1, 0))
-    for workload, _, seed, trace, k in jobs:
+        jobs.append((workload, int(seed), 1, 0))
+    for workload, seed, trace, k in jobs:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            run = _run_bench(roots[side], workload, seed, args.seconds, trace)
+            run = _run_bench(roots[side], workload, seed, spec["run_seconds"], trace)
             record["runs"].append({"workload": workload, "seed": seed, "pair": k, "side": side,
                                    "order": list(order), "trace": trace, **run})
             print(workload, seed, side, "trace" if trace else "",
@@ -171,21 +111,6 @@ def main(argv=None):
     if traced:
         record["trace"] = {side: {k: round(v["value"], 3) for k, v in result["metrics"].items()
                                   if v["value"]} for side, result in traced.items() if result}
-    rounds = []
-    with tempfile.TemporaryDirectory() as tmp:
-        slat = os.path.join(tmp, "bool9.slat")
-        sys.path.insert(0, os.path.join(roots["change"], "src"))
-        from semidual import corpus, semilattice
-        with open(slat, "w", encoding="utf-8") as fh:
-            fh.write(semilattice.print_semilattice(corpus.boolean_lattice(9)))
-        for k in range(args.library_rounds):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            rounds.append({side: _library(roots[side], slat) for side in order})
-            print("library round", k, rounds[-1], flush=True)
-    record["library_ms"] = {
-        "rounds": rounds,
-        "best": {side: {key: min(r[side][key] for r in rounds) for key in rounds[0][side]}
-                 for side in ("parent", "change")} if rounds else {}}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
