@@ -222,7 +222,7 @@ def _integer_rows(rows):
     out, scales = [], []
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
-        out.append([int(x * mult) for x in row])
+        out.append([x.numerator * (mult // x.denominator) for x in row])
         scales.append(mult)
     return out, scales
 

@@ -21,6 +21,7 @@ since concatenation does not preserve places.
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NATURAL, RATIONAL, ParseError, read_rational
@@ -160,7 +161,7 @@ class LPPoly(SparseVector):
         return d, terms
 
     def product(self, other):
-        """Bilinear product on packed exponent words, divided once per result term.
+        """Bilinear product on packed exponent words, one exact coefficient per distinct sum.
 
         The variables of both factors get indices in canonical order, and a
         monomial packs into the int key summing 1 << (index * width) over its
@@ -169,11 +170,12 @@ class LPPoly(SparseVector):
         variables of a term form the mask odd, and bit a of below is set iff an
         odd number of them lie below a: terms with o1 & o2 multiply to 0, and
         otherwise the Koszul sign is -1 iff o1 & below2 has an odd popcount.
-        Int numerators (coefficient times common denominator) sum per key, and a
-        monomial is sorted only when its key first shows. Each nonzero sum is
-        divided once by d1 d2, as an int when that divides it and as one
-        Fraction otherwise, so the result is exact and nonzero and is not
-        cleaned again.
+        Int numerators (coefficient times common denominator) sum per key, next
+        to the factor monomials that first reached it. Only a nonzero sum has
+        its monomial sorted, and each distinct nonzero sum is divided once by
+        d1 d2, as an int when that divides it and as one Fraction otherwise;
+        terms with equal sums share that coefficient. The result is exact and
+        nonzero and is not cleaned again.
         """
         self._check(other)
         parity = self.parent.parity
@@ -185,7 +187,7 @@ class LPPoly(SparseVector):
             bits[x] = (1 << (i * width), odd << i, -(odd << (i + 1)))
         d1, left = self._packed(bits)
         d2, right = other._packed(bits)
-        sums, words = {}, {}
+        sums = {}  # key -> [numerator sum, left monomial, right monomial]
         for k1, o1, _, m1, c1 in left:
             for k2, o2, below, m2, c2 in right:
                 if o1 & o2:
@@ -193,12 +195,17 @@ class LPPoly(SparseVector):
                 k = k1 + k2
                 c = -c1 * c2 if (o1 & below).bit_count() & 1 else c1 * c2
                 if k in sums:
-                    sums[k] += c
+                    sums[k][0] += c
                 else:
-                    sums[k], words[k] = c, tuple(sorted(m1 + m2))
+                    sums[k] = [c, m1, m2]
         d = d1 * d2
-        return self._of(self.parent, {words[k]: Fraction(v, d) if v % d else v // d
-                                      for k, v in sums.items() if v})
+        quotients, terms = {}, {}  # numerator -> numerator / d, for this call's d only
+        for v, m1, m2 in sums.values():
+            if v:
+                if v not in quotients:
+                    quotients[v] = Fraction(v, d) if v % d else v // d
+                terms[tuple(sorted(m1 + m2))] = quotients[v]
+        return self._of(self.parent, terms)
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -221,7 +228,7 @@ def multiply(p, q):
 
 def _top(mono):
     """The largest place in the monomial, 0 for the empty one; it orders monomials by weight."""
-    return max((v.place for v in mono), default=0)
+    return max(map(itemgetter(1), mono), default=0)
 
 
 def _point(top):

@@ -21,8 +21,10 @@ and action laws, a hand-written loop over every product with the unit
 instead of the table of stored products for the unit law,
 every bit-vector instead of the down-set indicators for characters, a
 coefficient grid instead of the symbolic forcing for quotient
-group-likes, and a label-keyed table read in two passes instead of the
-one-pass index table for the semilattice text format.
+group-likes, a label-keyed table read in two passes instead of the
+one-pass index table for the semilattice text format, and a generator
+max over the places instead of a map of item getters for the weight of a
+letterplace monomial.
 Tests compare package output against these.
 """
 
@@ -379,6 +381,11 @@ def loop_unit_law_witness(algebra):
         if loop_graded_product(one, b) != b.coeffs or loop_graded_product(b, one) != b.coeffs:
             return label
     return None
+
+
+def generator_max_weight(mono):
+    """The place maximum of a monomial by a generator max; the empty monomial sits at -inf."""
+    return fin(max(v.place for v in mono)) if mono else NEG_INF
 
 
 def loop_letterplace_product(p, q):

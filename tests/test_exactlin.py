@@ -1,5 +1,7 @@
+import inspect
 import operator
 import random
+import textwrap
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semidual import corpus
+from semidual import corpus, exactlin
 from semidual.bialgebra import MonoidAlgebraElement, TensorElement, counit
 from semidual.exactlin import (DimensionMismatchError, Matrix, NonSquareError,
                                ParentMismatchError, bilinear, det, exact, rank, solve)
@@ -195,6 +197,35 @@ def test_solve_against_gauss_oracle():
         assert x == gauss_solve(rows, b)
         singular += x is None
     assert singular >= 40
+
+
+def _mixed_denominator_systems():
+    """Square systems of size 2-4 whose rows mix denominators, with right-hand sides."""
+    rng = random.Random(109)
+    systems = []
+    for trial in range(30):
+        n = 2 + trial % 3
+        rows = [[Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])) for _ in range(n)]
+                for _ in range(n)]
+        b = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 5])) for _ in range(n)]
+        systems.append((rows, b))
+    return systems
+
+
+def test_integer_rows_fault_is_caught_by_det_and_solve_oracles(monkeypatch):
+    # scaling each entry by the row's whole lcm instead of lcm // denominator
+    # leaves an int row that is no multiple of the input row once denominators mix
+    source = textwrap.dedent(inspect.getsource(exactlin._integer_rows))
+    old = "x.numerator * (mult // x.denominator)"
+    assert source.count(old) == 1
+    namespace = dict(vars(exactlin))
+    exec(source.replace(old, "x.numerator * mult"), namespace)
+    systems = _mixed_denominator_systems()
+    assert all(det(mat(rows)) == cofactor_det(rows) and solve(mat(rows), b) == gauss_solve(rows, b)
+               for rows, b in systems)
+    monkeypatch.setattr(exactlin, "_integer_rows", namespace["_integer_rows"])
+    assert any(det(mat(rows)) != cofactor_det(rows) for rows, _ in systems)
+    assert any(solve(mat(rows), b) != gauss_solve(rows, b) for rows, b in systems)
 
 
 def test_det_with_zero_column():

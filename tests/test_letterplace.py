@@ -16,7 +16,8 @@ from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
                                   normalize, parse_poly, variable, weight,
                                   weight_components)
 
-from oracles import insertion_sort_normalize, koszul_sign, loop_letterplace_product
+from oracles import (generator_max_weight, insertion_sort_normalize, koszul_sign,
+                     loop_letterplace_product)
 
 EVEN = ParityContext.make()
 ODD_LETTERS = ParityContext.make(odd_letters=[1, 2, 3])
@@ -196,6 +197,7 @@ def test_weight_components_random_sum_and_homogeneity():
 
 
 def test_weight_components_and_act_min_match_per_term_weights(monkeypatch):
+    # the weights come from a generator max over the places, the empty monomial at -inf
     rng = random.Random(73)
     ctx = ParityContext.make(odd_letters=[2], odd_places=[3])
     points = [NEG_INF, fin(0), fin(1), fin(2), fin(3), fin(4), POS_INF]
@@ -208,11 +210,12 @@ def test_weight_components_and_act_min_match_per_term_weights(monkeypatch):
 
     for _ in range(60):
         p = _random_poly(rng, ctx) + LPPoly.constant(ctx, rng.choice([0, 1, Fraction(-1, 2)]))
-        weights = sorted({weight(m) for m in p.coeffs})
-        want = {w: LPPoly(ctx, {m: c for m, c in p.coeffs.items() if weight(m) == w})
+        weight_of = {m: generator_max_weight(m) for m in p.coeffs}
+        weights = sorted(set(weight_of.values()))
+        want = {w: LPPoly(ctx, {m: c for m, c in p.coeffs.items() if weight_of[m] == w})
                 for w in weights}
         z = rng.choice(points)
-        kept = LPPoly(ctx, {m: c for m, c in p.coeffs.items() if weight(m) <= z})
+        kept = LPPoly(ctx, {m: c for m, c in p.coeffs.items() if weight_of[m] <= z})
         with monkeypatch.context() as patch:
             patch.setattr(ExtNat, "__post_init__", counting_post_init)
             made.clear()
@@ -491,18 +494,31 @@ def _common_denominator(p):
 
 # divide-by-d1-only: the divisor of the numerator sums drops the right
 # factor's common denominator. keep-zero-sums: the zero filter is gone, so a
-# key whose pair products cancel stays with coefficient 0.
+# key whose pair products cancel stays with coefficient 0. memo-outlives-call:
+# the numerator -> coefficient memo lives in the module, keyed by the numerator
+# alone, so a later product with another d1 d2 reads an earlier call's quotient.
 NUMERATOR_FAULTS = {
     "divide-by-d1-only": ("d = d1 * d2", "d = d1"),
-    "keep-zero-sums": ("for k, v in sums.items() if v}", "for k, v in sums.items()}"),
+    "keep-zero-sums": ("if v:", "if True:"),
+    "memo-outlives-call": ("quotients, terms = {}, {}",
+                           "quotients, terms = globals().setdefault('memo', {}), {}"),
 }
+
+
+def _shared_numerator_cases(ctx):
+    """x y / d for d = 2, 3, 1: one summed numerator, 1, over three common denominators."""
+    x, y = LPPoly.var(ctx, 2, 1), LPPoly.var(ctx, 4, 4)
+    return [(x.scale(Fraction(1, 2)), y), (x.scale(Fraction(1, 3)), y), (x, y)]
 
 
 @pytest.mark.parametrize("fault", list(NUMERATOR_FAULTS))
 @pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
 def test_numerator_product_oracle_catches_a_fault(monkeypatch, name, fault):
-    spread, cancelling, integral = _numerator_cases(MERGE_CONTEXTS[name])
-    cases = spread if fault == "divide-by-d1-only" else cancelling
+    ctx = MERGE_CONTEXTS[name]
+    spread, cancelling, integral = _numerator_cases(ctx)
+    cases = {"divide-by-d1-only": spread, "keep-zero-sums": cancelling,
+             "memo-outlives-call": _shared_numerator_cases(ctx)}[fault]
+    assert all((p * q).terms == loop_letterplace_product(p, q) for p, q in cases)
     monkeypatch.setattr(LPPoly, "product", _mutated_product(*NUMERATOR_FAULTS[fault]))
     assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
 
@@ -529,13 +545,13 @@ def _edge_contexts(letters, places):
                   st.sets(st.integers(1, places))))
 
 
-def _edge_polys(ctx, variables, max_degree=3, max_terms=4):
+def _edge_polys(ctx, variables, max_degree=3, max_terms=4, coeffs=COEFFS):
     def total(terms):
         p = LPPoly.zero(ctx)
         for word, c in terms:
             p = p + LPPoly.from_word(ctx, word, c)
         return p
-    return st.lists(st.tuples(st.lists(variables, max_size=max_degree), COEFFS),
+    return st.lists(st.tuples(st.lists(variables, max_size=max_degree), coeffs),
                     max_size=max_terms).map(total)
 
 
@@ -626,7 +642,23 @@ def test_packed_product_sums_that_cancel(data):
     assert tuple(sorted(ma + mb)) not in got
 
 
-def test_product_builds_one_fraction_per_nonintegral_term_and_no_clean_pass(monkeypatch):
+FEW_COEFFS = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_product_on_few_coefficient_values_and_cancelling_sums(data):
+    # few values over few variables, so many terms of one product share a summed
+    # numerator; (p + q)(p - q) = p^2 - pq + qp - q^2, whose cross terms cancel
+    # wherever they commute
+    ctx = data.draw(_edge_contexts(2, 2))
+    tiny = st.builds(v, st.integers(1, 2), st.integers(1, 2))
+    p, q = (data.draw(_edge_polys(ctx, tiny, max_terms=6, coeffs=FEW_COEFFS)) for _ in range(2))
+    for left, right in ((p, q), (q, p), (p + q, p - q), (p.scale(Fraction(1, 3)), q)):
+        _assert_product_matches_loop(left, right)
+
+
+def test_product_builds_one_fraction_per_nonintegral_value_and_no_clean_pass(monkeypatch):
     spread, cancelling, integral = _numerator_cases(MERGE_CONTEXTS["bench"])
     made, cleaned = [], []
     clean = exactlin.clean
@@ -638,15 +670,19 @@ def test_product_builds_one_fraction_per_nonintegral_term_and_no_clean_pass(monk
 
     monkeypatch.setattr(letterplace, "Fraction", Counted)
     monkeypatch.setattr(exactlin, "clean", lambda coeffs: cleaned.append(coeffs) or clean(coeffs))
+    shared = 0
     for p, q in spread + cancelling + integral:
         made.clear()
         cleaned.clear()
         got = (p * q).terms
         fractions = [c for c in got.values() if type(c) is not int]
-        # each stored Fraction is the one the product built, checked by nothing else
-        assert len(made) == len(fractions)
+        # one Fraction per distinct non-integral value, stored as built and
+        # checked by nothing else; terms with that value share it
+        assert len(made) == len(set(fractions)) == len({id(c) for c in fractions})
         assert all(type(c) is Counted for c in fractions)
         assert cleaned == []
+        shared += len(fractions) - len(made)
+    assert shared > 0  # the cases do repeat a non-integral value within one product
 
 
 def test_supercommutativity_random():

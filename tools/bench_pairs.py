@@ -10,11 +10,13 @@ FIRST_SEED+k --seconds S --trace 0` from the root of each checkout, the
 parent first when k is even, with S the run_seconds of BENCHMARK.json.
 --traced adds one pair with --trace 1.
 
-The record keeps every run and, per workload and end-to-end metric, the
-medians, quartiles (statistics.quantiles, n=4, inclusive), the pairs the
-change wins and whether the change stays within the metric's bound in
-BENCHMARK.json. What the runs show is written into the record by hand.
-Only the standard library is used.
+The record keeps every run and, per workload, the complete pairs, the runs
+per side that exited non-zero (any such run makes all_correct false) and,
+per end-to-end metric over the complete pairs, the medians, quartiles
+(statistics.quantiles, n=4, inclusive), the pairs the change wins and
+whether the change stays within the metric's bound in BENCHMARK.json; a
+workload with no complete pair has no medians. What the runs show is
+written into the record by hand. Only the standard library is used.
 """
 
 import argparse
@@ -24,6 +26,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+SIDES = ("parent", "change")
 
 
 def _run_bench(root, workload, seed, seconds, trace):
@@ -43,20 +47,27 @@ def _quartiles(values):
 
 
 def _summary(runs, end_to_end):
+    """Per workload of the untraced runs: the complete pairs, the runs per side that
+    exited non-zero (each makes all_correct false) and, over the complete pairs,
+    each end-to-end metric's medians, quartiles and wins; no pair, no medians."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == 0):
+        mine = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
+        ran = [r for r in mine if r["rc"] == 0]
         pairs = {}
-        for r in runs:
-            if r["workload"] == workload and r["trace"] == 0:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
-        done = [p for p in pairs.values() if p.get("parent") and p.get("change")]
-        entry = {"pairs": len(done),
-                 "all_correct": all(p[s]["correct"] for p in done for s in p),
-                 "failed": {s: sum(p[s]["failed"] for p in done) for s in ("parent", "change")}}
-        for metric in end_to_end:
+        for r in ran:
+            pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
+        done = [p for p in pairs.values() if len(p) == 2]
+        exited = {s: sum(r["side"] == s for r in mine if r["rc"]) for s in SIDES}
+        entry = {"pairs": len(done), "nonzero_exit": exited,
+                 "all_correct": not any(exited.values())
+                 and all(r["result"]["correct"] for r in ran),
+                 "failed": {s: sum(r["result"]["failed"] for r in ran if r["side"] == s)
+                            for s in SIDES}}
+        for metric in end_to_end if done else ():
             name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
-            side = {s: [p[s]["metrics"][name]["value"] for p in done] for s in ("parent", "change")}
-            parent, change = (statistics.median(side[s]) for s in ("parent", "change"))
+            side = {s: [p[s]["metrics"][name]["value"] for p in done] for s in SIDES}
+            parent, change = (statistics.median(side[s]) for s in SIDES)
             worse = change > parent * (1 + bound) if lower else change < parent * (1 - bound)
             q_parent = _quartiles(side["parent"])
             entry[name] = {
@@ -98,7 +109,7 @@ def main(argv=None):
         workload, seed = args.traced.split(":")
         jobs.append((workload, int(seed), 1, 0))
     for workload, seed, trace, k in jobs:
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
             run = _run_bench(roots[side], workload, seed, spec["run_seconds"], trace)
             record["runs"].append({"workload": workload, "seed": seed, "pair": k, "side": side,
