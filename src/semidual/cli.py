@@ -8,7 +8,11 @@ computations disagreeing (an ArithmeticError from the nbar certificates,
 a character evaluation matrix that `slat ev-rank` finds not
 unitriangular, or a glued pair that `balg quotient` finds in two
 classes) is a FAIL: it prints `check: FAIL [message]` and exits 1.
-`--format tsv` mirrors every line as tab-separated fields for scripts.
+When stdout closes before the report is written, as in `| head`, the
+command stops at the failed write and exits 141 (128 + SIGPIPE, the
+status a shell reports for a writer killed by its closed pipe) with
+nothing on stderr. `--format tsv` mirrors every line as tab-separated
+fields for scripts.
 """
 
 import argparse
@@ -22,8 +26,15 @@ from .extnat import parse_point
 from .reporting import FAIL, PASS
 
 
+OUTPUT_CLOSED = 141
+
+
 class _UsageError(Exception):
     pass
+
+
+class _OutputClosed(Exception):
+    """stdout refused a write: nobody reads the report any more."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -47,9 +58,13 @@ class Output:
     def emit(self, human, record=None):
         if self.fmt == "tsv":
             fields = record if record is not None else (human,)
-            self.stream.write("\t".join(str(f) for f in fields) + "\n")
+            text = "\t".join(str(f) for f in fields) + "\n"
         else:
-            self.stream.write(human + "\n")
+            text = human + "\n"
+        try:
+            self.stream.write(text)
+        except OSError as exc:
+            raise _OutputClosed from exc
 
     def fields(self, *pairs):
         """One `key: value` line per (key, value) pair, `key<TAB>value` in tsv."""
@@ -213,9 +228,20 @@ def _nbar_functional(args):
     return nbar_dual.StepFunctional(prefix, _rational(args.tail))
 
 
+def _refuse_unprintable(*pairs):
+    """Refuse, before any line is printed, a (name, value) whose integers have more
+    decimal digits than this interpreter converts to text; its global bound stays."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for name, value in pairs:
+        if limit and any(abs(n) >= 10 ** limit for n in (value.numerator, value.denominator)):
+            raise _UsageError(f"{name} has more than {limit} digits, the bound on printing "
+                              "an integer (sys.get_int_max_str_digits)")
+
+
 def _cmd_nbar(args, out):
     if args.nbar_cmd == "det":
         result = nbar_dual.special_det(_parse_list(args.row, _rational))
+        _refuse_unprintable(("det", result.det), ("closed-form", result.closed_form))
         out.fields(("det", result.det), ("closed-form", result.closed_form), ("agree", "yes"),
                    ("preconditions", "met" if result.preconditions_met else "violated"),
                    ("nonzero", "yes" if result.nonzero else "no"))
@@ -351,6 +377,13 @@ def run(argv, out_stream=None, err_stream=None):
     out_stream = out_stream if out_stream is not None else sys.stdout
     err_stream = err_stream if err_stream is not None else sys.stderr
     try:
+        return _run(argv, out_stream, err_stream)
+    except _OutputClosed:
+        return OUTPUT_CLOSED
+
+
+def _run(argv, out_stream, err_stream):
+    try:
         args = build_parser().parse_args(argv)
         out = Output(out_stream, args.format)
         return args.func(args, out)
@@ -372,10 +405,17 @@ def run(argv, out_stream=None, err_stream=None):
 
 def main():
     try:
-        sys.exit(run(sys.argv[1:]))
+        code = run(sys.argv[1:])
     except Exception:  # a crash, never a failed check or a bad input
         traceback.print_exc()
         sys.exit(3)
+    try:
+        sys.stdout.flush()  # a short report may still wait in the buffer
+    except OSError:
+        code = OUTPUT_CLOSED
+    if code == OUTPUT_CLOSED:
+        sys.stdout = None  # the buffered rest can never be written: no flush at exit
+    sys.exit(code)
 
 
 if __name__ == "__main__":

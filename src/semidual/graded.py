@@ -351,11 +351,18 @@ def dual_monoid_action(algebra):
     return DualAction(algebra, labels, words, report)
 
 
+def _ut_products(units, pos, m):
+    """The structure constants E_pq E_qt = E_pt of the matrix units, by basis index."""
+    return {(pos[(p, q)], pos[(q, t)]): {pos[(p, t)]: 1}
+            for p, q in units for t in range(q, m + 1)}
+
+
 def ut_graded(m, labels):
     """Upper triangular m x m matrices graded by a chain of m naturals.
 
     Basis: matrix units E_pq for p <= q. The unit E_pq row p gets the
     (m + 1 - p)-th chain label, so the bottom row is the lowest degree.
+    Labels that collide are refused before any structure is built.
     """
     labels = list(labels)
     if m < 1:
@@ -366,15 +373,15 @@ def ut_graded(m, labels):
         raise BadLabelsError("labels must be naturals")
     if any(labels[i] >= labels[i + 1] for i in range(m - 1)):
         raise BadLabelsError("labels must be strictly increasing")
+    units = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
+    basis = tuple(f"E{p}{q}" for p, q in units)
+    if len(set(basis)) != len(basis):  # from m = 111 on, E1111 is E(11,11) and E(1,111)
+        raise BadLabelsError("duplicate basis labels")
 
     grading = FiniteSemilattice((f"n{v}" for v in labels), 0,
                                 [[max(a, b) for b in range(m)] for a in range(m)])
-
-    units = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
-    basis = tuple(f"E{p}{q}" for p, q in units)
     pos = {pq: i for i, pq in enumerate(units)}
-    structure = {(pos[(p, q)], pos[(q, t)]): {pos[(p, t)]: 1}
-                 for p, q in units for t in range(q, m + 1)}
+    structure = _ut_products(units, pos, m)
     unit = {pos[(p, p)]: 1 for p in range(1, m + 1)}
     degree = tuple(m - p for p, _ in units)
     return GradedFDAlgebra(basis, structure, unit, grading, degree)

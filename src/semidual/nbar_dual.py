@@ -15,16 +15,20 @@ characters, one per run: it telescopes the run values and needs no
 linear solve. A combination is certified pointwise where f or one of
 its characters changes value, which covers the whole chain. The
 translate-span basis is certified by the runs of its translates and the
-closed form of their special_det matrix.
+closed form of their special_det matrix. That matrix, [r[max(i, j)]],
+factors as U diag(d) U^T with U upper unitriangular and d the
+differences of consecutive entries of r, so special_det certifies the
+factorization in O(n) and eliminates nothing.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import accumulate
+from math import lcm, prod
 from operator import itemgetter
 
-from .exactlin import Matrix, det, exact
+from .exactlin import exact
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
 
 
@@ -228,18 +232,34 @@ class SpecialDetResult:
     nonzero: bool
 
 
+def _special_diagonal(row):
+    """d with d_i = row[i] - row[i + 1] and, last, d_{n-1} = row[n-1]."""
+    return [a - b for a, b in zip(row, row[1:])] + row[-1:]
+
+
 def special_det(row):
-    """Determinant of the matrix with entry (i, j) = row[max(i, j)].
+    """Determinant of the matrix M with entry (i, j) = row[max(i, j)].
 
     Row i repeats its diagonal value in the first i positions and then
-    follows the input row. The determinant has the closed form
-    row[n-1] * prod(row[i] - row[i+1]); both are computed and must
-    agree. When the last entry is nonzero and consecutive entries
-    differ, the determinant is nonzero.
+    follows the input row. M = U diag(d) U^T, where U_im = [m >= i] is
+    upper unitriangular and d is `_special_diagonal(row)`: entry (i, j)
+    of the product is the sum of d from max(i, j) on. The row is scaled
+    by the lcm D of its denominators first, so that d and its suffix
+    sums are ints: D M = U diag(D d) U^T. The factorization is certified
+    in O(n) by checking that these suffix sums give back the scaled row,
+    and then det M = prod(D d) / D^n. The closed form row[n-1] *
+    prod(row[i] - row[i+1]) is computed apart and must agree. When the
+    last entry is nonzero and consecutive entries differ, the
+    determinant is nonzero.
     """
     row = [exact(x) for x in row]
     closed = _special_closed_form(row)
-    direct = det(Matrix.from_rows([[v] * i + row[i:] for i, v in enumerate(row)]))
+    scale = lcm(*(v.denominator for v in row))
+    scaled = [v.numerator * (scale // v.denominator) for v in row]
+    d = _special_diagonal(scaled)
+    if list(accumulate(reversed(d)))[::-1] != scaled:
+        raise ArithmeticError("suffix sums of the diagonal do not give back the row")
+    direct = exact(Fraction(prod(d), scale ** len(row)))
     if direct != closed:
         raise ArithmeticError(f"determinant {direct} disagrees with closed form {closed}")
     met = bool(row) and row[-1] != 0 and all(a != b for a, b in zip(row, row[1:]))

@@ -154,7 +154,8 @@ def test_criterion_08_special_det():
 
     for n in range(1, 6):
         for row in rows_of_length(n):
-            result = special_det(row)  # raises if closed form != direct
+            # raises unless the suffix sums of d give back the row and prod(d) is the closed form
+            result = special_det(row)
             assert result.det == result.closed_form
             meets = row[-1] != 0 and all(row[i] != row[i + 1] for i in range(n - 1))
             assert result.preconditions_met == meets

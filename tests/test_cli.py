@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import semidual
-from semidual import bialgebra, cli, corpus, nbar_dual
+from semidual import bialgebra, cli, corpus, exactlin, nbar_dual
 from semidual.cli import run
 
 
@@ -566,10 +567,125 @@ def test_exit_1_when_projection_merges_classes(monkeypatch):
 
 
 def test_exit_1_when_det_disagrees_with_closed_form(monkeypatch):
-    det = nbar_dual.det
-    monkeypatch.setattr(nbar_dual, "det", lambda m: det(m) + 1)
-    message = "determinant 4 disagrees with closed form 3"
+    closed_form = nbar_dual._special_closed_form
+    monkeypatch.setattr(nbar_dual, "_special_closed_form", lambda row: closed_form(row) + 1)
+    message = "determinant 3 disagrees with closed form 4"
     assert invoke("nbar", "det", "--row=1,2,3") == (1, f"check: FAIL [{message}]\n", "")
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_exit_1_when_the_diagonal_does_not_factor_the_row(monkeypatch, i):
+    # d of 1,2,3 is -1,-1,3; one corrupted d_i breaks the suffix sum at i
+    diagonal = nbar_dual._special_diagonal
+
+    def corrupted(row):
+        d = diagonal(row)
+        d[i] += 1
+        return d
+
+    monkeypatch.setattr(nbar_dual, "_special_diagonal", corrupted)
+    message = "suffix sums of the diagonal do not give back the row"
+    assert invoke("nbar", "det", "--row=1,2,3") == (1, f"check: FAIL [{message}]\n", "")
+    assert invoke("nbar", "det", "--row=1,2,3", "--format=tsv") == (
+        1, f"check\tFAIL\t{message}\n", "")
+
+
+def test_nbar_det_on_a_long_row_eliminates_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exactlin, "det", lambda m: calls.append("det"))
+    monkeypatch.setattr(exactlin, "_eliminate", lambda *a: calls.append("_eliminate"))
+    row = ",".join(str(v) for v in range(10000, 0, -1))
+    assert invoke("nbar", "det", f"--row={row}") == (
+        0, "det: 1\nclosed-form: 1\nagree: yes\npreconditions: met\nnonzero: yes\n", "")
+    assert calls == []
+
+
+def _unprintable_rows():
+    b = 10 ** 2000
+    rng = random.Random(31)
+    # 900 distinct 6-digit entries in no order: their differences have about 5.5 digits each
+    return [f"{3 * b},{2 * b},{b}", ",".join(map(str, rng.sample(range(10 ** 5, 10 ** 6), 900)))]
+
+
+@pytest.mark.parametrize("row", _unprintable_rows(), ids=["3b,2b,b", "900-entries"])
+def test_exit_2_when_det_has_more_digits_than_can_be_printed(row):
+    limit = sys.get_int_max_str_digits()
+    message = (f"error: det has more than {limit} digits, the bound on printing an integer "
+               "(sys.get_int_max_str_digits)\n")
+    assert invoke("nbar", "det", f"--row={row}") == (2, "", message)
+    assert invoke("nbar", "det", f"--row={row}", "--format=tsv") == (2, "", message)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_nbar_det_prints_up_to_the_digit_bound():
+    limit = sys.get_int_max_str_digits()
+    b, c = 10 ** (limit // 2) - 1, 10 ** (limit // 2)
+    # d = b, b: det b*b has exactly `limit` digits
+    code, out, err = invoke("nbar", "det", f"--row={2 * b},{b}")
+    assert (code, err, out.splitlines()[0]) == (0, "", f"det: {b * b}")
+    # det c*c = 10**limit has one digit more; so has the denominator of 1/(c*c)
+    assert invoke("nbar", "det", f"--row={2 * c},{c}")[0] == 2
+    code, out, err = invoke("nbar", "det", f"--row=2/{c},1/{c}")
+    assert (code, out) == (2, "") and err.startswith("error: det has more than")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["graded", "ut", "--size", "3", "--labels", "1,2,3"],
+    ["nbar", "det", "--row=1,2"],
+    ["slat", "characters", slat("chain2"), "--format=tsv"],
+])
+def test_a_closed_stdout_exits_quietly(argv):
+    err = io.StringIO()
+    assert run(argv, _ClosedPipe(), err) == cli.OUTPUT_CLOSED == 141
+    assert err.getvalue() == ""
+
+
+def test_a_closed_stdout_during_a_failed_check_exits_quietly(monkeypatch):
+    monkeypatch.setattr(nbar_dual, "translate", lambda f, n: f)
+    argv = ["nbar", "translate-basis", "--prefix", "3,2", "--tail", "1"]
+    err = io.StringIO()
+    assert run(argv, _ClosedPipe(), err) == cli.OUTPUT_CLOSED
+    assert err.getvalue() == ""
+
+
+def _cli_env(buffered):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semidual.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=src, **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_pipe_ends_the_process_quietly(buffered):
+    # ut60 prints far more than a pipe holds, so the writer meets the closed end
+    labels = ",".join(str(v) for v in range(1, 61))
+    proc = subprocess.Popen([sys.executable, "-m", "semidual.cli", "graded", "ut", "--size",
+                             "60", "--labels", labels], env=_cli_env(buffered),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"basis: E11"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_a_pipe_closed_before_the_report_ends_the_process_quietly():
+    # a short report waits in the buffer until main flushes it into the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "semidual.cli", "nbar", "det", "--row=1,2"],
+                              env=_cli_env(True), stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize("attr, fault, raised", [

@@ -442,6 +442,17 @@ def test_ut_bad_labels():
             ut_graded(m, labels)
 
 
+def test_ut_refuses_colliding_labels_before_building(monkeypatch):
+    # from m = 111 on, E1111 names both E(11,11) and E(1,111)
+    built = []
+    monkeypatch.setattr(graded, "_ut_products", lambda *args: built.append("products"))
+    monkeypatch.setattr(graded, "FiniteSemilattice", lambda *args: built.append("grading"))
+    for m in (111, 400):
+        with pytest.raises(BadLabelsError, match="^duplicate basis labels$"):
+            ut_graded(m, range(1, m + 1))
+    assert built == []
+
+
 @pytest.mark.parametrize("structure, unit, message", [
     ({(0, 0): {3: 1}}, {0: 1}, "product (0, 0) uses index 3 outside the basis"),
     ({(0, 0): {0: 1}}, {2: 1}, "unit index 2 outside the basis"),

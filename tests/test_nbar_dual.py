@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semidual import nbar_dual
-from semidual.exactlin import Matrix, rank, solve
+from semidual.exactlin import Matrix, det, rank, solve
 from semidual.extnat import NEG_INF, POS_INF, fin
 from semidual.nbar_dual import (StepFunctional, char_mult, finite_runs,
                                 grouplike_decompose, in_finite_dual,
@@ -352,6 +352,25 @@ def test_special_det_random_agreement():
         assert r.det == r.closed_form
         if r.preconditions_met:
             assert r.nonzero
+
+
+# zeros, ints and fractions of mixed denominators; each entry may also repeat its left neighbour
+SPECIAL_ENTRIES = st.one_of(st.just(0), st.integers(-5, 5),
+                            st.fractions(-3, 3, max_denominator=6))
+
+
+@given(drawn=st.lists(st.tuples(st.booleans(), SPECIAL_ENTRIES), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_special_det_matches_elimination_and_cofactors(drawn):
+    row = []
+    for repeat, entry in drawn:
+        row.append(row[-1] if repeat and row else entry)
+    n = len(row)
+    dense = [[row[max(i, j)] for j in range(n)] for i in range(n)]
+    result = special_det(row)
+    assert result.det == result.closed_form == det(Matrix.from_rows(dense))
+    if n <= 6:
+        assert result.det == cofactor_det(dense)
 
 
 def test_decompose_constant():

@@ -11,7 +11,9 @@ Fraction only in `exactlin.exact`, which keeps integral values as ints
 and refuses floats: everywhere else `Fraction(...)` is a quotient of two
 arguments. The finite side, `semilattice` and `bialgebra`, reads its
 ranks off the structure and never eliminates: it imports none of the
-dense `Matrix`, `rank`, `det` or `solve`. The max-monoid decomposition
+dense `Matrix`, `rank`, `det` or `solve`. Nor does the max-monoid side,
+`nbar_dual`, which certifies its special_det by a factorization. The
+max-monoid decomposition
 certificate `verify_decomposition` stays independent of the telescoping
 that builds the coefficients: it names neither `finite_runs` nor
 `threshold_functional`. The graded action laws, `_character_laws` and
@@ -44,6 +46,7 @@ FILE_OPENING = re.compile(r"\bopen\(|\.read_text\(|\.read_bytes\(")
 PATH_JOINS = {"corpus.py": "data_path"}
 EXACT = ("exactlin.py", "exact")  # the one function that calls Fraction on one value
 NO_ELIMINATION = ("semilattice.py", "bialgebra.py")
+NO_ELIMINATION_MAX_MONOID = "nbar_dual.py"
 ELIMINATION = {"Matrix", "rank", "det", "solve", "exactlin", "*"}
 # (module, functions, names those functions may not name)
 CERTIFICATE = ("nbar_dual.py", ("verify_decomposition",), {"finite_runs", "threshold_functional"})
@@ -248,6 +251,11 @@ def test_the_finite_side_imports_no_elimination():
     assert hits == []
 
 
+def test_the_max_monoid_side_imports_no_elimination():
+    name = NO_ELIMINATION_MAX_MONOID
+    assert _elimination_imports((SRC / name).read_text(encoding="utf-8"), name) == []
+
+
 def test_elimination_rule_rejects_planted_imports():
     planted = textwrap.dedent("""\
         from .exactlin import SparseVector, clean
@@ -262,6 +270,11 @@ def test_elimination_rule_rejects_planted_imports():
         "bialgebra.py:2: Matrix", "bialgebra.py:2: rank", "bialgebra.py:3: exactlin",
         "bialgebra.py:4: semidual.exactlin", "bialgebra.py:5: det", "bialgebra.py:6: solve",
         "bialgebra.py:7: *"]
+    # exact is no elimination; each of the dense four is, in nbar_dual as anywhere
+    planted = "from .exactlin import Matrix, det, exact, rank, solve\n"
+    assert _elimination_imports(planted, NO_ELIMINATION_MAX_MONOID) == [
+        "nbar_dual.py:1: Matrix", "nbar_dual.py:1: det", "nbar_dual.py:1: rank",
+        "nbar_dual.py:1: solve"]
 
 
 def test_decomposition_certificate_names_no_telescoping():
