@@ -21,7 +21,7 @@ import sys
 import traceback
 
 from . import bialgebra, graded, letterplace, nbar_dual, semilattice
-from .errors import ParseError, read_natural, read_rational
+from .errors import ParseError, quoted, read_natural, read_rational
 from .extnat import parse_point
 from .reporting import FAIL, PASS
 
@@ -83,14 +83,14 @@ def _rational(text):
     try:
         return read_rational(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"bad rational {text!r}") from None
+        raise _UsageError(f"bad rational {quoted(text)}") from None
 
 
 def _natural(text):
     try:
         return read_natural(text)
     except ValueError:
-        raise _UsageError(f"bad natural number {text!r}") from None
+        raise _UsageError(f"bad natural number {quoted(text)}") from None
 
 
 def _items(text):
@@ -228,20 +228,29 @@ def _nbar_functional(args):
     return nbar_dual.StepFunctional(prefix, _rational(args.tail))
 
 
-def _refuse_unprintable(*pairs):
-    """Refuse, before any line is printed, a (name, value) whose integers have more
-    decimal digits than this interpreter converts to text; its global bound stays."""
+def _refuse_unprintable(pairs):
+    """Refuse, before any line is printed, the first (name, value) pair whose integers
+    have more decimal digits than this interpreter converts to text; its global bound stays."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = 10 ** limit
     for name, value in pairs:
-        if limit and any(abs(n) >= 10 ** limit for n in (value.numerator, value.denominator)):
+        if abs(value.numerator) >= bound or value.denominator >= bound:
             raise _UsageError(f"{name} has more than {limit} digits, the bound on printing "
                               "an integer (sys.get_int_max_str_digits)")
+
+
+def _printable_poly(p):
+    """p, once each of its coefficients is known to print."""
+    _refuse_unprintable(("coefficient", c) for c in p.coeffs.values())
+    return p
 
 
 def _cmd_nbar(args, out):
     if args.nbar_cmd == "det":
         result = nbar_dual.special_det(_parse_list(args.row, _rational))
-        _refuse_unprintable(("det", result.det), ("closed-form", result.closed_form))
+        _refuse_unprintable((("det", result.det), ("closed-form", result.closed_form)))
         out.fields(("det", result.det), ("closed-form", result.closed_form), ("agree", "yes"),
                    ("preconditions", "met" if result.preconditions_met else "violated"),
                    ("nonzero", "yes" if result.nonzero else "no"))
@@ -257,6 +266,7 @@ def _cmd_nbar(args, out):
         return 0
     if args.nbar_cmd == "decompose":
         coeffs = nbar_dual.grouplike_decompose(f)
+        _refuse_unprintable(("coefficient", c) for c in coeffs.values())
         points = sorted(coeffs, reverse=True)
         body = " ".join(f"{p}:{coeffs[p]}" for p in points)
         out.emit(body, tuple(f"{p}:{coeffs[p]}" for p in points))
@@ -284,12 +294,12 @@ def _cmd_lp(args, out):
             raise _UsageError("mul needs exactly two expressions")
         p = letterplace.parse_poly(args.expr[0], ctx)
         q = letterplace.parse_poly(args.expr[1], ctx)
-        text = letterplace.format_poly(p * q)
+        text = letterplace.format_poly(_printable_poly(p * q))
         out.emit(text, ("product", text))
         return 0
     if args.lp_cmd == "weight":
         p = letterplace.parse_poly(" ".join(args.expr), ctx)
-        components = letterplace.weight_components(p)
+        components = letterplace.weight_components(_printable_poly(p))
         if not components:
             out.emit("0", ("weight", "", "0"))
         for w, part in components.items():
@@ -299,7 +309,7 @@ def _cmd_lp(args, out):
     if args.lp_cmd == "act":
         z = parse_point(args.z)
         p = letterplace.parse_poly(" ".join(args.expr), ctx)
-        text = letterplace.format_poly(letterplace.act_min(z, p))
+        text = letterplace.format_poly(_printable_poly(letterplace.act_min(z, p)))
         out.emit(text, ("result", text))
         return 0
     # embed

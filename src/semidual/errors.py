@@ -1,6 +1,7 @@
 """Errors and parsing helpers shared by more than one module."""
 
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -62,3 +63,13 @@ def read_rational(text):
         raise ValueError(f"not a rational: {text!r}")
     num, den = match.groups()
     return Fraction(int(num), int(den or 1))
+
+
+def quoted(text):
+    """repr(text) for a message refusing text; when text holds a run of more digits than
+    int() reads (sys.get_int_max_str_digits()), its first 20 characters and that bound."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(run) > limit for run in NATURAL.findall(text)):
+        return (f"{text[:20]!r}... (more than {limit} digits, the bound of "
+                "sys.get_int_max_str_digits())")
+    return repr(text)

@@ -7,7 +7,7 @@ Both are represented by the same tagged point type.
 
 from dataclasses import dataclass
 
-from .errors import read_natural
+from .errors import quoted, read_natural
 
 _NEG, _FIN, _POS = -1, 0, 1
 
@@ -67,4 +67,4 @@ def parse_point(text):
     try:
         return fin(read_natural(text))
     except ValueError:
-        raise ValueError(f"not a point of the extended chain: {text!r}") from None
+        raise ValueError(f"not a point of the extended chain: {quoted(text)}") from None

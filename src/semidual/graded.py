@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ParseError, read_rational, reject_repeats, word_column
+from .errors import ParseError, quoted, read_rational, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
 from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
@@ -410,7 +410,7 @@ def _parse_terms(text, raw, sep, lineno, source):
             out[label] = read_rational(value)
         except (ValueError, ZeroDivisionError):
             col = _term_column(raw, sep, k) + len(label) + 1
-            raise ParseError(f"bad rational {value!r}", lineno, col, source) from None
+            raise ParseError(f"bad rational {quoted(value)}", lineno, col, source) from None
     return out
 
 

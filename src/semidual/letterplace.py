@@ -333,47 +333,46 @@ def parse_poly(text, ctx, source="<expr>"):
     """Parse `term (+|- term)*` with term `factor (* factor)*` and
     factor either `(x<letter>|<place>)` or a nonnegative rational.
 
-    The terms are summed into one dict and the polynomial is built once,
-    so the work is linear in the number of terms."""
+    A term is one coefficient, the product of its rationals, and one word,
+    its variables as written, which `LPPoly.from_word` sorts once with its
+    Koszul sign. The terms are summed into one dict and the polynomial is
+    built once, so the work is linear in the number of terms."""
     sc = _Scanner(text, source)
 
-    def factor():
-        ch = sc.peek()
-        if ch == "(":
-            sc.take("(")
-            sc.skip_ws()
-            if sc.peek() != "x":
-                sc.error("expected a variable like x1")
-            sc.pos += 1
-            letter = sc.index()
-            sc.take("|")
-            place = sc.index()
-            sc.take(")")
-            return LPPoly.var(ctx, letter, place)
-        if NATURAL.match(sc.text, sc.pos):
-            return LPPoly.constant(ctx, sc.rational())
-        sc.error("expected a variable or a rational")
-
     def term():
-        result = factor()
-        while sc.peek() == "*":
-            sc.take("*")
-            result = result * factor()
-        return result
+        coeff, word = 1, []
+        while True:
+            if sc.peek() == "(":
+                sc.pos += 1
+                sc.skip_ws()
+                if sc.peek() != "x":
+                    sc.error("expected a variable like x1")
+                sc.pos += 1
+                letter = sc.index()
+                sc.take("|")
+                place = sc.index()
+                sc.take(")")
+                word.append(LPVariable(letter, place))
+            elif NATURAL.match(sc.text, sc.pos):
+                coeff *= sc.rational()
+            else:
+                sc.error("expected a variable or a rational")
+            if sc.peek() != "*":
+                return LPPoly.from_word(ctx, word, coeff)
+            sc.pos += 1
 
-    sums = {}  # every term's coefficients, summed in place: one pass over the terms
-    sign = 1
-    if sc.peek() in ("+", "-"):
-        sign = -1 if sc.peek() == "-" else 1
-        sc.pos += 1
+    sums = {}  # every term's coefficient, summed in place: one pass over the terms
+    ch = sc.peek()
     while True:
+        sign = -1 if ch == "-" else 1
+        if ch in ("+", "-"):  # the optional leading sign, or the sign between two terms
+            sc.pos += 1
         for mono, c in term().coeffs.items():
             c *= sign
             sums[mono] = sums[mono] + c if mono in sums else c
-        if sc.peek() not in ("+", "-"):
+        ch = sc.peek()
+        if ch not in ("+", "-"):
             break
-        sign = -1 if sc.peek() == "-" else 1
-        sc.pos += 1
     if not sc.at_end():
         sc.error("unexpected input")
     return LPPoly._of(ctx, clean(sums))

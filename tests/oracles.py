@@ -25,9 +25,12 @@ group-likes, a label-keyed table read in two passes instead of the
 one-pass index table for the semilattice text format, and a generator
 max over the places instead of a map of item getters for the weight of a
 letterplace monomial.
-Tests compare package output against these.
+Tests compare package output against these; `mutated` plants a fault in a
+package function to show that a test bites.
 """
 
+import inspect
+import textwrap
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -50,6 +53,16 @@ GRID = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
 class SizeLimitError(ValueError):
     """An input is larger than a brute-force oracle is willing to handle."""
+
+
+def mutated(function, old, new):
+    """function with the text old of its source, which must occur once, replaced by new,
+    compiled in a copy of its module's namespace; a method comes back as a plain function."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
 
 
 def cofactor_det(rows):

@@ -460,6 +460,60 @@ def test_exit_2_on_lp_coefficient_beyond_the_int_digit_limit():
     assert (code, out, err) == (2, "", "<expr>:1:5: number too long\n")
 
 
+def _beyond_the_digit_limit(value, limit):
+    """The tail of the message refusing an item whose digits int() does not read."""
+    return f"{value[:20]!r}... (more than {limit} digits, the bound of sys.get_int_max_str_digits())\n"
+
+
+@pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/3"])
+@pytest.mark.parametrize("argv", NUMERIC_ENTRY_POINTS, ids=" ".join)
+def test_exit_2_on_number_beyond_the_int_digit_limit_quotes_20_characters(argv, form):
+    limit = sys.get_int_max_str_digits()
+    value = form.format("1" * (limit + 1))
+    code, out, err = invoke(*[galg("ut2") if a == "ut2.galg" else a.format(value) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(_beyond_the_digit_limit(value, limit)), err
+    assert len(err) < 200
+    # an item with no digit run past the bound is still quoted whole
+    value = "1" * limit + "x"
+    code, out, err = invoke(*[galg("ut2") if a == "ut2.galg" else a.format(value) for a in argv])
+    assert (code, out) == (2, "") and err.endswith(f"{value!r}\n")
+
+
+def test_galg_rational_beyond_the_int_digit_limit_quotes_20_characters(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    value = "7" * (limit + 1)
+    (tmp_path / "chain1.slat").write_text(corpus.render_corpus_files()["chain1.slat"])
+    path = tmp_path / "big.galg"
+    path.write_text("basis: u\nunit: u:1\nsemilattice: chain1.slat\ndegree u n1\n"
+                    f"mul u u = u:{value}\n")
+    assert invoke("graded", "verify", str(path)) == (
+        2, "", f"{path}:5:13: bad rational " + _beyond_the_digit_limit(value, limit))
+
+
+def _unprintable_results(nines):
+    """Commands whose result has a coefficient of one digit more than nines."""
+    return [["lp", "mul", f"{nines}*(x1|1)", "2*(x2|2)"],
+            ["lp", "mul", f"1/{nines}*(x1|1)", "1/2*(x2|2)"],
+            ["lp", "act", f"2*{nines}*(x1|1)", "--z=+inf"],
+            ["lp", "weight", f"(x1|1) + 2*{nines}*(x1|2)"],
+            ["nbar", "decompose", f"--prefix={nines},-{nines}", "--tail=0"]]
+
+
+@pytest.mark.parametrize("fmt", ["human", "tsv"])
+@pytest.mark.parametrize("k", range(5), ids=["mul", "mul-denominator", "act", "weight", "decompose"])
+def test_exit_2_when_a_result_coefficient_has_more_digits_than_can_be_printed(k, fmt):
+    limit = sys.get_int_max_str_digits()
+    argv = _unprintable_results("9" * limit)[k]
+    # nothing is printed, not even the weight components before the unprintable one
+    assert invoke(*argv, f"--format={fmt}") == (
+        2, "", f"error: coefficient has more than {limit} digits, the bound on printing an "
+               "integer (sys.get_int_max_str_digits)\n")
+    # one digit fewer prints
+    code, out, err = invoke(*_unprintable_results("9" * (limit - 1))[k], f"--format={fmt}")
+    assert (code, err) == (0, "") and out
+
+
 def test_exit_2_on_element_label_named_twice():
     code, out, err = invoke("graded", "act", galg("ut2"), "--char", "f2",
                             "--element", "E11:1,E11:2")

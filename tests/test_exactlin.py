@@ -1,7 +1,5 @@
-import inspect
 import operator
 import random
-import textwrap
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +18,8 @@ from semidual.nbar_dual import StepFunctional, grouplike_decompose, special_det,
 
 from oracles import (cofactor_det, gauss_rank, gauss_solve, loop_graded_product,
                      loop_letterplace_product, loop_monoid_product, loop_tensor_product,
-                     minor_rank, point_pointwise_mul, point_translate, step_values, window)
+                     minor_rank, mutated, point_pointwise_mul, point_translate, step_values,
+                     window)
 from test_graded import _monoid_algebra
 from test_semilattice import union_closed_families
 
@@ -215,15 +214,12 @@ def _mixed_denominator_systems():
 def test_integer_rows_fault_is_caught_by_det_and_solve_oracles(monkeypatch):
     # scaling each entry by the row's whole lcm instead of lcm // denominator
     # leaves an int row that is no multiple of the input row once denominators mix
-    source = textwrap.dedent(inspect.getsource(exactlin._integer_rows))
-    old = "x.numerator * (mult // x.denominator)"
-    assert source.count(old) == 1
-    namespace = dict(vars(exactlin))
-    exec(source.replace(old, "x.numerator * mult"), namespace)
+    faulty = mutated(exactlin._integer_rows, "x.numerator * (mult // x.denominator)",
+                     "x.numerator * mult")
     systems = _mixed_denominator_systems()
     assert all(det(mat(rows)) == cofactor_det(rows) and solve(mat(rows), b) == gauss_solve(rows, b)
                for rows, b in systems)
-    monkeypatch.setattr(exactlin, "_integer_rows", namespace["_integer_rows"])
+    monkeypatch.setattr(exactlin, "_integer_rows", faulty)
     assert any(det(mat(rows)) != cofactor_det(rows) for rows, _ in systems)
     assert any(solve(mat(rows), b) != gauss_solve(rows, b) for rows, b in systems)
 

@@ -1,10 +1,8 @@
 import contextlib
 import dataclasses
-import inspect
 import io
 import random
 import re
-import textwrap
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (all_pairs_dual_action, all_pairs_module_algebra,
                      dense_first_nonassociative_triple, dense_ut_structure,
-                     loop_graded_product, loop_unit_law_witness, validated_copy)
+                     loop_graded_product, loop_unit_law_witness, mutated, validated_copy)
 from semidual import corpus, graded
 from semidual.cli import run
 from semidual.errors import ParseError
@@ -628,15 +626,6 @@ def test_associativity_witness_matches_dense_search_up_to_ut8():
     assert _witness_mismatches(verify_grading, cases) == []
 
 
-def _mutated_verify_grading(old, new):
-    """verify_grading with its source line old replaced by new, run in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(graded.verify_grading))
-    assert source.count(old) == 1
-    namespace = dict(vars(graded))
-    exec(source.replace(old, new), namespace)
-    return namespace["verify_grading"]
-
-
 @pytest.mark.parametrize("old, new", [
     # drop the right-hand side b_i (b_j b_k)
     ("for m, out in rows[i].items():", "for m, out in ():"),
@@ -650,7 +639,7 @@ def _mutated_verify_grading(old, new):
      "{(j, k): prod[i][m] for j in prod[i] for k, m in prod[j].items() if m in prod[i]}"),
 ])
 def test_wide_associativity_oracle_catches_a_broken_certificate(old, new):
-    assert _witness_mismatches(_mutated_verify_grading(old, new), _wide_oracle_cases())
+    assert _witness_mismatches(mutated(verify_grading, old, new), _wide_oracle_cases())
 
 
 @st.composite
@@ -677,7 +666,7 @@ def test_monomial_certificate_matches_dense_search(algebra):
 @pytest.mark.parametrize("algebra", [ut_graded(8, list(range(1, 9))),
                                      _monoid_algebra(corpus.boolean_lattice(3))])
 def test_monomial_certificate_needs_no_walk_when_associative(algebra):
-    walkless = _mutated_verify_grading("diff = {}", "raise AssertionError('walked')")
+    walkless = mutated(verify_grading, "diff = {}", "raise AssertionError('walked')")
     assert walkless(algebra).lines[0].status == "PASS"
 
 

@@ -1,6 +1,4 @@
-import inspect
 import random
-import textwrap
 from fractions import Fraction
 from math import lcm
 
@@ -17,7 +15,7 @@ from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
                                   weight_components)
 
 from oracles import (generator_max_weight, insertion_sort_normalize, koszul_sign,
-                     loop_letterplace_product)
+                     loop_letterplace_product, mutated)
 
 EVEN = ParityContext.make()
 ODD_LETTERS = ParityContext.make(odd_letters=[1, 2, 3])
@@ -401,15 +399,6 @@ def test_merge_product_associative_and_supercommutative(name):
                 assert pa * qb == (qb * pa).scale(-1 if a and b else 1)
 
 
-def _mutated_product(old, new):
-    """LPPoly.product with its source text old replaced by new, run in the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(LPPoly.product))
-    assert source.count(old) == 1
-    namespace = dict(vars(letterplace))
-    exec(source.replace(old, new), namespace)
-    return namespace["product"]
-
-
 # Each fault corrupts one seam of the packed kernel. miscount-one-inversion:
 # the bits above an odd variable skip the next index, so below misses an odd
 # left variable right above an odd right one. keep-shared-odd: the o1 & o2
@@ -424,7 +413,7 @@ MERGE_FAULTS = {
 @pytest.mark.parametrize("name", sorted(MERGE_CONTEXTS))
 def test_merge_product_oracle_catches_a_faulty_merge(monkeypatch, name, fault):
     cases = _merge_cases(MERGE_CONTEXTS[name])
-    monkeypatch.setattr(LPPoly, "product", _mutated_product(*MERGE_FAULTS[fault]))
+    monkeypatch.setattr(LPPoly, "product", mutated(LPPoly.product, *MERGE_FAULTS[fault]))
     assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
 
 
@@ -519,7 +508,7 @@ def test_numerator_product_oracle_catches_a_fault(monkeypatch, name, fault):
     cases = {"divide-by-d1-only": spread, "keep-zero-sums": cancelling,
              "memo-outlives-call": _shared_numerator_cases(ctx)}[fault]
     assert all((p * q).terms == loop_letterplace_product(p, q) for p, q in cases)
-    monkeypatch.setattr(LPPoly, "product", _mutated_product(*NUMERATOR_FAULTS[fault]))
+    monkeypatch.setattr(LPPoly, "product", mutated(LPPoly.product, *NUMERATOR_FAULTS[fault]))
     assert any((p * q).terms != loop_letterplace_product(p, q) for p, q in cases)
 
 
@@ -742,7 +731,7 @@ def test_parse_round_trip():
 
 def test_parse_poly_work_is_linear_in_the_terms(monkeypatch):
     # the terms are summed into one dict and the polynomial built once: the
-    # coefficients that pass through clean are three per term (one per factor and
+    # coefficients that pass through clean are two per term (one in from_word and
     # one in the sum), where adding term by term cleaned the whole sum each time
     cleaned = []
     real = exactlin.clean
@@ -753,8 +742,47 @@ def test_parse_poly_work_is_linear_in_the_terms(monkeypatch):
         terms = [(Fraction(k + 1, 3), v(k % 9 + 1, k // 9 + 1)) for k in range(n)]
         cleaned.clear()
         p = parse_poly(" + ".join(f"{c}*{x}" for c, x in terms), EVEN)
-        assert sum(cleaned) <= 3 * n
+        assert sum(cleaned) <= 2 * n
         assert p.terms == {(x,): c for c, x in terms}
+
+
+# the parity contexts of the golden `lp` commands
+GOLDEN_CONTEXTS = [EVEN, ParityContext.make(odd_letters=[1, 3]), ParityContext.make(odd_places=[2]),
+                   ParityContext.make(odd_letters=[1, 2], odd_places=[1, 3])]
+FACTORS = st.one_of(
+    st.builds("(x{}|{})".format, st.integers(1, 3), st.integers(1, 3)),
+    st.builds(lambda n, d: f"{n}/{d}" if d > 1 else str(n), st.integers(0, 5), st.integers(1, 3)))
+
+
+@given(st.lists(FACTORS, min_size=1, max_size=4), st.sampled_from(range(len(GOLDEN_CONTEXTS))))
+@settings(max_examples=300, deadline=None)
+def test_parsed_term_is_the_product_of_its_parsed_factors(factors, k):
+    # parse_poly reads a term as one coefficient and one word; the packed product
+    # kernel multiplies the factors one by one: the two must agree, sign and type
+    ctx = GOLDEN_CONTEXTS[k]
+    product = LPPoly.one(ctx)
+    for factor in factors:
+        product = product * parse_poly(factor, ctx)
+    got = parse_poly("*".join(factors), ctx).terms
+    assert got == product.terms
+    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in product.terms.items()}
+
+
+def test_parse_poly_builds_each_term_from_its_word_without_a_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("parse_poly multiplied")
+
+    for name in ("product", "var", "constant"):
+        monkeypatch.setattr(LPPoly, name, refuse)
+    monkeypatch.setattr(letterplace, "multiply", refuse)
+    words, from_word = [], LPPoly.from_word
+    monkeypatch.setattr(LPPoly, "from_word", lambda ctx, word, coeff=1:
+                        words.append(list(word)) or from_word(ctx, word, coeff))
+    # letters 1 and 2 are odd: the first term takes a sign, the second vanishes
+    ctx = ParityContext.make(odd_letters=[1, 2])
+    p = parse_poly("2*(x2|1)*1/3*(x1|1) - (x1|3)*(x1|3) + (x3|1)*(x3|1) + 5", ctx)
+    assert words == [[v(2, 1), v(1, 1)], [v(1, 3), v(1, 3)], [v(3, 1), v(3, 1)], []]
+    assert p.terms == {(v(1, 1), v(2, 1)): Fraction(-2, 3), (v(3, 1), v(3, 1)): 1, (): 5}
 
 
 def test_parse_rational_coefficients():
