@@ -11,7 +11,6 @@ over the rationals.
 
 __version__ = "0.1.0"
 
-from .exactlin import Matrix, Rational, det, rank, solve
 from .extnat import NEG_INF, POS_INF, ExtNat, fin
 from .semilattice import (Character, FiniteSemilattice, MonoidMap, characters,
                           double_dual_iso, dual_semilattice, ev_matrix_rank,
@@ -32,7 +31,6 @@ from .nbar_dual import (SpecialDetResult, StepFunctional, char_mult,
 
 __all__ = [
     "__version__",
-    "Matrix", "Rational", "det", "rank", "solve",
     "ExtNat", "NEG_INF", "POS_INF", "fin",
     "FiniteSemilattice", "Character", "MonoidMap", "validate", "induced_order",
     "characters", "dual_semilattice", "double_dual_iso", "ev_matrix_rank",

@@ -29,7 +29,7 @@ from .reporting import FAIL, PASS
 OUTPUT_CLOSED = 141
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -402,9 +402,6 @@ def _run(argv, out_stream, err_stream):
     except ArithmeticError as exc:
         out.emit(f"check: FAIL [{exc}]", ("check", FAIL, str(exc)))
         return 1
-    except _UsageError as exc:
-        err_stream.write(f"error: {exc}\n")
-        return 2
     except ParseError as exc:
         err_stream.write(f"{exc}\n")
         return 2

@@ -23,8 +23,6 @@ with `/`, which makes an int quotient a float.
 from fractions import Fraction
 from math import lcm, prod
 
-Rational = Fraction
-
 
 class NonSquareError(ValueError):
     pass

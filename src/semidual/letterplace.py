@@ -72,10 +72,17 @@ class LPVariable(NamedTuple):
         return f"(x{self.letter}|{self.place})"
 
 
+def _checked(v):
+    """v itself if it is an LPVariable of two ints (not bools) from 1; else ValueError."""
+    if type(v) is not LPVariable:
+        raise ValueError(f"not a letterplace variable: {v!r}")
+    if type(v.letter) is not int or type(v.place) is not int or min(v) < 1:
+        raise ValueError(f"letters and places start at 1, got ({v.letter}, {v.place})")
+    return v
+
+
 def variable(letter, place):
-    if type(letter) is not int or type(place) is not int or letter < 1 or place < 1:
-        raise ValueError(f"letters and places start at 1, got ({letter}, {place})")
-    return LPVariable(letter, place)
+    return _checked(LPVariable(letter, place))
 
 
 def normalize(word, ctx):
@@ -97,17 +104,18 @@ class LPPoly(SparseVector):
     """Sparse rational polynomial on canonical letterplace monomials.
 
     The parent is the parity context; `context` and `terms` are other
-    names for `parent` and `coeffs`. The constructor refuses a monomial
-    that is not canonical: out of ascending order, or with an odd
-    variable twice. The operations, whose terms are canonical already,
-    build their results through `_of`, unchecked.
+    names for `parent` and `coeffs`. The constructor refuses a variable
+    that is no letter-place pair from 1, and a monomial out of ascending
+    order or with an odd variable twice. `from_word` refuses the same
+    variables and sorts its word; it and the operations, whose terms are
+    then canonical, build their results through `_of`, unchecked.
     """
 
     __slots__ = ()
 
     def __init__(self, ctx, coeffs):
         super().__init__(ctx, coeffs)
-        for m in self.coeffs:
+        for m in (tuple(map(_checked, m)) for m in self.coeffs):
             if any(b < a or (a == b and ctx.parity(a)) for a, b in zip(m, m[1:])):
                 raise ValueError(f"monomial {'*'.join(map(str, m))} is not canonical:"
                                  " variables ascend, odd ones without repeats")
@@ -130,11 +138,11 @@ class LPPoly(SparseVector):
 
     @classmethod
     def from_word(cls, ctx, word, coeff=1):
-        normalized = normalize(word, ctx)
+        normalized = normalize(tuple(map(_checked, word)), ctx)
         if normalized is None:
             return cls.zero(ctx)
         sign, mono = normalized
-        return cls(ctx, {mono: exact(coeff) * sign})
+        return cls._of(ctx, clean({mono: exact(coeff) * sign}))
 
     @classmethod
     def var(cls, ctx, letter, place):
@@ -259,8 +267,7 @@ def act_min(z, p):
 
 def embed_word(letters, ctx):
     """Embed a word in the letters: the k-th letter goes to place k."""
-    word = [variable(letter, k + 1) for k, letter in enumerate(letters)]
-    return LPPoly.from_word(ctx, word)
+    return LPPoly.from_word(ctx, [LPVariable(letter, k + 1) for k, letter in enumerate(letters)])
 
 
 def _term_sort_key(mono):

@@ -72,18 +72,6 @@ class DoubleDualError(SemilatticeError):
     pass
 
 
-class NotInjectiveError(DoubleDualError):
-    pass
-
-
-class NotSurjectiveError(DoubleDualError):
-    pass
-
-
-class NotMultiplicativeError(DoubleDualError):
-    pass
-
-
 class FiniteSemilattice:
     """Labels plus a total commutative idempotent associative op with identity.
 
@@ -343,7 +331,7 @@ def double_dual_iso(s):
     try:
         dual = _and_table(masks, n)
     except KeyError:
-        raise NotMultiplicativeError(
+        raise DoubleDualError(
             "the characters are not closed under pointwise product") from None
     dual_masks = [mask for mask, _ in _down_sets(dual)]
     double = _and_table(dual_masks, len(dual))
@@ -356,20 +344,20 @@ def double_dual_iso(s):
     assignment = []
     for i, ev in enumerate(evaluations):
         if ev not in lookup:
-            raise NotMultiplicativeError(
+            raise DoubleDualError(
                 f"evaluation at {s.label(i)} is not a character of the dual")
         assignment.append(lookup[ev])
     if len(set(assignment)) != n:
-        raise NotInjectiveError("evaluation map identifies distinct elements")
+        raise DoubleDualError("evaluation map identifies distinct elements")
     if len(double) != n:
-        raise NotSurjectiveError("evaluation map misses a double-dual element")
+        raise DoubleDualError("evaluation map misses a double-dual element")
     if assignment[s.identity] != double.identity:
-        raise NotMultiplicativeError("evaluation map moves the identity")
+        raise DoubleDualError("evaluation map moves the identity")
     for i, row in enumerate(s.table):
         image_row = double.table[assignment[i]]
         for j, k in enumerate(row):
             if assignment[k] != image_row[assignment[j]]:
-                raise NotMultiplicativeError(
+                raise DoubleDualError(
                     f"evaluation map is not multiplicative at ({s.label(i)}, {s.label(j)})")
     return MonoidMap(s, double, tuple(assignment))
 

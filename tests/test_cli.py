@@ -406,6 +406,12 @@ def test_lp_exit_2_on_a_parity_context_naming_0(argv, flag, items):
     assert invoke(*argv, flag, items) == (2, "", "error: letters and places start at 1, got 0\n")
 
 
+@pytest.mark.parametrize("letters, got", [(["0"], "(0, 1)"), (["1", "0"], "(0, 2)")])
+def test_lp_embed_exit_2_on_letter_0(letters, got):
+    assert invoke("lp", "embed", *letters) == (
+        2, "", f"error: letters and places start at 1, got {got}\n")
+
+
 def test_galg_rational_outside_p_over_q_is_refused_at_its_column(tmp_path):
     (tmp_path / "chain1.slat").write_text(corpus.render_corpus_files()["chain1.slat"])
     path = tmp_path / "big.galg"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from semidual import exactlin, letterplace
 from semidual.errors import ParseError
 from semidual.extnat import NEG_INF, POS_INF, ExtNat, fin
-from semidual.letterplace import (ContextMismatchError, LPPoly, ParityContext,
+from semidual.letterplace import (ContextMismatchError, LPPoly, LPVariable, ParityContext,
                                   act_min, embed_word, format_poly, multiply,
                                   normalize, parse_poly, variable, weight,
                                   weight_components)
@@ -87,6 +87,32 @@ def test_multiply_odd_total_parity_square_vanishes():
 def test_bool_and_float_letters_and_places_are_refused(letter, place):
     with pytest.raises(ValueError, match="letters and places start at 1"):
         LPPoly.var(EVEN, letter, place)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (LPVariable(0, 1), r"letters and places start at 1, got \(0, 1\)"),
+    (LPVariable(1, 0), r"letters and places start at 1, got \(1, 0\)"),
+    (LPVariable(True, 1), r"letters and places start at 1, got \(True, 1\)"),
+    (LPVariable(1.0, 1), r"letters and places start at 1, got \(1.0, 1\)"),
+    ((1, 1), r"not a letterplace variable: \(1, 1\)"),
+], ids=["letter-0", "place-0", "bool", "float", "plain-tuple"])
+def test_every_construction_refuses_what_is_no_letterplace_variable(bad, message):
+    # from_word refuses before sorting, so a word whose odd variable repeats,
+    # which is zero, carries no bad variable through
+    builds = [lambda: LPPoly(EVEN, {(bad,): 1}),
+              lambda: LPPoly(ODD_LETTERS, {(v(1, 1), bad): 3}),
+              lambda: LPPoly.from_word(EVEN, [bad]),
+              lambda: LPPoly.from_word(ODD_LETTERS, [v(1, 1), bad, v(1, 1)], 2)]
+    if type(bad) is LPVariable and bad.place == 1:  # the letters embed_word can be given
+        builds += [lambda: embed_word([bad.letter], EVEN),
+                   lambda: embed_word([bad.letter, 2, 1], ODD_LETTERS)]
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build()
+    # the parser refuses a zero letter itself, at its column
+    with pytest.raises(ParseError, match="letters and places start at 1") as exc:
+        parse_poly("(x0|1)", EVEN)
+    assert exc.value.col == 3
 
 
 @pytest.mark.parametrize("odd_letters, odd_places", [

@@ -12,8 +12,10 @@ and refuses floats: everywhere else `Fraction(...)` is a quotient of two
 arguments. The finite side, `semilattice` and `bialgebra`, reads its
 ranks off the structure and never eliminates: it imports none of the
 dense `Matrix`, `rank`, `det` or `solve`. Nor does the max-monoid side,
-`nbar_dual`, which certifies its special_det by a factorization. The
-max-monoid decomposition
+`nbar_dual`, which certifies its special_det by a factorization, nor
+any other module but `exactlin`, which defines them, and `graded`,
+whose one `Matrix` import serves `DualAction.matrices`; the package
+re-exports none of them. The max-monoid decomposition
 certificate `verify_decomposition` stays independent of the telescoping
 that builds the coefficients: it names neither `finite_runs` nor
 `threshold_functional`. The graded action laws, `_character_laws` and
@@ -48,6 +50,10 @@ EXACT = ("exactlin.py", "exact")  # the one function that calls Fraction on one 
 NO_ELIMINATION = ("semilattice.py", "bialgebra.py")
 NO_ELIMINATION_MAX_MONOID = "nbar_dual.py"
 ELIMINATION = {"Matrix", "rank", "det", "solve", "exactlin", "*"}
+# what each module may import of ELIMINATION: exactlin defines it, and graded
+# keeps the one Matrix import behind DualAction.matrices
+ELIMINATION_ALLOWED = {"exactlin.py": ELIMINATION, "graded.py": {"Matrix"}}
+RETIRED = ("Matrix", "Rational", "det", "rank", "solve")  # no longer names of the package
 # (module, functions, names those functions may not name)
 CERTIFICATE = ("nbar_dual.py", ("verify_decomposition",), {"finite_runs", "threshold_functional"})
 WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"),
@@ -116,14 +122,16 @@ def _fractions_of_one_value(source, name):
 
 def _elimination_imports(source, name):
     """Each import in the source of module name that can reach dense elimination:
-    a name in ELIMINATION from any module, or the exactlin module itself."""
+    a name in ELIMINATION from any module, or the exactlin module itself, unless
+    ELIMINATION_ALLOWED allows it to module name."""
+    forbidden = ELIMINATION - ELIMINATION_ALLOWED.get(name, set())
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names if alias.name in ELIMINATION]
+            names = [alias.name for alias in node.names if alias.name in forbidden]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names
-                     if alias.name.rpartition(".")[2] == "exactlin"]
+                     if alias.name.rpartition(".")[2] in forbidden & {"exactlin"}]
         else:
             continue
         hits += [f"{name}:{node.lineno}: {n}" for n in names]
@@ -275,6 +283,31 @@ def test_elimination_rule_rejects_planted_imports():
     assert _elimination_imports(planted, NO_ELIMINATION_MAX_MONOID) == [
         "nbar_dual.py:1: Matrix", "nbar_dual.py:1: det", "nbar_dual.py:1: rank",
         "nbar_dual.py:1: solve"]
+
+
+def test_no_module_imports_elimination_but_graded_its_matrix():
+    assert ELIMINATION_ALLOWED.keys() <= {path.name for path in SRC.glob("*.py")}
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in _elimination_imports(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def test_elimination_rule_rejects_planted_imports_in_every_module():
+    assert _elimination_imports("from .exactlin import Matrix, det\n", "__init__.py") == [
+        "__init__.py:1: Matrix", "__init__.py:1: det"]
+    assert _elimination_imports("from .exactlin import solve\n", "cli.py") == ["cli.py:1: solve"]
+    # graded keeps Matrix, and only Matrix
+    planted = "from .exactlin import Matrix, SparseVector, rank\nfrom . import exactlin\n"
+    assert _elimination_imports(planted, "graded.py") == [
+        "graded.py:1: rank", "graded.py:2: exactlin"]
+    # exactlin defines the elimination
+    assert _elimination_imports(planted, "exactlin.py") == []
+
+
+def test_package_names_resolve_and_the_elimination_is_not_among_them():
+    assert [name for name in semidual.__all__ if not hasattr(semidual, name)] == []
+    assert [name for name in RETIRED if hasattr(semidual, name)] == []
+    assert not set(RETIRED) & set(semidual.__all__)
 
 
 def test_decomposition_certificate_names_no_telescoping():
