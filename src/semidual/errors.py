@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
+from .exactlin import exact
+
 
 class ParseError(ValueError):
     """A text input could not be parsed. Carries a 1-based position."""
@@ -52,7 +54,8 @@ def read_natural(text):
 
 
 def read_rational(text):
-    """The Fraction written as -?digits(/digits)? in ASCII digits, and no other form.
+    """The rational written as -?digits(/digits)? in ASCII digits, and no other form,
+    made exact by exactlin.exact: an int when integral ("4", "6/3", "-0"), else a Fraction.
 
     Raises ValueError on any other form and ZeroDivisionError on a zero
     denominator. Fraction() alone also takes decimals and exponents, and
@@ -62,7 +65,7 @@ def read_rational(text):
     if match is None:
         raise ValueError(f"not a rational: {text!r}")
     num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
+    return int(num) if den is None else exact(Fraction(int(num), int(den)))
 
 
 def quoted(text):

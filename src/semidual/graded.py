@@ -22,8 +22,8 @@ from functools import cached_property
 from .errors import ParseError, quoted, read_rational, reject_repeats, word_column
 from .exactlin import Matrix, SparseVector, clean
 from .reporting import FAIL, INFO, PASS, Report
-from .semilattice import (FiniteSemilattice, UnknownLabelError, characters,
-                          character_label, dual_semilattice, parse_semilattice_file)
+from .semilattice import (FiniteSemilattice, UnknownLabelError, _down_sets, character_label,
+                          dual_semilattice, parse_semilattice_file)
 
 
 class BadLabelsError(ValueError):
@@ -137,26 +137,27 @@ def verify_grading(algebra):
     Associativity is certified one left factor i at a time, on stored
     products only. When every stored product is one basis vector with
     coefficient 1, both sides of (b_i b_j) b_k = b_i (b_j b_k) are one
-    basis vector or 0, and i passes when two dicts (j, k) -> l of the
-    nonzero sides are equal: (b_i b_j) b_k through stored (i, j), then
-    stored (m, k); b_i (b_j b_k) through stored (i, m) and every stored
-    (j, k) whose product is b_m. Every other i, and every i of any other
-    structure, goes through an exact walk, the only source of witnesses.
-    A dict keyed by (j, k, l) collects the l-coordinate of
-    (b_i b_j) b_k - b_i (b_j b_k): the left side through stored (i, j),
-    then stored (m, k) for each m in that product; the right side through
-    stored (j, k), then stored (i, m) for each m in that product. Any
-    triple the walk does not visit gives 0 = 0, so the first i with a
-    nonzero entry, with the smallest (j, k) in it, is the
-    lexicographically first non-associative triple. The unit law sums
-    1 b_i and b_i 1 for every i in one pass over the same table, adding
-    each stored product whose left or right factor is a unit term, and
-    names the first basis vector that fails either side. Integral
-    constants, the unit's included, are held as ints and nothing
-    divides, so every sum is exact. The fourth invariant (unit in the
-    identity degree, see _split_unit_degrees) is reported as INFO when it
-    fails: gradings that split the unit across degrees are legitimate,
-    they just lose the strict module-algebra unit law.
+    basis vector or 0, and i passes when two nested dicts j -> k -> l of
+    the nonzero sides are equal: the left one is, for each stored
+    b_i b_j = b_m, the stored row of b_m, so only the right one is built,
+    through stored (i, m) and every stored (j, k) whose product is b_m.
+    Every other i, and every i of any other structure, goes through an
+    exact walk, the only source of witnesses. A dict keyed by (j, k, l)
+    collects the l-coordinate of (b_i b_j) b_k - b_i (b_j b_k): the left
+    side through stored (i, j), then stored (m, k) for each m in that
+    product; the right side through stored (j, k), then stored (i, m) for
+    each m in that product. Any triple the walk does not visit gives
+    0 = 0, so the first i with a nonzero entry, with the smallest (j, k)
+    in it, is the lexicographically first non-associative triple. The
+    unit law sums 1 b_i and b_i 1 for every i over the stored products in
+    the rows and columns of the unit's terms only, and names the first
+    basis vector that fails either side; the grading law reads the
+    degree of each stored product off the rows of the grading's table.
+    Integral constants, the unit's included, are held as ints and
+    nothing divides, so every sum is exact. The fourth invariant (unit in
+    the identity degree, see _split_unit_degrees) is reported as INFO
+    when it fails: gradings that split the unit across degrees are
+    legitimate, they just lose the strict module-algebra unit law.
     """
     report = Report()
     structure = algebra.structure
@@ -174,9 +175,16 @@ def verify_grading(algebra):
         made = [[(j, k) for j, k, _ in col] for col in into]  # made[m]: (j, k) with prod m
     witness = None
     for i in every:
-        if monomial and ({(j, k): l for j, m in prod[i].items() for k, l in prod[m].items()}
-                         == {jk: l for m, l in prod[i].items() for jk in made[m]}):
-            continue
+        if monomial:
+            right = {}  # right[j][k]: l with b_i (b_j b_k) = b_l
+            for m, l in prod[i].items():
+                for j, k in made[m]:
+                    if j in right:
+                        right[j][k] = l
+                    else:
+                        right[j] = {k: l}
+            if {j: prod[m] for j, m in prod[i].items() if prod[m]} == right:
+                continue
         diff = {}
         for j, vec in rows[i].items():
             for m, c in vec.items():
@@ -194,23 +202,25 @@ def verify_grading(algebra):
             break
     report.check("invariant", "associativity", witness)
 
+    unit = algebra.unit
     one_b = [{} for _ in every]  # one_b[k]: the coordinates of 1 b_k
     b_one = [{} for _ in every]  # b_one[j]: the coordinates of b_j 1
-    for j, row in enumerate(rows):
-        for k, vec in row.items():
-            for side, c in ((one_b[k], algebra.unit.get(j)), (b_one[j], algebra.unit.get(k))):
-                if c:
-                    for l, d in vec.items():
-                        side[l] = side.get(l, 0) + c * d
-    witness = next((label[i] for i in every
-                    if any({l: v for l, v in side[i].items() if v} != {i: 1}
-                           for side in (one_b, b_one))), None)
+    terms = [(one_b[k], c, vec) for u, c in unit.items() for k, vec in rows[u].items()]
+    terms += [(b_one[j], unit[u], row[u])
+              for j, row in enumerate(rows) for u in row.keys() & unit.keys()]
+    for side, c, vec in terms:
+        for l, d in vec.items():
+            side[l] = side.get(l, 0) + c * d
+    ones = [{i: 1} for i in every]
+    witness = None if one_b == b_one == ones else next(
+        (label[i] for i in every if any({l: v for l, v in side[i].items() if v} != ones[i]
+                                        for side in (one_b, b_one))), None)
     report.check("invariant", "unit-law", witness)
 
-    op, degree = algebra.grading.op, algebra.degree
+    table, degree = algebra.grading.table, algebra.degree
     witness = next(((label[i], label[j], label[k])
-                    for (i, j), vec in structure.items() for k in vec
-                    if degree[k] != op(degree[i], degree[j])), None)
+                    for i, row in enumerate(rows) for j, vec in row.items() for k in vec
+                    if degree[k] != table[degree[i]][degree[j]]), None)
     report.check("invariant", "grading-law", witness)
 
     bad = _split_unit_degrees(algebra)
@@ -231,14 +241,21 @@ def homogeneous_components(a):
     return {d: AlgebraElement(a.parent, coords) for d, coords in sorted(parts.items())}
 
 
-def _keep_word(f, algebra):
-    """The int whose bit i is set iff f(degree[i]) = 1: the basis vectors f keeps."""
-    return sum(1 << i for i, d in enumerate(algebra.degree) if f(d) == 1)
+def _keep_words(algebra, value_rows):
+    """Per row of one 0/1 value per grading element (a character's values), the int whose
+    bit i is set iff the value at degree[i] is 1: the basis vectors that character keeps.
+    A word is the OR of the basis vectors of each degree where the row is 1, so no value
+    is read per basis vector."""
+    by_degree = [0] * len(algebra.grading)  # by_degree[t]: the basis vectors of degree t
+    for i, d in enumerate(algebra.degree):
+        by_degree[d] |= 1 << i
+    return [sum(w for w, v in zip(by_degree, values) if v) for values in value_rows]
 
 
 def _project(word, a):
-    """The coordinates of a on the basis vectors whose bits word sets, the rest dropped."""
-    return AlgebraElement(a.parent, {i: v for i, v in a.coeffs.items() if word >> i & 1})
+    """The coordinates of a on the basis vectors whose bits word sets, the rest dropped;
+    they are a's own exact nonzero values, so they are not cleaned again."""
+    return AlgebraElement._of(a.parent, {i: v for i, v in a.coeffs.items() if word >> i & 1})
 
 
 def act_character(f, a):
@@ -246,7 +263,7 @@ def act_character(f, a):
     algebra = a.parent
     if not f.is_character_of(algebra.grading):
         raise CharacterMismatchError("not a character of the grading semilattice")
-    return _project(_keep_word(f, algebra), a)
+    return _project(_keep_words(algebra, [f.values])[0], a)
 
 
 def _character_laws(algebra, kind, unit_name, unit_note):
@@ -255,19 +272,22 @@ def _character_laws(algebra, kind, unit_name, unit_note):
     The policy is the one check_module_algebra documents; kind, unit_name
     and unit_note only set the wording of the lines. Each character f acts
     as the coordinate projection onto the basis vectors of its word
-    (_keep_word), so every law is read off the words and no element is
+    (_keep_words), so every law is read off the words and no element is
     acted on. f(b_i) f(b_j) is b_i b_j when word holds bits i and j, else
     0, and f(b_i b_j) keeps the part of the product's support P in word,
     so a stored pair passes iff P & word is P or 0 as both bits are in
     word or not: one integer AND per stored product. A pair without a
     stored product gives 0 = 0. f(1) = 1 iff word holds the unit's
-    support. The characters come from characters(grading), so they are
-    not re-checked. Returns the report and the words, one per character
-    in the order of characters(grading).
+    support. The character of x is the indicator of the down-set of x,
+    read off row x of the grading's table, so no character is built or
+    re-checked. Returns the report and the words, one per character in
+    the order of characters(grading), which is that of _down_sets.
     """
     if not verify_grading(algebra).passed:
         raise ValueError("algebra does not pass verify_grading")
-    words = [_keep_word(f, algebra) for f in characters(algebra.grading)]
+    grading = algebra.grading
+    words = _keep_words(algebra, ([v == x for v in grading.table[x]]
+                                  for _, x in _down_sets(grading)))
     label = algebra.basis
     supports = [(i, j, 1 << i | 1 << j, sum(1 << k for k in vec))
                 for (i, j), vec in algebra.structure.items()]
@@ -340,11 +360,10 @@ def dual_monoid_action(algebra):
         algebra, "endomorphism", "unital",
         "unit not concentrated in identity-acting degrees;"
         " gamma(f,1) != 1 for characters vanishing on a unit degree")
-    every = range(len(words))
-    labels = [character_label(i) for i in every]
+    labels = [character_label(i) for i in range(len(words))]
     dual = dual_semilattice(algebra.grading)
-    witness = next(((labels[i], labels[k]) for i in every for k in every
-                    if words[i] & words[k] != words[dual.op(i, k)]), None)
+    witness = next(((labels[i], labels[k]) for i, row in enumerate(dual.table)
+                    for k, ik in enumerate(row) if words[i] & words[k] != words[ik]), None)
     report.check("action", "composition", witness)
     identity = words[dual.identity] == (1 << algebra.dim) - 1
     report.add("action", "identity-character", PASS if identity else FAIL)

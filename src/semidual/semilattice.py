@@ -233,22 +233,22 @@ class Character:
         return Character(tuple(a * b for a, b in zip(self.values, other.values)))
 
     def is_character_of(self, s):
-        """Whether these values are a character of s, in O(|s|) steps.
+        """Whether these values, each the int 0 or 1, are a character of s, in O(|s|) steps.
 
         A character is the indicator of the principal down-set of the
         join x of its support (see characters), so it suffices to build
         x and compare every value with [t <= x].
         """
-        values = self.values
-        if len(values) != len(s) or any(v not in (0, 1) for v in values):
+        values, table = self.values, s.table
+        if len(values) != len(s) or any(type(v) is not int or v not in (0, 1) for v in values):
             return False
         if values[s.identity] != 1:
             return False
         x = s.identity
         for t, v in enumerate(values):
             if v:
-                x = s.op(x, t)
-        return all(v == s.leq(t, x) for t, v in enumerate(values))
+                x = table[x][t]
+        return all(v == (u == x) for v, u in zip(values, table[x]))
 
     def bits(self):
         return " ".join(str(v) for v in self.values)

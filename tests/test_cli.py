@@ -4,12 +4,14 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import semidual
-from semidual import bialgebra, cli, corpus, exactlin, nbar_dual
+from semidual import bialgebra, cli, corpus, exactlin, graded, nbar_dual
 from semidual.cli import run
+from semidual.errors import read_rational
 
 
 def invoke(*argv):
@@ -360,6 +362,44 @@ def test_exit_2_on_rational_outside_p_over_q(value):
     # Fraction() alone would spend seconds building 10**10000000
     code, out, err = invoke("nbar", "det", "--row", f"1,{value}")
     assert (code, out, err) == (2, "", f"error: bad rational {value!r}\n")
+
+
+@pytest.mark.parametrize("text, value", [("4", 4), ("6/3", 2), ("-0", 0), ("0/7", 0),
+                                         ("-8/4", -2)])
+def test_read_rational_gives_an_int_when_integral(text, value):
+    got = read_rational(text)
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize("text, value", [("1/2", Fraction(1, 2)), ("-6/4", Fraction(-3, 2))])
+def test_read_rational_gives_a_fraction_otherwise(text, value):
+    got = read_rational(text)
+    assert type(got) is Fraction and got == value
+
+
+# each entry point that reads a rational, with {} where it goes, and what it prints for 2
+RATIONAL_READERS = [
+    (["nbar", "det", "--row={},1"], "det: 1\nclosed-form: 1\nagree: yes\n"
+     "preconditions: met\nnonzero: yes\n"),
+    (["lp", "mul", "{}*(x1|1)", "(x2|2)"], "2*(x1|1)*(x2|2)\n"),
+    (["graded", "act", "ut2.galg", "--char=f2", "--element=E11:{},E12:1"], "E11:2,E12:1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, printed", RATIONAL_READERS, ids=["cli", "lp", "element"])
+@pytest.mark.parametrize("text", ["2", "6/3", "4/2", "10/5"])
+def test_an_integral_rational_prints_as_its_int(argv, printed, text):
+    argv = [galg("ut2") if a == "ut2.galg" else a.replace("{}", text) for a in argv]
+    assert invoke(*argv) == (0, printed, "")
+
+
+def test_a_galg_term_written_as_a_quotient_prints_as_its_int():
+    text = ("basis: u\nunit: u:3/3\nsemilattice: chain1.slat\ndegree u n1\n"
+            "mul u u = u:4/4\n")
+    algebra = graded.parse_graded(text, slat_loader=lambda _: corpus.load_semilattice("chain1"))
+    assert type(algebra.unit[0]) is int and type(algebra.structure[0, 0][0]) is int
+    assert graded.print_graded(algebra, "chain1.slat") == text.replace("3/3", "1").replace(
+        "4/4", "1")
 
 
 def _with_files(argv, text=""):

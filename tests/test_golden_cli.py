@@ -20,6 +20,12 @@ with a rescaled product, one whose products are all still single basis
 vectors with coefficient 1 but not associative, and one breaking the
 grading law.
 
+`golden_stderr.json` pins the exit code and the digests of stdout and of
+stderr of the commands above that must exit 2, and of `graded verify` on
+three `.galg` inputs whose terms go through the rational reader: one
+written `1.5`, one with a zero denominator, and one written `4/2`. A
+temporary directory in an error message is written `<dir>`.
+
 Regenerate the stored digests (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -40,6 +46,7 @@ from semidual.semilattice import print_semilattice
 
 DIGESTS = pathlib.Path(__file__).with_name("golden_cli.json")
 GRADED_DIGESTS = pathlib.Path(__file__).with_name("golden_graded.json")
+STDERR_DIGESTS = pathlib.Path(__file__).with_name("golden_stderr.json")
 MONOID_GRADINGS = ("bool2", "bool3", "div12")
 UT_SIZES = (6, 7, 8)
 BIG_UT = 20  # its chain is not bundled, so graded_inputs() adds the .slat file
@@ -201,6 +208,38 @@ def graded_commands(directory):
     return out
 
 
+def rational_inputs():
+    """File name -> `.galg` or `.slat` text: k[chain1] with u u written three ways."""
+    files = {"chain1.slat": corpus.render_corpus_files()["chain1.slat"]}
+    for name, value in (("bad-rational", "1.5"), ("zero-denominator", "1/0"),
+                        ("quotient", "4/2")):
+        files[f"{name}.galg"] = ("basis: u\nunit: u:1\nsemilattice: chain1.slat\n"
+                                 f"degree u n1\nmul u u = u:{value}\n")
+    return files
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def stderr_digests():
+    """Key -> exit code, stdout digest and stderr digest of EXIT_2 and rational_inputs()."""
+    table = {}
+    with tempfile.TemporaryDirectory() as directory:
+        pairs = [(" ".join(argv), argv) for argv in EXIT_2]
+        for name, text in rational_inputs().items():
+            path = pathlib.Path(directory) / name
+            path.write_text(text, encoding="utf-8")
+            if name.endswith(".galg"):
+                pairs.append((f"graded verify {name}", ["graded", "verify", str(path)]))
+        for key, argv in pairs:
+            out, err = io.StringIO(), io.StringIO()
+            code = run(argv, out, err)
+            table[key] = " ".join([str(code), _sha(out.getvalue()),
+                                   _sha(err.getvalue().replace(directory, "<dir>"))])
+    return table
+
+
 def digests(pairs=None):
     table = {}
     for key, argv in commands() if pairs is None else pairs:
@@ -233,7 +272,16 @@ def test_graded_outputs_match_stored_digests():
     assert not changed, changed[:10]
 
 
+def test_error_text_matches_stored_digests():
+    stored = json.loads(STDERR_DIGESTS.read_text(encoding="utf-8"))
+    current = stderr_digests()
+    assert len(current) == len(EXIT_2) + 3
+    assert current == stored
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(digests(), indent=0, sort_keys=True) + "\n", encoding="utf-8")
     GRADED_DIGESTS.write_text(json.dumps(graded_digests(), indent=0, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    STDERR_DIGESTS.write_text(json.dumps(stderr_digests(), indent=0, sort_keys=True) + "\n",
                               encoding="utf-8")

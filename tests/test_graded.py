@@ -23,7 +23,7 @@ from semidual.graded import (BadLabelsError, CharacterMismatchError, GradedFDAlg
                              homogeneous_components, parse_graded,
                              print_graded, ut_graded, verify_grading)
 from semidual.reporting import INFO
-from semidual.semilattice import characters, print_semilattice, validate
+from semidual.semilattice import Character, characters, print_semilattice, validate
 from test_semilattice import union_closed_families
 
 
@@ -141,6 +141,19 @@ def test_act_character_mismatch():
         act_character(other, sample_element(a))
 
 
+@pytest.mark.parametrize("values", [
+    (True, False), (True, True), (1, False), (1.0, 0), (1, 1.0), (Fraction(1), 0),
+    (1, Fraction(0)),
+])
+def test_character_values_other_than_the_ints_0_and_1_are_refused(values):
+    # the same values as the ints 1 and 0 are the characters of the chain n1 < n2
+    grading = ut2().grading
+    assert Character(tuple(int(v) for v in values)).is_character_of(grading)
+    assert not Character(values).is_character_of(grading)
+    with pytest.raises(CharacterMismatchError):
+        act_character(Character(values), sample_element(ut2()))
+
+
 def test_module_algebra_ut2():
     report = check_module_algebra(ut2())
     assert report.passed
@@ -212,10 +225,10 @@ def test_dual_action_builds_its_matrices_on_first_access(monkeypatch, algebra):
 
 
 def _corrupted_words(corrupt):
-    """A patch of _keep_word: each character's true word, then corrupt(word)."""
-    true_word = graded._keep_word
-    return mock.patch.object(graded, "_keep_word",
-                             lambda f, algebra: corrupt(true_word(f, algebra)))
+    """A patch of _keep_words: each character's true word, then corrupt(word)."""
+    true_words = graded._keep_words
+    return mock.patch.object(graded, "_keep_words",
+                             lambda *args: [corrupt(word) for word in true_words(*args)])
 
 
 def _drop_bit(i):
@@ -384,10 +397,35 @@ def _rescaled(algebra, scale):
 _NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
 
+_UNIT_EDGES = ("none", "row", "column", "one-side")
+
+
+def _unit_edge(algebra, kind, rng, change):
+    """The algebra with the stored products of one unit term's row or column deleted, or
+    change(vec) in place of one stored product vec with a unit term as exactly one factor.
+
+    "row" and "column" leave a unit term whose row or column holds no
+    stored product; "one-side" changes a product that only one of the
+    unit's left and right actions reads. An algebra with no unit term or
+    no such product comes back as it is.
+    """
+    structure, unit = dict(algebra.structure), algebra.unit
+    if kind in ("row", "column") and unit:
+        u, side = rng.choice(sorted(unit)), kind == "column"
+        structure = {key: vec for key, vec in structure.items() if key[side] != u}
+    elif kind == "one-side":
+        one_sided = [key for key in sorted(structure) if (key[0] in unit) != (key[1] in unit)]
+        if one_sided:
+            key = rng.choice(one_sided)
+            structure[key] = change(structure[key])
+    return GradedFDAlgebra(algebra.basis, structure, unit, algebra.grading, algebra.degree)
+
+
 @st.composite
 def perturbed_units(draw):
     """ut_graded(1..6) or a k[S], maybe rescaled, its unit left alone or with one term
-    dropped, added or scaled."""
+    dropped, added or scaled, then maybe with a unit edge of _unit_edge: a unit term's
+    row or column emptied, or a product with a unit factor on one side only rescaled."""
     if draw(st.booleans()):
         m = draw(st.integers(1, 6))
         algebra = ut_graded(m, list(range(1, m + 1)))
@@ -406,8 +444,12 @@ def perturbed_units(draw):
     elif kind == "scale":
         i = draw(st.sampled_from(sorted(unit)))
         unit[i] *= draw(_NONZERO)
-    return GradedFDAlgebra(algebra.basis, algebra.structure, unit, algebra.grading,
-                           algebra.degree)
+    algebra = GradedFDAlgebra(algebra.basis, algebra.structure, unit, algebra.grading,
+                              algebra.degree)
+    scale = draw(_NONZERO)
+    return _unit_edge(algebra, draw(st.sampled_from(_UNIT_EDGES)),
+                      draw(st.randoms(use_true_random=False)),
+                      lambda vec: {k: v * scale for k, v in vec.items()})
 
 
 @given(perturbed_units())
@@ -632,11 +674,11 @@ def test_associativity_witness_matches_dense_search_up_to_ut8():
     # walk the right side only where (i, j) is stored, skipping right-only triples
     ("for j, k, c in into[m]:", "for j, k, c in (t for t in into[m] if t[0] in rows[i]):"),
     # certify a monomial left factor when the two sides are nonzero at the same (j, k) only
-    ("== {jk: l for m, l in prod[i].items() for jk in made[m]}):",
-     ".keys() == {jk: l for m, l in prod[i].items() for jk in made[m]}.keys()):"),
-    # build the monomial right side without made, only where (i, j) is stored
-    ("{jk: l for m, l in prod[i].items() for jk in made[m]}",
-     "{(j, k): prod[i][m] for j in prod[i] for k, m in prod[j].items() if m in prod[i]}"),
+    ("{j: prod[m] for j, m in prod[i].items() if prod[m]} == right:",
+     "{j: prod[m].keys() for j, m in prod[i].items() if prod[m]}"
+     " == {j: row.keys() for j, row in right.items()}:"),
+    # build the monomial right side only where (i, j) is stored
+    ("for j, k in made[m]:", "for j, k in (jk for jk in made[m] if jk[0] in prod[i]):"),
 ])
 def test_wide_associativity_oracle_catches_a_broken_certificate(old, new):
     assert _witness_mismatches(mutated(verify_grading, old, new), _wide_oracle_cases())
@@ -644,23 +686,34 @@ def test_wide_associativity_oracle_catches_a_broken_certificate(old, new):
 
 @st.composite
 def monomial_algebras(draw):
-    """ut_graded(m) or k[S], as it is or with one stored product redirected or deleted."""
+    """ut_graded(m) or k[S], as it is or with one stored product redirected or deleted,
+    or with a unit edge of _unit_edge: a unit term's row or column emptied, or a product
+    with a unit factor on one side only redirected; every product stays monomial."""
     if draw(st.booleans()):
         m = draw(st.integers(1, 7))
         algebra = ut_graded(m, list(range(1, m + 1)))
     else:
         algebra = _monoid_algebra(draw(union_closed_families(max_members=8)))
     kinds = ["none", "delete"] + ["redirect"] * (algebra.dim > 1)
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(kinds + ["edge"]))
+    rng = draw(st.randoms(use_true_random=False))
     if kind == "none":
         return algebra
-    return _monomial_fault(algebra, draw(st.randoms(use_true_random=False)), kind)
+    if kind == "edge":
+        dim = algebra.dim
+        return _unit_edge(algebra, draw(st.sampled_from(_UNIT_EDGES)), rng,
+                          lambda vec: {rng.choice([k for k in range(dim) if k not in vec]
+                                                  or list(vec)): 1})
+    return _monomial_fault(algebra, rng, kind)
 
 
 @given(monomial_algebras())
 @settings(max_examples=80, deadline=None)
 def test_monomial_certificate_matches_dense_search(algebra):
     assert _witness_mismatches(verify_grading, [algebra]) == []
+    witness = loop_unit_law_witness(algebra)
+    assert verify_grading(algebra).lines[1].render() == (
+        f"invariant unit-law: FAIL [witness {witness}]" if witness else "invariant unit-law: PASS")
 
 
 @pytest.mark.parametrize("algebra", [ut_graded(8, list(range(1, 9))),

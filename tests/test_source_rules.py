@@ -21,7 +21,9 @@ that builds the coefficients: it names neither `finite_runs` nor
 `threshold_functional`. The graded action laws, `_character_laws` and
 `dual_monoid_action`, read one keep word per character and never act on
 or build an element: they name none of `_project`, `mul_basis` and
-`AlgebraElement`. The finite side's dual, double dual and evaluation
+`AlgebraElement`. With `verify_grading` they read the grading and its
+dual off their tables and build no character: they name none of
+`characters`, `Character` and `op`. The finite side's dual, double dual and evaluation
 rank work on the int down-set masks alone: `_and_table`,
 `dual_semilattice`, `double_dual_iso` and `ev_matrix_rank` name none of
 `characters`, `Character` and `join`. The bialgebra certificate
@@ -58,6 +60,8 @@ RETIRED = ("Matrix", "Rational", "det", "rank", "solve")  # no longer names of t
 CERTIFICATE = ("nbar_dual.py", ("verify_decomposition",), {"finite_runs", "threshold_functional"})
 WORD_LAWS = ("graded.py", ("_character_laws", "dual_monoid_action"),
              {"_project", "mul_basis", "AlgebraElement"})
+GRADED_TABLES = ("graded.py", ("verify_grading", "_character_laws", "dual_monoid_action"),
+                 {"characters", "Character", "op"})
 DOWN_SET_MASKS = ("semilattice.py",
                   ("_and_table", "dual_semilattice", "double_dual_iso", "ev_matrix_rank"),
                   {"characters", "Character", "join"})
@@ -334,6 +338,20 @@ def test_telescoping_rule_rejects_planted_uses():
 
 def test_character_laws_act_on_no_element():
     assert _rule_violations(WORD_LAWS) == []
+    assert _rule_violations(GRADED_TABLES) == []
+    planted = textwrap.dedent("""\
+        def verify_grading(algebra):
+            op, degree = algebra.grading.op, algebra.degree
+
+        def _character_laws(algebra, kind, unit_name, unit_note):
+            words = [_keep_words(algebra, [f.values])[0] for f in characters(algebra.grading)]
+
+        def dual_monoid_action(algebra):
+            return dual.op(0, 1), Character((1,)), type(f) is Character
+        """)
+    assert sorted(_forbidden_names(planted, "graded.py", GRADED_TABLES)) == [
+        "graded.py:2: algebra.grading.op", "graded.py:2: op", "graded.py:5: characters",
+        "graded.py:8: Character", "graded.py:8: dual.op"]
 
 
 def test_acting_rule_rejects_planted_uses():
